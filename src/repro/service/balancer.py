@@ -47,7 +47,9 @@ Observability
   With ``REPRO_TRACE=1`` each proxied request is a ``balance.request``
   span (joining the client's ``traceparent``) with one ``balance.try``
   child per upstream attempt carrying ``replica``, ``retry.attempt``
-  and — when the try got its replica ejected — ``ejected=True``.
+  and — when the try got its replica ejected — ``ejected=True``.  Each
+  try forwards its own ``traceparent``, so the replica's spans nest
+  under the try that reached it.
   ``/metrics`` exposes the balancer's counters (``balance.requests``,
   ``balance.retries``, ``balance.ejections``, ``balance.recoveries``,
   ...) plus a per-replica state table; ``/healthz`` and ``/readyz``
@@ -478,7 +480,12 @@ class Balancer:
             )
             try:
                 status, payload, resp_headers = await self._roundtrip(
-                    replica, method, target, body, headers, timeout
+                    replica,
+                    method,
+                    target,
+                    body,
+                    self._try_headers(headers, sp),
+                    timeout,
                 )
             except (OSError, asyncio.TimeoutError) as exc:
                 # The failover loop absorbs the error; record_failure
@@ -678,6 +685,15 @@ class Balancer:
             out["traceparent"] = traceparent
         return out
 
+    @staticmethod
+    def _try_headers(headers: dict[str, str], sp) -> dict[str, str]:
+        """*headers* for one upstream try: the ``balance.try`` span's own
+        ``traceparent`` replaces the client's, so the replica's
+        ``service.request`` nests under the try that carried it.  With
+        tracing off the client's header passes through unchanged."""
+        traceparent = sp.traceparent()
+        return dict(headers, traceparent=traceparent) if traceparent else headers
+
     async def _submit(
         self,
         target: str,
@@ -774,7 +790,7 @@ class Balancer:
                 "GET",
                 target,
                 None,
-                self._forward_headers(headers),
+                self._try_headers(self._forward_headers(headers), sp),
                 self._try_timeout(query),
             )
         except (OSError, asyncio.TimeoutError) as exc:

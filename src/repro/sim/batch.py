@@ -9,15 +9,15 @@ Completed jobs also land in the persistent disk cache
 (:mod:`repro.sim.cache`), so results flow back to the parent — and to
 every later process — even across start methods.
 
-Execution is *supervised* (:mod:`repro.sim.supervisor`): per-job
-timeouts, bounded retries with backoff, dead-worker requeue (degrading
-to serial execution after repeated pool failures), a per-job
+Each batch runs on its own :class:`~repro.sim.supervisor.WorkerPool`,
+the supervised engine the service also uses: per-job timeouts, bounded
+retries with backoff, dead-worker requeue (degrading to serial
+execution after repeated pool failures), a per-job
 :class:`~repro.sim.supervisor.JobOutcome` audit trail, and an optional
 append-only journal that lets ``repro sweep --resume`` skip finished
 work after any interruption.  Results come back in job order regardless
 of completion order; a job that cannot be completed raises
-:class:`~repro.sim.supervisor.BatchError` naming it — never a silent
-``None`` hole in the result list.
+:class:`~repro.sim.supervisor.BatchError` naming it.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ def run_batch(
     start_method: str | None = None,
     config: SupervisorConfig | None = None,
     journal: SweepJournal | None = None,
-    completed: dict[str, SimStats] | None = None,
 ) -> list[SimStats]:
     """Run *jobs*, in parallel where the platform allows.
 
@@ -148,24 +147,16 @@ def run_batch(
     fork-preferred default (tests force ``spawn``); serial execution is
     the fallback when no start method is available.  *config* sets the
     supervision policy (timeouts, retries, backoff); *journal* records
-    completions for resume and *completed* serves previously journalled
-    results.  Results are returned in job order; lost or permanently
-    failed jobs raise :class:`BatchError`.
+    completions for resume.  Results are returned in job order; lost or
+    permanently failed jobs raise :class:`BatchError`.
     """
-    if not jobs:
-        return []
-    # Sweep-level root span: every job's batch.job span (parent or
-    # worker process) hangs off this one trace.
-    with tracing.span("batch.run", jobs=len(jobs)):
-        return run_supervised(
-            jobs,
-            _run_job,
-            processes=processes,
-            requested_start_method=start_method,
-            config=config,
-            journal=journal,
-            completed=completed,
-        ).results
+    return run_batch_report(
+        jobs,
+        processes=processes,
+        start_method=start_method,
+        config=config,
+        journal=journal,
+    ).results
 
 
 def run_batch_report(
@@ -192,6 +183,8 @@ def run_batch_report(
     if not jobs:
         run = None
     else:
+        # Sweep-level root span: every job's batch.job span (parent or
+        # worker process) hangs off this one trace.
         with tracing.span("batch.run", jobs=len(jobs), processes=processes):
             run = run_supervised(
                 jobs,

@@ -1,10 +1,7 @@
-"""Supervised parallel job execution: the resilient sweep engine.
+"""Supervised job execution: one engine for sweeps, studies and the service.
 
-:mod:`repro.sim.batch` used to hand jobs to a bare
-``Pool.imap_unordered`` — one hung worker, one OOM kill or one Ctrl-C
-lost the whole sweep.  This module replaces the pool with a supervisor
-that owns one :class:`multiprocessing.Process` per worker slot and
-treats every job as a unit of recovery:
+:class:`WorkerPool` owns one :class:`multiprocessing.Process` per worker
+slot and treats every job as a unit of recovery:
 
 * **Per-job wall-clock timeouts** — a worker stuck past
   ``SupervisorConfig.timeout`` is terminated and its job requeued.
@@ -16,25 +13,26 @@ treats every job as a unit of recovery:
   crash, OOM kill, segfault) is detected by the supervision pass, its
   in-flight job requeued and the slot respawned.
 * **Degrade to serial** — after ``max_worker_failures`` worker deaths or
-  hangs, the supervisor stops trusting the pool, terminates it and runs
+  hangs, the pool stops trusting its workers, terminates them and runs
   the remaining jobs in-process (still honouring the retry budget).
 * **Per-job audit** — every job resolves to a :class:`JobOutcome`
   (``ok``/``retried``/``timeout``/``crashed``/``skipped``, attempt
   count, per-attempt failure reasons, wall time) folded into
   :class:`repro.sim.batch.BatchReport` and the telemetry manifest.
-* **Sweep journal** — completed jobs are appended (with a pickled,
-  digest-checked copy of the result) to ``journal.jsonl`` the moment
-  they finish, so ``repro sweep --resume DIR`` after any interruption
-  skips finished work and reproduces results **bit-identically**.
-* **Lost-job detection** — if any result slot is unfilled at the end
-  (the old ``imap_unordered`` silently returned ``None`` holes), a
-  :class:`BatchError` names the lost jobs instead of returning corrupt
-  results.
+
+The service submits an open-ended stream of jobs to a long-lived pool.
+:func:`run_supervised` is the batch façade over the same pool: it serves
+journalled jobs from a :class:`SweepJournal` (so ``repro sweep --resume
+DIR`` after any interruption skips finished work and reproduces results
+**bit-identically**), submits the rest, journals each completion the
+moment it arrives, and raises :class:`BatchError` naming any job it could
+not complete.
 
 Every recovery path is provable on demand with the deterministic fault
 harness (:mod:`repro.faults`, ``REPRO_FAULTS=...``): the worker wrapper
 fires the ``batch.worker`` site with the job index and attempt number,
-so an injected crash/hang/exception schedule is reproducible across
+and the pool fires ``service.handoff`` as it hands a job to a worker, so
+an injected crash/hang/exception schedule is reproducible across
 processes.  See ``docs/robustness.md``.
 """
 
@@ -186,7 +184,6 @@ class SweepJournal:
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_NAME
         self._handle = None
-        self._stale = False
 
     @staticmethod
     def job_key(job: Any) -> str:
@@ -211,7 +208,6 @@ class SweepJournal:
         """
         if not self.path.is_file():
             return {}
-        expected = self._header()
         header_ok = False
         entries: dict[str, Any] = {}
         for line in self.path.read_text().splitlines():
@@ -222,16 +218,8 @@ class SweepJournal:
             except ValueError:
                 continue  # torn line from an interrupted writer
             if record.get("type") == "header":
-                header_ok = all(
-                    record.get(field) == expected[field]
-                    for field in (
-                        "journal_version",
-                        "source_version",
-                        "check_env",
-                    )
-                )
+                header_ok = record == self._header()
                 if not header_ok:
-                    self._stale = True
                     return {}
                 continue
             if not header_ok or record.get("type") != "result":
@@ -243,20 +231,24 @@ class SweepJournal:
                 entries[record["key"]] = pickle.loads(blob)
             except Exception:
                 continue  # damaged entry: recompute rather than trust it
-        if not header_ok:
-            self._stale = True
-            return {}
-        return entries
+        return entries if header_ok else {}
 
     def append(self, job: Any, result: Any, outcome: JobOutcome) -> None:
-        """Journal one completed job (flushed immediately)."""
+        """Journal one completed job (flushed immediately).
+
+        The first append checks the existing header: a journal left by
+        other code or under other check-env salts is started over, so
+        every line written here is one a later resume can read.
+        """
         if self._handle is None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            fresh = self._stale or not self.path.is_file() or (
-                self.path.stat().st_size == 0
-            )
-            self._handle = self.path.open("w" if self._stale else "a")
-            self._stale = False
+            try:
+                with self.path.open() as handle:
+                    first = json.loads(handle.readline())
+            except (OSError, ValueError):
+                first = None  # missing, empty or torn
+            fresh = first != self._header()
+            self._handle = self.path.open("w" if fresh else "a")
             if fresh:
                 self._handle.write(json.dumps(self._header()) + "\n")
         blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
@@ -377,369 +369,6 @@ class _Worker:
     started: float = 0.0
 
 
-class _Supervisor:
-    """One supervised batch execution (single use)."""
-
-    def __init__(
-        self,
-        jobs: list[Any],
-        run_job: Callable[[Any], Any],
-        config: SupervisorConfig,
-        journal: SweepJournal | None,
-        on_complete: Callable[[JobOutcome], None] | None,
-    ) -> None:
-        self.jobs = jobs
-        self.run_job = run_job
-        self.config = config
-        self.journal = journal
-        self.on_complete = on_complete
-        self.results: list[Any] = [_UNSET] * len(jobs)
-        #: Ambient trace context at construction (e.g. the ``batch.run``
-        #: span): shipped with every task so worker-side ``batch.job``
-        #: spans join this trace rather than starting their own.
-        self.trace_parent = tracing.current_traceparent()
-        self.outcomes = [
-            JobOutcome(index=i, job=asdict(job)) for i, job in enumerate(jobs)
-        ]
-        self.unresolved: set[int] = set()
-        self.failed: list[int] = []
-        self.pending: list[tuple[float, int, int, int]] = []
-        self._seq = 0
-        self._rng = random.Random(config.backoff_seed)
-        self.worker_failures = 0
-        self.degraded_serial = False
-
-    # resolution bookkeeping ------------------------------------------------
-
-    def _resolve_ok(self, index: int, attempt: int, result: Any) -> None:
-        outcome = self.outcomes[index]
-        self.results[index] = result
-        outcome.attempts = max(outcome.attempts, attempt)
-        outcome.status = "ok" if not outcome.failures else "retried"
-        self.unresolved.discard(index)
-        if self.journal is not None:
-            self.journal.append(self.jobs[index], result, outcome)
-        if self.on_complete is not None:
-            self.on_complete(outcome)
-
-    def _attempt_failed(
-        self, index: int, attempt: int, reason: str, kind: str
-    ) -> bool:
-        """Record a failed attempt; returns True when a retry is owed."""
-        outcome = self.outcomes[index]
-        outcome.attempts = max(outcome.attempts, attempt)
-        outcome.failures.append(f"attempt {attempt}: {reason}")
-        if attempt >= self.config.max_attempts:
-            outcome.status = kind
-            self.unresolved.discard(index)
-            self.failed.append(index)
-            if self.on_complete is not None:
-                self.on_complete(outcome)
-            return False
-        return True
-
-    def _schedule(self, index: int, attempt: int, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(
-            self.pending, (time.monotonic() + delay, self._seq, index, attempt)
-        )
-
-    def _requeue(self, index: int, attempt: int, reason: str, kind: str) -> None:
-        if self._attempt_failed(index, attempt, reason, kind):
-            delay = self.config.backoff_seconds(attempt, self._rng)
-            self._schedule(index, attempt + 1, delay)
-
-    # serial execution ------------------------------------------------------
-
-    def run_serial(self, work: list[tuple[int, int]]) -> None:
-        """Run ``(index, first_attempt)`` pairs in-process with retries.
-
-        Outside a supervised worker the fault harness degrades ``crash``
-        and ``hang`` to exceptions, so injection cannot kill or freeze
-        the parent; timeouts are unenforceable here (documented).
-        """
-        for index, first_attempt in work:
-            attempt = first_attempt
-            while index in self.unresolved:
-                start = time.perf_counter()
-                try:
-                    with tracing.span(
-                        "batch.job", index=index, attempt=attempt
-                    ):
-                        faults.maybe_fail(
-                            "batch.worker", token=index, attempt=attempt
-                        )
-                        result = self.run_job(self.jobs[index])
-                except KeyboardInterrupt:
-                    raise
-                except BaseException as exc:
-                    self.outcomes[index].wall_seconds += (
-                        time.perf_counter() - start
-                    )
-                    retry = self._attempt_failed(
-                        index,
-                        attempt,
-                        f"{type(exc).__name__}: {exc}",
-                        "crashed",
-                    )
-                    if not retry:
-                        break
-                    time.sleep(self.config.backoff_seconds(attempt, self._rng))
-                    attempt += 1
-                else:
-                    self.outcomes[index].wall_seconds += (
-                        time.perf_counter() - start
-                    )
-                    self._resolve_ok(index, attempt, result)
-
-    # parallel execution ----------------------------------------------------
-
-    def run_parallel(self, processes: int, method: str) -> None:
-        context = multiprocessing.get_context(method)
-        self._next_worker_id = 0
-        workers: list[_Worker] = []
-        by_id: dict[int, _Worker] = {}
-
-        def spawn() -> _Worker:
-            self._next_worker_id += 1
-            tasks = context.SimpleQueue()
-            # One private result pipe per worker (see _worker_main): a
-            # dying worker can sever only its own channel, never a lock
-            # shared with its siblings.
-            recv_conn, send_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_worker_main,
-                args=(self._next_worker_id, self.run_job, tasks, send_conn),
-                daemon=True,
-            )
-            process.start()
-            # Drop the parent's copy of the write end so worker death
-            # closes the pipe's last writer and the parent sees EOF.
-            send_conn.close()
-            worker = _Worker(self._next_worker_id, process, tasks, recv_conn)
-            by_id[worker.id] = worker
-            return worker
-
-        def kill(worker: _Worker) -> None:
-            worker.process.terminate()
-            worker.process.join(1.0)
-            if worker.process.is_alive():  # pragma: no cover - stubborn child
-                worker.process.kill()
-                worker.process.join(1.0)
-            worker.conn.close()
-            by_id.pop(worker.id, None)
-
-        def replace(worker: _Worker) -> None:
-            by_id.pop(worker.id, None)
-            workers[workers.index(worker)] = spawn()
-
-        def handle(message: tuple) -> None:
-            kind, worker_id, index, attempt = message[:4]
-            worker = by_id.get(worker_id)
-            if worker is not None and worker.busy == (index, attempt):
-                worker.busy = None
-            if index not in self.unresolved:
-                return  # stale duplicate from a reclaimed worker
-            if kind == "ok":
-                result, cache_delta, seconds, spans = message[4:]
-                self.outcomes[index].wall_seconds += seconds
-                # Fold the worker's cache activity into this process's
-                # counters so batch totals read like serial totals.
-                result_cache.stats.add(cache_delta)
-                tracing.absorb(spans)
-                self._resolve_ok(index, attempt, result)
-            else:
-                reason, seconds, spans = message[4:]
-                self.outcomes[index].wall_seconds += seconds
-                tracing.absorb(spans)
-                self._requeue(index, attempt, reason, "crashed")
-
-        for index in sorted(self.unresolved):
-            self._schedule(index, 1)
-        workers.extend(spawn() for _ in range(processes))
-
-        try:
-            while self.unresolved:
-                now = time.monotonic()
-                for worker in workers:
-                    if worker.busy is not None:
-                        continue
-                    while self.pending and self.pending[0][2] not in self.unresolved:
-                        heapq.heappop(self.pending)
-                    if not self.pending or self.pending[0][0] > now:
-                        break  # heap is time-ordered: nothing ready yet
-                    _, _, index, attempt = heapq.heappop(self.pending)
-                    worker.busy = (index, attempt)
-                    worker.started = now
-                    worker.tasks.put(
-                        (index, attempt, self.jobs[index], self.trace_parent)
-                    )
-
-                ready = multiprocessing.connection.wait(
-                    [worker.conn for worker in workers],
-                    timeout=self.config.poll_interval,
-                )
-                for conn in ready:
-                    try:
-                        while conn.poll(0):
-                            handle(conn.recv())
-                    except (EOFError, OSError):
-                        # Worker died (possibly mid-message): the death
-                        # check below requeues its job and respawns.
-                        pass
-
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.busy is None:
-                        if not worker.process.is_alive():
-                            # Idle worker died (start-up crash): respawn.
-                            self.worker_failures += 1
-                            replace(worker)
-                        continue
-                    index, attempt = worker.busy
-                    timeout = self.config.timeout
-                    if not worker.process.is_alive():
-                        self.worker_failures += 1
-                        exit_code = worker.process.exitcode
-                        kill(worker)
-                        if index in self.unresolved:
-                            self._requeue(
-                                index,
-                                attempt,
-                                f"worker died (exit code {exit_code})",
-                                "crashed",
-                            )
-                        replace(worker)
-                    elif timeout is not None and now - worker.started > timeout:
-                        self.worker_failures += 1
-                        kill(worker)
-                        if index in self.unresolved:
-                            self.outcomes[index].wall_seconds += timeout
-                            self._requeue(
-                                index,
-                                attempt,
-                                f"timed out after {timeout:g}s",
-                                "timeout",
-                            )
-                        replace(worker)
-
-                if self.worker_failures > self.config.max_worker_failures:
-                    # The pool is hostile territory: reclaim every
-                    # in-flight job and finish in-process.
-                    self.degraded_serial = True
-                    inflight = {
-                        worker.busy[0]: worker.busy[1]
-                        for worker in workers
-                        if worker.busy is not None
-                    }
-                    for worker in workers:
-                        kill(worker)
-                    workers.clear()
-                    queued = {}
-                    for _, _, index, attempt in self.pending:
-                        if index in self.unresolved:
-                            queued.setdefault(index, attempt)
-                    work = [
-                        (index, queued.get(index, inflight.get(index, 1)))
-                        for index in sorted(self.unresolved)
-                    ]
-                    self.run_serial(work)
-                    return
-        finally:
-            for worker in workers:
-                if worker.process.is_alive():
-                    try:
-                        worker.tasks.put(None)
-                    except Exception:  # pragma: no cover - broken pipe
-                        pass
-            deadline = time.monotonic() + 2.0
-            for worker in workers:
-                worker.process.join(max(0.0, deadline - time.monotonic()))
-                if worker.process.is_alive():
-                    kill(worker)
-                else:
-                    worker.conn.close()
-
-
-_UNSET = object()
-
-
-def run_supervised(
-    jobs: list[Any],
-    run_job: Callable[[Any], Any],
-    processes: int | None = None,
-    requested_start_method: str | None = None,
-    config: SupervisorConfig | None = None,
-    journal: SweepJournal | None = None,
-    completed: dict[str, Any] | None = None,
-    on_complete: Callable[[JobOutcome], None] | None = None,
-) -> SupervisedRun:
-    """Run *jobs* through *run_job* under supervision.
-
-    *completed* maps :meth:`SweepJournal.job_key` keys to results of a
-    previous run (journal resume): matching jobs are served as-is with
-    status ``skipped``.  Results are returned in job order; any job that
-    exhausts its retry budget — or would silently be lost — raises
-    :class:`BatchError` naming it.
-    """
-    config = config or DEFAULT_CONFIG
-    if config.max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    supervisor = _Supervisor(jobs, run_job, config, journal, on_complete)
-    completed = completed or {}
-    for index, job in enumerate(jobs):
-        previous = completed.get(SweepJournal.job_key(job), _UNSET)
-        if previous is not _UNSET:
-            supervisor.results[index] = previous
-            outcome = supervisor.outcomes[index]
-            outcome.status = "skipped"
-            if on_complete is not None:
-                on_complete(outcome)
-        else:
-            supervisor.unresolved.add(index)
-
-    if supervisor.unresolved:
-        if processes is None:
-            processes = min(len(supervisor.unresolved), os.cpu_count() or 1)
-        method = start_method(requested_start_method)
-        if processes <= 1 or method is None:
-            supervisor.run_serial(
-                [(index, 1) for index in sorted(supervisor.unresolved)]
-            )
-        else:
-            supervisor.run_parallel(
-                min(processes, len(supervisor.unresolved)), method
-            )
-
-    if supervisor.failed:
-        lines = []
-        for index in sorted(supervisor.failed):
-            outcome = supervisor.outcomes[index]
-            last = outcome.failures[-1] if outcome.failures else "unknown"
-            lines.append(
-                f"  job {index} {SweepJournal.job_key(jobs[index])}: "
-                f"{outcome.status} after {outcome.attempts} attempt(s) ({last})"
-            )
-        raise BatchError(
-            f"{len(supervisor.failed)} job(s) permanently failed:\n"
-            + "\n".join(lines),
-            outcomes=supervisor.outcomes,
-        )
-    lost = [i for i, value in enumerate(supervisor.results) if value is _UNSET]
-    if lost:  # pragma: no cover - safety net, should be unreachable
-        keys = ", ".join(SweepJournal.job_key(jobs[i]) for i in lost)
-        raise BatchError(
-            f"{len(lost)} job(s) lost without a recorded outcome: {keys}",
-            outcomes=supervisor.outcomes,
-        )
-    return SupervisedRun(
-        results=list(supervisor.results),
-        outcomes=supervisor.outcomes,
-        degraded_serial=supervisor.degraded_serial,
-        worker_failures=supervisor.worker_failures,
-    )
-
-
 # -- persistent worker pool ---------------------------------------------------
 
 
@@ -759,17 +388,26 @@ class PoolJobError(RuntimeError):
         self.outcome = outcome
 
 
+class PoolFuture(concurrent.futures.Future):
+    """What :meth:`WorkerPool.submit` returns: a future for the job's
+    result whose :attr:`outcome` is the job's live :class:`JobOutcome`
+    audit record (final once the future is done, whatever its end)."""
+
+    outcome: JobOutcome
+
+
 @dataclass(slots=True)
 class _PoolTicket:
     """One submitted job in flight through the pool."""
 
     index: int
     job: Any
-    future: concurrent.futures.Future
+    future: PoolFuture
     outcome: JobOutcome
     #: ``traceparent`` the job's worker-side spans should join.
     trace_parent: str | None = None
-    #: Submission wall-clock (epoch), for the ``pool.queue_wait`` span.
+    #: Submission wall-clock (epoch) for the ``pool.queue_wait`` span;
+    #: 0 when the submitter named no trace (see :meth:`WorkerPool.submit`).
     submitted: float = 0.0
 
 
@@ -788,31 +426,25 @@ def _record_queue_wait(ticket: _PoolTicket) -> None:
 
 
 class WorkerPool:
-    """Long-lived supervised worker pool with an orderly way out.
-
-    :func:`run_supervised` is single-use: it owns its workers for
-    exactly one batch and tears them down in a ``finally`` that only
-    batch completion (or Ctrl-C) reaches.  A serving front-end needs the
-    same supervision guarantees — per-job wall-clock timeouts, bounded
-    retries with backoff, dead-worker detection and respawn,
-    degrade-to-serial after repeated pool failures, the ``batch.worker``
-    fault-injection site — for an *open-ended* stream of jobs, plus a
-    public shutdown path instead of reaching into the batch teardown:
+    """The supervised worker pool: timeouts, retries with backoff,
+    dead-worker respawn and degrade-to-serial for a stream of jobs.
 
     * :meth:`submit` hands one job to the pool and returns a
-      :class:`concurrent.futures.Future` resolving to the job's result,
-      or failing with :class:`PoolJobError` (audit record attached) once
-      the retry budget is spent.  Accepted jobs always resolve — a
-      crashed or hung worker costs a retry, never the job.
+      :class:`PoolFuture` resolving to the job's result, or failing with
+      :class:`PoolJobError` (audit record attached) once the retry
+      budget is spent.  Accepted jobs always resolve — a crashed or hung
+      worker costs a retry, never the job.
     * :meth:`drain` stops intake (further submits raise
       :class:`PoolDraining`), lets queued and in-flight jobs finish,
-      and joins the worker processes.
+      and joins the worker processes — the service's way out.
+    * :meth:`cancel` stops intake and abandons everything still queued
+      or in flight — the batch's interrupt path.
 
     ``processes=0`` runs jobs inline on the supervision thread (no
-    worker processes: timeouts unenforceable, injected crashes degrade
-    to exceptions — exactly :meth:`_Supervisor.run_serial` semantics).
-    Supervision runs on a daemon thread, so futures resolve off the
-    caller's thread; asyncio callers bridge with ``asyncio.wrap_future``.
+    worker processes: timeouts unenforceable, and the fault harness
+    degrades injected crashes and hangs to exceptions).  Supervision
+    runs on a daemon thread, so futures resolve off the caller's thread;
+    asyncio callers bridge with ``asyncio.wrap_future``.
     """
 
     def __init__(
@@ -838,6 +470,7 @@ class WorkerPool:
         self._inbox: queue.Queue[_PoolTicket] = queue.Queue()
         self._live: dict[int, _PoolTicket] = {}
         self._draining = threading.Event()
+        self._cancelled = threading.Event()
         #: Set once the worker processes are spawned (immediately for
         #: serial pools) — the ``/readyz`` signal: a pool that has not
         #: set this would queue jobs without anyone to run them.
@@ -854,35 +487,33 @@ class WorkerPool:
 
     # public surface --------------------------------------------------------
 
-    def submit(
-        self, job: Any, trace_parent: str | None = None
-    ) -> concurrent.futures.Future:
+    def submit(self, job: Any, trace_parent: str | None = None) -> PoolFuture:
         """Queue *job*; the returned future resolves to its result.
 
         *trace_parent* is the ``traceparent`` the job's spans should
-        join (defaults to the caller's ambient trace context); the time
-        between submission and dispatch surfaces as a
-        ``pool.queue_wait`` span on that trace.
+        join.  A submitter that names one (a request handing over its
+        job) also gets the time between submission and dispatch as a
+        ``pool.queue_wait`` span on that trace.  Without one the job
+        joins the caller's ambient trace context and records no queue
+        wait: a batch's jobs share that trace, and their waits overlap.
         """
         if self._draining.is_set():
             raise PoolDraining("worker pool is draining")
+        submitted = time.time() if trace_parent is not None else 0.0
         if trace_parent is None:
             trace_parent = tracing.current_traceparent()
-        future: concurrent.futures.Future = concurrent.futures.Future()
+        future = PoolFuture()
         with self._lock:
             index = self._submitted
             self._submitted += 1
             self._unfinished += 1
         record = asdict(job) if is_dataclass(job) else {"job": repr(job)}
-        ticket = _PoolTicket(
-            index,
-            job,
-            future,
-            JobOutcome(index=index, job=record),
-            trace_parent,
-            time.time(),
+        future.outcome = JobOutcome(index=index, job=record)
+        self._inbox.put(
+            _PoolTicket(
+                index, job, future, future.outcome, trace_parent, submitted
+            )
         )
-        self._inbox.put(ticket)
         return future
 
     def drain(self, timeout: float | None = None) -> bool:
@@ -892,6 +523,15 @@ class WorkerPool:
         self._draining.set()
         self._thread.join(timeout)
         return not self._thread.is_alive()
+
+    def cancel(self) -> None:
+        """Stop intake, cancel every queued and in-flight job's future,
+        terminate the worker processes and join the supervision thread.
+        An inline job already running finishes first: nothing can
+        preempt it."""
+        self._cancelled.set()
+        self._draining.set()
+        self._thread.join()
 
     @property
     def draining(self) -> bool:
@@ -974,8 +614,7 @@ class WorkerPool:
     # serial execution ------------------------------------------------------
 
     def _run_inline(self, ticket: _PoolTicket, first_attempt: int = 1) -> None:
-        """Run one ticket on the supervision thread with retries (same
-        semantics as :meth:`_Supervisor.run_serial`)."""
+        """Run one ticket on the supervision thread with retries."""
         attempt = first_attempt
         while True:
             start = time.perf_counter()
@@ -1012,6 +651,9 @@ class WorkerPool:
                 if self._draining.is_set():
                     return
                 continue
+            if self._cancelled.is_set():
+                self._live[ticket.index] = ticket  # _release cancels it
+                return
             _record_queue_wait(ticket)
             self._run_inline(ticket)
 
@@ -1108,7 +750,7 @@ class WorkerPool:
         workers.extend(spawn() for _ in range(self.processes))
         self._workers_started.set()
         try:
-            while True:
+            while not self._cancelled.is_set():
                 while True:  # intake
                     try:
                         ticket = self._inbox.get_nowait()
@@ -1212,6 +854,8 @@ class WorkerPool:
                         kill(worker)
                     workers.clear()
                     for index in sorted(self._live):
+                        if self._cancelled.is_set():
+                            break
                         ticket = self._live.pop(index)
                         self._run_inline(
                             ticket, ticket.outcome.attempts + 1
@@ -1219,13 +863,16 @@ class WorkerPool:
                     self._supervise_serial()
                     return
         finally:
+            # Drained: let idle workers exit on the sentinel.  Cancelled:
+            # terminate them straight away, busy or not.
+            cancelled = self._cancelled.is_set()
             for worker in workers:
-                if worker.process.is_alive():
+                if not cancelled and worker.process.is_alive():
                     try:
                         worker.tasks.put(None)
                     except Exception:  # pragma: no cover - broken pipe
                         pass
-            deadline = time.monotonic() + 2.0
+            deadline = time.monotonic() + (0.0 if cancelled else 2.0)
             for worker in workers:
                 worker.process.join(max(0.0, deadline - time.monotonic()))
                 if worker.process.is_alive():
@@ -1242,12 +889,14 @@ class WorkerPool:
             else:
                 self._supervise_parallel()
         except BaseException as exc:  # pragma: no cover - safety net
-            self._abort(exc)
+            self._release(exc)
             raise
+        self._release(None)
 
-    def _abort(self, exc: BaseException) -> None:
-        """Supervision died: fail every unresolved job rather than hang
-        its waiters (accepted jobs resolve to an error, never silence)."""
+    def _release(self, exc: BaseException | None) -> None:
+        """Resolve every job still in the pool as supervision ends, so
+        no waiter hangs: cancelled after :meth:`cancel` (or a submit that
+        raced the drain), failed with *exc* if supervision itself died."""
         while True:
             try:
                 ticket = self._inbox.get_nowait()
@@ -1255,9 +904,109 @@ class WorkerPool:
                 break
             self._live[ticket.index] = ticket
         for ticket in list(self._live.values()):
+            if exc is None:
+                ticket.future.cancel()
+                with self._lock:
+                    self._unfinished -= 1
+                continue
             ticket.outcome.status = "crashed"
             ticket.outcome.failures.append(f"supervision failed: {exc}")
             self._set_exception(
-                ticket, PoolJobError(f"pool supervision failed: {exc}", ticket.outcome)
+                ticket,
+                PoolJobError(f"pool supervision failed: {exc}", ticket.outcome),
             )
         self._live.clear()
+
+
+# -- batch façade -------------------------------------------------------------
+
+
+def run_supervised(
+    jobs: list[Any],
+    run_job: Callable[[Any], Any],
+    processes: int | None = None,
+    requested_start_method: str | None = None,
+    config: SupervisorConfig | None = None,
+    journal: SweepJournal | None = None,
+    completed: dict[str, Any] | None = None,
+    on_complete: Callable[[JobOutcome], None] | None = None,
+) -> SupervisedRun:
+    """Run *jobs* through *run_job* on a :class:`WorkerPool` of their own.
+
+    *completed* maps :meth:`SweepJournal.job_key` keys to results of a
+    previous run (journal resume): matching jobs are served as-is with
+    status ``skipped``.  The rest go to a pool of *processes* workers
+    (default: one per CPU), capped by their number; ``processes <= 1``
+    (or no usable start method) runs them in-process.  Each completion
+    is journalled and reported to *on_complete* on the caller's thread
+    as it arrives.  Results are returned in job order; any job that
+    exhausts its retry budget — or is otherwise lost — raises
+    :class:`BatchError` naming it.  An interrupt (or an error from
+    *on_complete*) cancels the pool before propagating.
+    """
+    completed = completed or {}
+    results: list[Any] = [None] * len(jobs)
+    outcomes = [
+        JobOutcome(index=index, job=asdict(job))
+        for index, job in enumerate(jobs)
+    ]
+    todo: list[int] = []
+    for index, job in enumerate(jobs):
+        key = SweepJournal.job_key(job)
+        if key not in completed:
+            todo.append(index)
+            continue
+        results[index] = completed[key]
+        outcomes[index].status = "skipped"
+        if on_complete is not None:
+            on_complete(outcomes[index])
+    if not todo:
+        return SupervisedRun(results=results, outcomes=outcomes)
+
+    if processes is None:
+        processes = min(len(todo), os.cpu_count() or 1)
+    pool = WorkerPool(
+        run_job,
+        processes=min(processes, len(todo)) if processes > 1 else 0,
+        config=config,
+        requested_start_method=requested_start_method,
+    )
+    futures = {pool.submit(jobs[index]): index for index in todo}
+    failed: list[int] = []
+    try:
+        for future in concurrent.futures.as_completed(futures):
+            index = futures[future]
+            outcome = outcomes[index] = future.outcome
+            outcome.index = index  # the pool numbers its own submissions
+            if future.exception() is not None:
+                failed.append(index)
+            else:
+                results[index] = future.result()
+                if journal is not None:
+                    journal.append(jobs[index], results[index], outcome)
+            if on_complete is not None:
+                on_complete(outcome)
+    except BaseException:
+        pool.cancel()
+        raise
+    pool.drain()
+
+    if failed:
+        lines = []
+        for index in sorted(failed):
+            outcome = outcomes[index]
+            last = outcome.failures[-1] if outcome.failures else "unknown"
+            lines.append(
+                f"  job {index} {SweepJournal.job_key(jobs[index])}: "
+                f"{outcome.status} after {outcome.attempts} attempt(s) ({last})"
+            )
+        raise BatchError(
+            f"{len(failed)} job(s) permanently failed:\n" + "\n".join(lines),
+            outcomes=outcomes,
+        )
+    return SupervisedRun(
+        results=results,
+        outcomes=outcomes,
+        degraded_serial=pool.degraded_serial,
+        worker_failures=pool.worker_failures,
+    )

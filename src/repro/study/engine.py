@@ -1,21 +1,22 @@
-"""Study execution on the supervised sweep engine.
+"""Study execution on the supervised worker pool.
 
 :func:`run_study` turns an expanded :class:`~repro.study.spec.StudySpec`
 into one :class:`StudyJob` per (run, benchmark) and hands the batch to
-:func:`repro.sim.supervisor.run_supervised` — per-job timeout/retry/
-backoff, dead-worker respawn, the ``batch.worker`` chaos site and the
-digest-checked :class:`~repro.sim.supervisor.SweepJournal` all come for
-free.  A study directory is therefore resumable exactly like a sweep
-directory: kill the process at any point, re-run with ``--resume``, and
-only unfinished jobs execute; finished ones are served bit-identically
-from the journal.
+:func:`repro.sim.supervisor.run_supervised`, the batch façade over the
+same :class:`~repro.sim.supervisor.WorkerPool` that sweeps and the
+service use: per-job timeout/retry/backoff, dead-worker respawn, the
+``batch.worker`` chaos site and the digest-checked
+:class:`~repro.sim.supervisor.SweepJournal`.  A study directory is
+therefore resumable exactly like a sweep directory: kill the process at
+any point, re-run with ``--resume``, and only unfinished jobs execute;
+finished ones are served bit-identically from the journal.
 
 The study ``manifest.json`` binds the spec digest to the same salts the
 journal header carries (simulator source version + check-relevant
 environment knobs), so a stale journal is detected rather than trusted.
 
 Telemetry: the whole batch runs inside a ``study.run`` span, each job
-executes inside a ``study.job`` span (nested under the supervisor's
+executes inside a ``study.job`` span (nested under the pool's
 ``batch.job``), and :data:`METRICS` counts expansions, jobs and
 reports for the registry scrapers.
 """

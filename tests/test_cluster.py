@@ -277,6 +277,47 @@ def test_balancer_routes_polls_by_job_id_prefix():
             assert excinfo.value.payload.get("lost") is True
 
 
+@pytest.fixture()
+def traced(monkeypatch):
+    from repro.telemetry import trace as tracing
+
+    monkeypatch.setenv("REPRO_TRACE", "1")
+    tracing.reload()
+    tracing.recorder.clear()
+    yield tracing
+    tracing.recorder.clear()
+    os.environ.pop("REPRO_TRACE", None)
+    tracing.reload()
+
+
+def test_replica_request_spans_nest_under_balance_try(traced):
+    # Submission (failover loop), poll (owner routing) and a listing
+    # (any replica) each forward their balance.try span's own
+    # traceparent, so the replica-side request is that try's child.
+    with cluster(replicas=2) as (balancer, fleet):
+        with ServiceClient(port=balancer.port) as client:
+            record = client.run_job(JOB, wait=30)
+            client.poll(record["id"], wait=5)
+            assert client.request("GET", "/v1/jobs").status == 200
+    spans = traced.recorder.spans()
+    by_id = {s.span_id: s for s in spans}
+    proxied = {s.trace_id for s in spans if s.name == "balance.request"}
+    served = [
+        s
+        for s in spans
+        if s.name == "service.request" and s.trace_id in proxied
+    ]
+    assert {(s.attributes["method"], s.attributes["path"]) for s in served} >= {
+        ("POST", "/v1/jobs"),
+        ("GET", f"/v1/jobs/{record['id']}"),
+        ("GET", "/v1/jobs"),
+    }
+    for span in served:
+        parent = by_id[span.parent_id]
+        assert parent.name == "balance.try"
+        assert by_id[parent.parent_id].name == "balance.request"
+
+
 def test_readyz_gates_routing_away_from_draining_replica():
     with cluster(replicas=2) as (balancer, fleet):
         with ServiceClient(port=balancer.port) as client:

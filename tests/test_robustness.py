@@ -10,6 +10,7 @@ cache (injected corruption, injected ``ENOSPC`` degrade-to-off).
 import json
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -40,6 +41,15 @@ FORK_ONLY = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fork start method unavailable",
 )
+
+
+def _pool_threads():
+    """Live supervision threads of any :class:`WorkerPool`."""
+    return [
+        t
+        for t in threading.enumerate()
+        if t.name == "repro-worker-pool" and t.is_alive()
+    ]
 
 
 def make_jobs(schemes=("sequential", "collapsing_buffer"), length=3000):
@@ -178,6 +188,19 @@ class TestSupervisorChaos:
         assert all(o.attempts == 2 for o in report.outcomes)
         failures = [line for o in report.outcomes for line in o.failures]
         assert any("worker died" in line for line in failures)
+
+    @FORK_ONLY
+    def test_batch_handoff_faults_cost_one_attempt(self):
+        # Batches dispatch through the same pool as the service, so the
+        # parent-side service.handoff site guards their hand-offs too.
+        jobs = make_jobs()
+        baseline = run_batch(jobs, processes=1)
+        arm("seed=7;service.handoff=exc:a=1")
+        report = run_batch_report(jobs, processes=2, config=FAST)
+        assert report.results == baseline
+        assert all(o.status == "retried" for o in report.outcomes)
+        assert all(o.attempts == 2 for o in report.outcomes)
+        assert all("FaultInjected" in o.failures[0] for o in report.outcomes)
 
     @FORK_ONLY
     def test_hung_worker_times_out_and_recovers(self):
@@ -425,9 +448,13 @@ class TestJournalResume:
         fresh_header = json.loads(path.read_text().splitlines()[0])
         assert fresh_header["source_version"] == cache.source_version()
 
-    def test_interrupt_flushes_journal_before_propagating(self, cache_env, tmp_path):
+    @pytest.mark.parametrize("processes", [1, pytest.param(2, marks=FORK_ONLY)])
+    def test_interrupt_flushes_journal_before_propagating(
+        self, cache_env, tmp_path, processes
+    ):
         jobs = make_jobs()
         journal = SweepJournal(tmp_path / "sweep")
+        pools_before = set(_pool_threads())
 
         def interrupt_after_first(outcome):
             raise KeyboardInterrupt
@@ -436,7 +463,7 @@ class TestJournalResume:
             run_supervised(
                 jobs,
                 _run_job,
-                processes=1,
+                processes=processes,
                 config=FAST,
                 journal=journal,
                 on_complete=interrupt_after_first,
@@ -444,6 +471,30 @@ class TestJournalResume:
         journal.close()
         completed = SweepJournal(tmp_path / "sweep").load_completed()
         assert len(completed) == 1  # the finished job survived the Ctrl-C
+        # The cancelled pool left nothing running behind.
+        assert multiprocessing.active_children() == []
+        assert set(_pool_threads()) <= pools_before
+
+    def test_fresh_journal_over_stale_header_is_resumable(
+        self, cache_env, tmp_path
+    ):
+        # Without --resume nothing reads the journal before the first
+        # append; the append itself must notice the stale header and
+        # start over, or the new results land where no resume reads.
+        jobs = make_jobs(schemes=("sequential",))
+        journal = SweepJournal(tmp_path / "sweep")
+        run_batch_report(jobs, processes=1, journal=journal)
+        journal.close()
+        path = tmp_path / "sweep" / "journal.jsonl"
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["source_version"] = "someone-else's-code"
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        fresh = SweepJournal(tmp_path / "sweep")
+        run_batch_report(jobs, processes=1, journal=fresh)
+        fresh.close()
+        completed = SweepJournal(tmp_path / "sweep").load_completed()
+        assert set(completed) == {SweepJournal.job_key(jobs[0])}
 
 
 # -- hardened result cache ----------------------------------------------------
