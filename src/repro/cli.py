@@ -22,7 +22,7 @@ Commands:
   recovery policy, ``--journal DIR`` records completions and
   ``--resume DIR`` skips work already journalled there;
   ``--sanitize`` runs every job under the pipeline sanitizer,
-  ``--telemetry [DIR]`` under the instrumented loop, ``--no-kernel``
+  ``--telemetry [DIR]`` with slot attribution, ``--no-kernel``
   forces the interpreted loop.
 * ``bench`` — single-simulation throughput, interpreted vs compiled
   kernel (cold table build and warm tape replay); ``--update PATH``

@@ -206,7 +206,7 @@ def telemetry_sim_stats(
     fetch_penalty: int | None = None,
     block_words: int = 4,
 ) -> SimStats:
-    """:func:`sim_stats` under the instrumented telemetry loop.
+    """:func:`sim_stats` with telemetry on (slot attribution in ``extra``).
 
     Returns the same counted statistics with ``extra`` carrying the
     ``slot_*`` attribution (deterministic integers, so they round-trip

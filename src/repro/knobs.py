@@ -98,7 +98,7 @@ KNOBS: tuple[KnobSpec, ...] = (
         type="bool",
         default="0",
         cache_policy="salted",
-        description="run the instrumented loop (slot attribution in extra)",
+        description="observe the reference loop (slot attribution in extra)",
     ),
     KnobSpec(
         name="REPRO_KERNEL",

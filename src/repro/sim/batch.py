@@ -64,7 +64,7 @@ class SimJob:
     seed: int = 0
     fetch_penalty: int | None = None
     block_words: int = 4
-    #: Run under the instrumented telemetry loop (slot attribution in
+    #: Run with telemetry on the reference loop (slot attribution in
     #: ``SimStats.extra``; cached under a separate result-cache kind).
     telemetry: bool = False
     #: Compiled-kernel selection (:mod:`repro.sim.kernel`): ``None``
@@ -123,8 +123,8 @@ def _run_job(job: SimJob) -> SimStats:
         block_words=job.block_words,
     )
     if job.telemetry:
-        # The instrumented loop ignores the kernel (it always declines
-        # under telemetry), so the flag stays out of its cache key.
+        # Telemetry runs never use the kernel (it declines them all), so
+        # the flag stays out of their cache key.
         return telemetry_sim_stats(
             job.benchmark, job.machine, job.scheme, **kwargs
         )

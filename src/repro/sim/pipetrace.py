@@ -6,9 +6,11 @@ retires — as a compact event log.  Intended for debugging fetch schemes
 and for teaching (the rendered table makes the paper's alignment effects
 visible instruction by instruction).
 
-The tracer re-implements the simulator's loop with identical phase order
-rather than instrumenting it, so the hot path stays unencumbered; a test
-asserts the two agree cycle for cycle.
+The tracer is an observer of :meth:`Simulator.run_reference`, the
+simulator's per-cycle reference loop: it records each cycle's facts and
+charges its slots with the same rule as telemetry's ledger
+(:meth:`repro.telemetry.attribution.SlotObserver.classify`), so traced
+and simulated runs agree cycle for cycle by construction.
 """
 
 from __future__ import annotations
@@ -16,14 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.fetch.base import FetchUnit
-from repro.fetch.factory import create_fetch_unit
 from repro.machines.config import MachineConfig
-from repro.sim.simulator import _QueuedInstruction
-from repro.telemetry.attribution import (
-    CAUSES,
-    queue_gate_cause,
-    shortfall_cause,
-)
+from repro.sim.simulator import Simulator
+from repro.telemetry.attribution import CAUSES, SlotObserver
 from repro.workloads.trace import DynamicTrace
 
 
@@ -41,7 +38,7 @@ class CycleEvents:
     #: Slot ledger for this cycle: ``delivered`` slots plus the shortfall
     #: charged to one cause; values sum to the machine's issue rate.
     #: Uses the :data:`repro.telemetry.attribution.CAUSES` taxonomy, so
-    #: trace totals cross-check against the instrumented simulator.
+    #: trace totals cross-check against the telemetry ledger.
     attribution: dict[str, int] = field(default_factory=dict)
 
 
@@ -56,7 +53,7 @@ class PipeTrace:
     def attribution_totals(self) -> dict[str, int]:
         """Per-cause slot totals over the whole trace (every cause key
         present, zero-filled).  For a run traced to completion these
-        equal the instrumented simulator's ledger, summing to
+        equal the telemetry ledger of a whole-trace run, summing to
         ``cycles * issue_rate``."""
         totals = {cause: 0 for cause in CAUSES}
         for event in self.events:
@@ -88,6 +85,48 @@ class PipeTrace:
         return "\n".join(lines)
 
 
+class _Stop(Exception):
+    """Raised by the recorder to end a trace at ``max_cycles``."""
+
+
+class _Recorder(SlotObserver):
+    """Observer of :meth:`Simulator.run_reference` that appends each
+    cycle's :class:`CycleEvents` to *log*, stopping at *max_cycles*."""
+
+    def __init__(self, sim: Simulator, log: PipeTrace, max_cycles: int):
+        super().__init__(sim)
+        self.log = log
+        self.max_cycles = max_cycles
+
+    def on_cycle(
+        self,
+        cycle,
+        restarted,
+        result,
+        queue,
+        waiting,
+        blocked_until,
+        retired,
+        fired,
+        dispatched,
+    ) -> None:
+        stall, delivered, cause = self.classify(
+            cycle, restarted, result, queue, waiting, blocked_until
+        )
+        events = CycleEvents(
+            cycle, stall=stall, dispatched=dispatched, fired=fired, retired=retired
+        )
+        if delivered:
+            events.fetched = [i.address for i in result.instructions]
+            events.mispredict = result.mispredict
+            events.attribution["delivered"] = delivered
+        if delivered < self.issue_rate:
+            events.attribution[cause] = self.issue_rate - delivered
+        self.log.events.append(events)
+        if len(self.log.events) >= self.max_cycles:
+            raise _Stop
+
+
 def trace_pipeline(
     config: MachineConfig,
     trace: DynamicTrace,
@@ -97,120 +136,16 @@ def trace_pipeline(
 ) -> PipeTrace:
     """Simulate up to *max_cycles* cycles, recording per-cycle events.
 
-    Mirrors :meth:`Simulator.run`'s phase order exactly (retire,
-    writeback, fire, dispatch, fetch).
+    Runs :meth:`Simulator.run_reference` under a recording observer, so
+    the phase order and every state transition are the simulator's own;
+    a trace cut short skips the end-of-run checks and statistics.
     """
-    from repro.core.pipeline import ExecutionCore
-
-    if isinstance(scheme, FetchUnit):
-        fetch = scheme
-    else:
-        fetch = create_fetch_unit(scheme, config, trace)
-    core = ExecutionCore(config)
-    instructions = trace.instructions
-    total = len(instructions)
-    if prewarm_cache and instructions:
-        addresses = [i.address for i in instructions]
-        for block in range(
-            fetch.cache.block_index(min(addresses)),
-            fetch.cache.block_index(max(addresses)) + 1,
-        ):
-            fetch.cache.fill(block)
-
-    log = PipeTrace(machine=config.name, scheme=fetch.name)
-    queue: list[_QueuedInstruction] = []
-    fetch_blocked_until = 0
-    #: Cause charged while ``cycle < fetch_blocked_until`` ("icache_miss"
-    #: after a miss stall, "mispredict_resolve" during the restart
-    #: penalty) — same tracking as the instrumented simulator loop.
-    blocked_cause = ""
-    waiting_for_resolution = False
-    issue_rate = config.issue_rate
-
-    def charge(events: CycleEvents, delivered: int, cause: str) -> None:
-        """Fill the cycle's slot ledger: *delivered* slots plus the
-        shortfall under *cause* (exactly ``issue_rate`` slots/cycle)."""
-        if delivered:
-            events.attribution["delivered"] = delivered
-        if issue_rate - delivered:
-            events.attribution[cause] = issue_rate - delivered
-
-    for cycle in range(max_cycles):
-        if core.retired_count >= total:
-            break
-        events = CycleEvents(cycle=cycle)
-
-        for entry in core.do_retire(cycle):
-            events.retired += 1
-            if entry.fetch_mispredicted and config.recovery_at_retire:
-                waiting_for_resolution = False
-                fetch_blocked_until = max(
-                    fetch_blocked_until, cycle + config.fetch_penalty
-                )
-                blocked_cause = "mispredict_resolve"
-        for entry in core.do_writeback(cycle):
-            instr = entry.instruction
-            if instr.is_control:
-                fetch.train(instr, entry.actual_taken, entry.actual_target)
-            if entry.fetch_mispredicted and not config.recovery_at_retire:
-                waiting_for_resolution = False
-                fetch_blocked_until = max(
-                    fetch_blocked_until, cycle + config.fetch_penalty
-                )
-                blocked_cause = "mispredict_resolve"
-        events.fired = core.do_fire(cycle)
-
-        while queue:
-            queued = queue[0]
-            instr = instructions[queued.trace_index]
-            if not core.can_dispatch(instr):
-                break
-            core.dispatch(
-                instr,
-                queued.trace_index,
-                fetch_mispredicted=queued.fetch_mispredicted,
-                actual_taken=trace.is_taken(queued.trace_index),
-                actual_target=trace.next_address(queued.trace_index),
-            )
-            queue.pop(0)
-            events.dispatched += 1
-
-        position = fetch.stats.delivered  # delivered == consumed positions
-        capacity = config.fetch_queue_groups * config.issue_rate
-        if len(queue) + config.issue_rate > capacity:
-            events.stall = "queue"
-            head = instructions[queue[0].trace_index] if queue else None
-            charge(events, 0, queue_gate_cause(core, head))
-        elif waiting_for_resolution:
-            events.stall = "resolve"
-            charge(events, 0, "mispredict_resolve")
-        elif cycle < fetch_blocked_until:
-            events.stall = "penalty"
-            charge(events, 0, blocked_cause or "mispredict_resolve")
-        elif position < total:
-            result = fetch.fetch_cycle(position, config.issue_rate)
-            if result.stall_cycles:
-                fetch_blocked_until = cycle + result.stall_cycles
-                events.stall = "miss"
-                blocked_cause = "icache_miss"
-                charge(events, 0, "icache_miss")
-            elif result.instructions:
-                events.fetched = [i.address for i in result.instructions]
-                events.mispredict = result.mispredict
-                for offset in range(len(result.instructions)):
-                    queue.append(_QueuedInstruction(position + offset, False))
-                if result.mispredict:
-                    queue[-1].fetch_mispredicted = True
-                    waiting_for_resolution = True
-                charge(
-                    events,
-                    len(result.instructions),
-                    shortfall_cause(result.break_reason, result.mispredict),
-                )
-            else:  # unreachable: an in-trace fetch delivers or stalls
-                charge(events, 0, "idle")
-        else:
-            charge(events, 0, "idle")  # trace drained; core still retiring
-
-        log.events.append(events)
+    sim = Simulator(config, trace, scheme, prewarm_cache=prewarm_cache)
+    log = PipeTrace(machine=config.name, scheme=sim.fetch_unit.name)
+    if max_cycles > 0:
+        sim._observer = _Recorder(sim, log, max_cycles)
+        try:
+            sim.run_reference()
+        except _Stop:
+            pass
     return log

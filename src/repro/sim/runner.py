@@ -33,8 +33,8 @@ def run_trace(
     """Simulate *trace* on *machine* with the fetch *scheme*.
 
     *sanitize* opts into the ``repro.check`` pipeline sanitizer;
-    *telemetry* into the instrumented loop with slot attribution in
-    ``SimStats.extra``; *kernel* selects the compiled execution kernel
+    *telemetry* into slot attribution on the observed reference loop,
+    landing in ``SimStats.extra``; *kernel* selects the compiled execution kernel
     (each ``None`` defers to its environment knob, ``REPRO_SANITIZE`` /
     ``REPRO_TELEMETRY`` / ``REPRO_KERNEL``).
     """

@@ -20,19 +20,17 @@ Two loop implementations produce bit-identical statistics:
   jumps ``cycle`` directly to the next event — the earliest in-flight
   writeback or the fetch-restart cycle — instead of spinning.  The
   event-skip invariants are documented in ``docs/performance.md``.
-* :meth:`Simulator.run_reference` — the retained naive per-cycle loop,
-  kept as the oracle for the equivalence guard in
-  ``tests/test_equivalence.py``.
+* :meth:`Simulator.run_reference` — the naive per-cycle loop: the oracle
+  for the equivalence guard in ``tests/test_equivalence.py``, and the
+  one loop per-cycle consumers observe.
 
-A third, telemetry-instrumented loop exists behind the opt-in
-``telemetry`` flag (or ``REPRO_TELEMETRY=1``): per-cycle slot
-attribution (:mod:`repro.telemetry.attribution`), phase wall-clock
-timers and I-cache lookup timing.  It mirrors the reference loop's
-semantics — the reported :class:`SimStats` fields match the fast loop
-bit for bit — and additionally fills ``SimStats.extra`` with ``slot_*``
-attribution counters and leaves a
+:meth:`~Simulator.run_reference` hands each cycle's facts to one
+internal observer.  Two exist: telemetry's slot ledger (the opt-in
+``telemetry`` flag or ``REPRO_TELEMETRY=1``), which fills
+``SimStats.extra`` with ``slot_*`` attribution counters and leaves a
 :class:`~repro.telemetry.core.TelemetryReport` on
-``Simulator.telemetry_report``.  With telemetry off, the fast loop runs
+``Simulator.telemetry_report``, and the pipetrace recorder
+(:mod:`repro.sim.pipetrace`).  With telemetry off, the fast loop runs
 untouched.
 """
 
@@ -40,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Callable
 
 from repro import faults
 from repro.check.sanitizer import PipelineSanitizer, sanitize_enabled
@@ -51,11 +50,7 @@ from repro.fetch.factory import create_fetch_unit
 from repro.isa.opcodes import OpClass
 from repro.machines.config import MachineConfig
 from repro.sim.stats import SimStats
-from repro.telemetry.attribution import (
-    SlotAttribution,
-    queue_gate_cause,
-    shortfall_cause,
-)
+from repro.telemetry.attribution import SlotAttribution, SlotObserver
 from repro.telemetry import trace as tracing
 from repro.telemetry.core import (
     MetricsRegistry,
@@ -120,8 +115,8 @@ class Simulator:
         :class:`~repro.check.errors.CheckFailure` on the first violated
         invariant.
 
-        *telemetry* opts into the instrumented loop (slot-level stall
-        attribution, phase timers); ``None`` defers to the
+        *telemetry* opts into slot-level stall attribution and phase
+        timers, observed on :meth:`run_reference`; ``None`` defers to the
         ``REPRO_TELEMETRY`` environment knob.  The counted statistics
         stay identical to the fast loop's; ``SimStats.extra`` gains the
         ``slot_*`` attribution, and :attr:`telemetry_report` carries the
@@ -158,13 +153,16 @@ class Simulator:
         self.sanitizer = PipelineSanitizer(self) if sanitize else None
         if telemetry is None:
             telemetry = telemetry_enabled()
-        #: Metrics registry of the instrumented loop; ``None`` keeps the
-        #: fast event-skipping loop completely untouched.
+        #: Metrics registry of a telemetry run; ``None`` keeps the fast
+        #: event-skipping loop completely untouched.
         self.telemetry: MetricsRegistry | None = (
             MetricsRegistry() if telemetry else None
         )
         #: Filled by :meth:`run` when telemetry is on.
         self.telemetry_report: TelemetryReport | None = None
+        #: The per-cycle observer :meth:`run_reference` calls (telemetry's
+        #: slot ledger or the pipetrace recorder); ``None`` otherwise.
+        self._observer = None
         #: Compiled-kernel request (``None`` = environment default) and
         #: outcome: :meth:`run` sets :attr:`kernel_used` when the compiled
         #: engine ran and :attr:`kernel_decline_reason` when it fell back.
@@ -223,9 +221,9 @@ class Simulator:
     def _run(self) -> SimStats:
         """The untraced run body: event-skipping loop, statistically
         bit-identical to :meth:`run_reference` (guarded by
-        ``tests/test_equivalence.py``).  With telemetry on, the
-        instrumented per-cycle loop runs instead (same counted
-        statistics, plus slot attribution in ``stats.extra``).
+        ``tests/test_equivalence.py``).  With telemetry on, the observed
+        reference loop runs instead (same counted statistics, plus slot
+        attribution in ``stats.extra``).
         """
         # Chaos site (per run, never per cycle): a no-op unless the
         # deterministic fault harness is armed via REPRO_FAULTS.
@@ -258,7 +256,7 @@ class Simulator:
         else:
             self.kernel_decline_reason = "disabled"
         if self.telemetry is not None:
-            return self._run_instrumented()
+            return self._run_telemetry()
         self._ensure_prewarmed()
         config = self.config
         core = self.core
@@ -458,7 +456,13 @@ class Simulator:
 
         Spins every cycle and re-derives every condition from scratch;
         :meth:`run` must produce field-for-field identical
-        :class:`SimStats`.
+        :class:`SimStats`.  Beside the sanitizer, the observer's
+        ``on_cycle`` reads each cycle's facts: the cycle, whether a
+        branch restart set the fetch penalty, the fetch result (``None``
+        when gated), the queue, resolution and fetch-blocked state that
+        gates fetch, and the entries retired, fired and dispatched.  An
+        observer may stop the run by raising, skipping the end-of-run
+        checks and statistics.
         """
         self._ensure_prewarmed()
         config = self.config
@@ -487,12 +491,15 @@ class Simulator:
             if self._snapshot is None and core.retired_count >= self.warmup:
                 self._snapshot = self._counters(cycle)
 
-            for entry in core.do_retire(cycle):
+            restarted = False
+            retired = core.do_retire(cycle)
+            for entry in retired:
                 if entry.fetch_mispredicted and config.recovery_at_retire:
                     waiting_for_resolution = False
                     fetch_blocked_until = max(
                         fetch_blocked_until, cycle + config.fetch_penalty
                     )
+                    restarted = True
 
             for entry in core.do_writeback(cycle):
                 instr = entry.instruction
@@ -503,28 +510,16 @@ class Simulator:
                     fetch_blocked_until = max(
                         fetch_blocked_until, cycle + config.fetch_penalty
                     )
+                    restarted = True
 
-            core.do_fire(cycle)
+            fired = core.do_fire(cycle)
 
-            while queue:
-                queued = queue[0]
-                instr = instructions[queued.trace_index]
-                if not core.can_dispatch(instr):
-                    break
-                taken = trace.is_taken(queued.trace_index)
-                target = trace.next_address(queued.trace_index)
-                core.dispatch(
-                    instr,
-                    queued.trace_index,
-                    fetch_mispredicted=queued.fetch_mispredicted,
-                    actual_taken=taken,
-                    actual_target=target,
-                )
-                queue.pop(0)
+            dispatched = self._dispatch(queue)
 
             queue_capacity = (
                 config.fetch_queue_groups * config.issue_rate
             )
+            result = None
             if (
                 len(queue) + config.issue_rate <= queue_capacity
                 and not waiting_for_resolution
@@ -568,6 +563,18 @@ class Simulator:
                 self.sanitizer.on_cycle(
                     cycle, position, position - len(queue)
                 )
+            if self._observer is not None:
+                self._observer.on_cycle(
+                    cycle,
+                    restarted,
+                    result,
+                    queue,
+                    waiting_for_resolution,
+                    fetch_blocked_until,
+                    len(retired),
+                    fired,
+                    dispatched,
+                )
 
             cycle += 1
 
@@ -575,220 +582,71 @@ class Simulator:
             self.sanitizer.on_finish(cycle)
         return self._collect_stats(cycle)
 
-    def _run_instrumented(self) -> SimStats:
-        """Telemetry loop: :meth:`run_reference` semantics plus slot
-        attribution, phase wall-clock timers and I-cache lookup timing.
-
-        Behaviourally identical to the reference loop — every state
-        transition below mirrors it — so the counted ``SimStats`` fields
-        equal the fast loop's (asserted by ``tests/test_telemetry.py``).
-        The extras: each cycle charges exactly ``issue_rate`` slots to
-        the attribution ledger, and each pipeline phase accumulates its
-        wall-clock share in the metrics registry.
-        """
-        self._ensure_prewarmed()
-        config = self.config
-        core = self.core
-        fetch = self.fetch_unit
-        trace = self.trace
+    def _dispatch(self, queue: list[_QueuedInstruction]) -> int:
+        """The reference loop's dispatch phase: move *queue*'s head into
+        the core until it cannot dispatch; returns how many moved."""
+        core, trace = self.core, self.trace
         instructions = trace.instructions
-        total = len(instructions)
-        issue_rate = config.issue_rate
+        dispatched = 0
+        while queue:
+            queued = queue[0]
+            instr = instructions[queued.trace_index]
+            if not core.can_dispatch(instr):
+                break
+            taken = trace.is_taken(queued.trace_index)
+            target = trace.next_address(queued.trace_index)
+            core.dispatch(
+                instr,
+                queued.trace_index,
+                fetch_mispredicted=queued.fetch_mispredicted,
+                actual_taken=taken,
+                actual_target=target,
+            )
+            queue.pop(0)
+            dispatched += 1
+        return dispatched
+
+    def _run_telemetry(self) -> SimStats:
+        """:meth:`run_reference` observed by a :class:`_SlotLedger`, with
+        wall-clock timers shadowing each phase's bound methods for the
+        run (instance attributes over the class methods, deleted in the
+        ``finally``), so only telemetry runs pay the indirection."""
         registry = self.telemetry
         assert registry is not None
-        attribution = SlotAttribution(issue_rate)
-        add_time = registry.add_time
-
-        # Shadow the cache's bound ``access`` with a timing wrapper for
-        # the duration of this run (instance attribute; the class method
-        # is restored in the ``finally``).  Only instrumented runs pay
-        # this indirection.
-        cache = fetch.cache
-        original_access = cache.access
-
-        def timed_access(block_index: int) -> bool:
-            start = perf_counter()
-            try:
-                return original_access(block_index)
-            finally:
-                add_time("icache_lookup", perf_counter() - start)
-
-        cache.access = timed_access  # type: ignore[method-assign]
-
-        cycle = 0
-        position = 0  # next trace index to fetch
-        queue: list[_QueuedInstruction] = []
-        fetch_blocked_until = 0
-        #: Attribution cause while ``cycle < fetch_blocked_until``:
-        #: "icache_miss" after a miss stall, "mispredict_resolve" during
-        #: the post-resolution restart penalty.
-        blocked_cause = ""
-        waiting_for_resolution = False
-        wrong_path_address = -1
-        attr_snapshot: dict[str, int] | None = None
-        max_cycles = max(10_000, self.MAX_CPI * total)
-
+        core, fetch = self.core, self.fetch_unit
+        timed = (
+            (core, "do_retire", "retire"),
+            (core, "do_writeback", "writeback"),
+            (core, "do_fire", "fire"),
+            (self, "_dispatch", "dispatch"),
+            (fetch, "fetch_cycle", "fetch"),
+            (fetch, "wrong_path_cycle", "fetch"),
+            (fetch.cache, "access", "icache_lookup"),
+        )
+        clocks = {phase: [0.0] for _, _, phase in timed}
+        for owner, name, phase in timed:
+            setattr(owner, name, _timed(getattr(owner, name), clocks[phase]))
+        ledger = self._observer = _SlotLedger(self, registry)
         try:
-            while core.retired_count < total:
-                if cycle > max_cycles:
-                    raise SimulationDeadlock(
-                        f"no forward progress after {cycle} cycles "
-                        f"({core.retired_count}/{total} retired)"
-                    )
-                if (
-                    self._snapshot is None
-                    and core.retired_count >= self.warmup
-                ):
-                    self._snapshot = self._counters(cycle)
-                    attr_snapshot = attribution.snapshot()
-
-                phase_start = perf_counter()
-                for entry in core.do_retire(cycle):
-                    if entry.fetch_mispredicted and config.recovery_at_retire:
-                        waiting_for_resolution = False
-                        fetch_blocked_until = max(
-                            fetch_blocked_until, cycle + config.fetch_penalty
-                        )
-                        blocked_cause = "mispredict_resolve"
-                now = perf_counter()
-                add_time("retire", now - phase_start)
-
-                phase_start = now
-                for entry in core.do_writeback(cycle):
-                    instr = entry.instruction
-                    if instr.is_control:
-                        fetch.train(
-                            instr, entry.actual_taken, entry.actual_target
-                        )
-                    if (
-                        entry.fetch_mispredicted
-                        and not config.recovery_at_retire
-                    ):
-                        waiting_for_resolution = False
-                        fetch_blocked_until = max(
-                            fetch_blocked_until, cycle + config.fetch_penalty
-                        )
-                        blocked_cause = "mispredict_resolve"
-                now = perf_counter()
-                add_time("writeback", now - phase_start)
-
-                phase_start = now
-                core.do_fire(cycle)
-                now = perf_counter()
-                add_time("fire", now - phase_start)
-
-                phase_start = now
-                while queue:
-                    queued = queue[0]
-                    instr = instructions[queued.trace_index]
-                    if not core.can_dispatch(instr):
-                        break
-                    core.dispatch(
-                        instr,
-                        queued.trace_index,
-                        fetch_mispredicted=queued.fetch_mispredicted,
-                        actual_taken=trace.is_taken(queued.trace_index),
-                        actual_target=trace.next_address(queued.trace_index),
-                    )
-                    queue.pop(0)
-                now = perf_counter()
-                add_time("dispatch", now - phase_start)
-
-                phase_start = now
-                queue_capacity = config.fetch_queue_groups * issue_rate
-                if (
-                    len(queue) + issue_rate <= queue_capacity
-                    and not waiting_for_resolution
-                    and cycle >= fetch_blocked_until
-                    and position < total
-                ):
-                    result = fetch.fetch_cycle(position, issue_rate)
-                    registry.inc("fetch_cycles")
-                    if result.stall_cycles:
-                        fetch_blocked_until = cycle + result.stall_cycles
-                        blocked_cause = "icache_miss"
-                        attribution.charge(0, "icache_miss")
-                    elif result.instructions:
-                        count = len(result.instructions)
-                        for offset in range(count):
-                            queue.append(
-                                _QueuedInstruction(position + offset, False)
-                            )
-                        if result.mispredict:
-                            queue[-1].fetch_mispredicted = True
-                            waiting_for_resolution = True
-                            if self.wrong_path_fetch:
-                                last = result.instructions[-1]
-                                prediction = fetch.predict_slot(last.address)
-                                wrong_path_address = (
-                                    prediction.target
-                                    if prediction.taken
-                                    else last.address + 1
-                                )
-                        position += count
-                        attribution.charge(
-                            count,
-                            shortfall_cause(
-                                result.break_reason, result.mispredict
-                            ),
-                        )
-                        registry.observe("delivered_per_fetch", count)
-                    else:  # unreachable: in-trace fetch delivers or stalls
-                        attribution.charge(0, "idle")
-                else:
-                    # The reference loop follows the wrong path in every
-                    # waiting cycle, independent of the other gates.
-                    if waiting_for_resolution and wrong_path_address >= 0:
-                        wrong_path_address = fetch.wrong_path_cycle(
-                            wrong_path_address, issue_rate
-                        )
-                        self.wrong_path_cycles += 1
-                        registry.inc("wrong_path_cycles")
-                    # Attribution precedence for the empty fetch slot:
-                    # queue gating first (shared with pipetrace via
-                    # queue_gate_cause), then branch resolution, then
-                    # the timed fetch-blocked penalty, then trace drain.
-                    if len(queue) + issue_rate > queue_capacity:
-                        head = (
-                            instructions[queue[0].trace_index]
-                            if queue
-                            else None
-                        )
-                        attribution.charge(0, queue_gate_cause(core, head))
-                    elif waiting_for_resolution:
-                        attribution.charge(0, "mispredict_resolve")
-                    elif cycle < fetch_blocked_until:
-                        attribution.charge(
-                            0, blocked_cause or "mispredict_resolve"
-                        )
-                    else:
-                        attribution.charge(0, "idle")
-                add_time("fetch", perf_counter() - phase_start)
-
-                if not waiting_for_resolution:
-                    wrong_path_address = -1
-
-                if self.sanitizer is not None:
-                    self.sanitizer.on_cycle(
-                        cycle, position, position - len(queue)
-                    )
-
-                cycle += 1
+            stats = self.run_reference()
         finally:
-            del cache.access  # restore the unwrapped class method
+            self._observer = None
+            for owner, name, _ in timed:
+                delattr(owner, name)  # restore the unwrapped class method
+        for phase, (seconds,) in clocks.items():
+            registry.add_time(phase, seconds)
 
-        if self.sanitizer is not None:
-            self.sanitizer.on_finish(cycle)
-        stats = self._collect_stats(cycle)
-        measured = attribution.since(attr_snapshot or {})
+        measured = ledger.attribution.counts
         stats.extra.update(
             {f"slot_{cause}": count for cause, count in measured.items()}
         )
-        stats.extra["issue_rate"] = issue_rate
+        stats.extra["issue_rate"] = ledger.issue_rate
+        if self.wrong_path_cycles:
+            registry.inc("wrong_path_cycles", self.wrong_path_cycles)
         self.telemetry_report = TelemetryReport(
             attribution=measured,
             cycles=stats.cycles,
-            issue_rate=issue_rate,
+            issue_rate=ledger.issue_rate,
             phase_seconds=dict(registry.timers),
             counters=dict(registry.counters),
             histograms={
@@ -836,3 +694,39 @@ class Simulator:
             retired_nops=nops,
             **delta,
         )
+
+
+def _timed(method: Callable, clock: list[float]) -> Callable:
+    """*method*, adding its wall-clock seconds to ``clock[0]``."""
+
+    def timed(*args):
+        start = perf_counter()
+        result = method(*args)
+        clock[0] += perf_counter() - start
+        return result
+
+    return timed
+
+
+class _SlotLedger(SlotObserver):
+    """Telemetry's observer of :meth:`Simulator.run_reference`: the slot
+    ledger, fetch-cycle count and delivered-per-fetch histogram."""
+
+    def __init__(self, sim: Simulator, registry: MetricsRegistry) -> None:
+        super().__init__(sim)
+        self.registry = registry
+        self.attribution = SlotAttribution(self.issue_rate)
+        self.warm = False
+
+    def on_cycle(self, cycle, restarted, result, queue, waiting, blocked_until, *_):
+        if not self.warm and self.sim._snapshot is not None:
+            self.warm = True  # measure from the warmup snapshot on
+            self.attribution = SlotAttribution(self.issue_rate)
+        _, delivered, cause = self.classify(
+            cycle, restarted, result, queue, waiting, blocked_until
+        )
+        self.attribution.charge(delivered, cause)
+        if result is not None:
+            self.registry.inc("fetch_cycles")
+            if delivered:
+                self.registry.observe("delivered_per_fetch", delivered)

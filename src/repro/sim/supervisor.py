@@ -467,7 +467,8 @@ class WorkerPool:
         self.degraded_serial = False
         self._rng = random.Random(self.config.backoff_seed)
         self._seq = 0
-        self._inbox: queue.Queue[_PoolTicket] = queue.Queue()
+        #: Tickets, plus a ``None`` that wakes the thread when intake closes.
+        self._inbox: queue.Queue[_PoolTicket | None] = queue.Queue()
         self._live: dict[int, _PoolTicket] = {}
         self._draining = threading.Event()
         self._cancelled = threading.Event()
@@ -521,6 +522,7 @@ class WorkerPool:
         workers.  Returns True once fully drained (within *timeout*
         seconds, if given); idempotent."""
         self._draining.set()
+        self._inbox.put(None)
         self._thread.join(timeout)
         return not self._thread.is_alive()
 
@@ -531,6 +533,7 @@ class WorkerPool:
         preempt it."""
         self._cancelled.set()
         self._draining.set()
+        self._inbox.put(None)
         self._thread.join()
 
     @property
@@ -648,6 +651,8 @@ class WorkerPool:
             try:
                 ticket = self._inbox.get(timeout=self.config.poll_interval)
             except queue.Empty:
+                ticket = None
+            if ticket is None:  # timed out, or woken by drain()/cancel()
                 if self._draining.is_set():
                     return
                 continue
@@ -756,8 +761,9 @@ class WorkerPool:
                         ticket = self._inbox.get_nowait()
                     except queue.Empty:
                         break
-                    self._live[ticket.index] = ticket
-                    self._schedule(pending, ticket.index, 1, 0.0)
+                    if ticket is not None:
+                        self._live[ticket.index] = ticket
+                        self._schedule(pending, ticket.index, 1, 0.0)
                 if self._draining.is_set() and not self._live:
                     if self._inbox.empty():
                         return
@@ -902,7 +908,8 @@ class WorkerPool:
                 ticket = self._inbox.get_nowait()
             except queue.Empty:
                 break
-            self._live[ticket.index] = ticket
+            if ticket is not None:
+                self._live[ticket.index] = ticket
         for ticket in list(self._live.values()):
             if exc is None:
                 ticket.future.cancel()

@@ -4,8 +4,7 @@ Cooperating pieces:
 
 * :mod:`repro.telemetry.core` — a tiny metrics registry (counters,
   histograms, wall-clock timers) with a null backend, plus
-  :class:`TelemetryReport`, the record one instrumented simulation
-  produces.
+  :class:`TelemetryReport`, the record one telemetry run produces.
 * :mod:`repro.telemetry.attribution` — the slot-conservation ledger:
   every cycle each of the machine's ``issue_rate`` slots is charged to
   exactly one cause, so losses sum to ``cycles * issue_rate`` exactly.
@@ -22,19 +21,17 @@ Cooperating pieces:
   Prometheus text exposition renderer behind ``/metrics?format=prom``.
 
 Telemetry is strictly opt-in: ``Simulator(..., telemetry=True)`` (or
-``REPRO_TELEMETRY=1`` through the runners) switches to an instrumented
-per-cycle loop; with it off the fast event-skipping loop runs untouched
-and ``SimStats`` stays bit-identical.  Tracing follows the same
-discipline — ``REPRO_TRACE=0`` (the default) makes every span call a
-shared no-op singleton.  See ``docs/observability.md``.
+``REPRO_TELEMETRY=1`` through the runners) runs the per-cycle reference
+loop under a slot-ledger observer; with it off the fast event-skipping
+loop runs untouched and ``SimStats`` stays bit-identical.  Tracing
+follows the same discipline — ``REPRO_TRACE=0`` (the default) makes
+every span call a shared no-op singleton.  See ``docs/observability.md``.
 """
 
 from repro.telemetry.attribution import (
     CAUSES,
     SlotAttribution,
     check_conservation,
-    queue_gate_cause,
-    shortfall_cause,
 )
 from repro.telemetry.core import (
     NULL_REGISTRY,
@@ -66,9 +63,7 @@ __all__ = [
     "check_conservation",
     "config_fingerprint",
     "environment_knobs",
-    "queue_gate_cause",
     "read_jsonl",
-    "shortfall_cause",
     "telemetry_enabled",
     "to_csv",
     "to_jsonl",

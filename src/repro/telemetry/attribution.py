@@ -30,11 +30,11 @@ asserts across schemes and machines).  The taxonomy:
 ``idle``               The trace is fully fetched; the core is draining.
 =====================  =========================================================
 
-The per-cycle *classification* helpers live here too so the three
-consumers — the instrumented simulator loop, the pipetrace recorder and
-the tests — agree on precedence by construction: queue gating is
-checked first, then misprediction resolution, then fetch-blocked
-penalties, then trace exhaustion, and only then does fetch run.
+The per-cycle *classification* lives here too, in one method,
+:meth:`SlotObserver.classify`.  Both observers of the reference loop
+(``Simulator.run_reference``) — telemetry's slot ledger and the
+pipetrace recorder — call it, so they agree on precedence by
+construction.
 """
 
 from __future__ import annotations
@@ -88,52 +88,68 @@ class SlotAttribution:
         if shortfall:
             counts[cause] += shortfall
 
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.counts)
 
-    def since(self, snapshot: dict[str, int]) -> dict[str, int]:
-        """Counts accumulated after *snapshot* (the measured region)."""
-        return {
-            cause: self.counts[cause] - snapshot.get(cause, 0)
-            for cause in self.counts
-        }
+class SlotObserver:
+    """Base of the observers of ``Simulator.run_reference``: telemetry's
+    slot ledger and the pipetrace recorder.  :meth:`classify` is the one
+    rule for where a cycle's fetch slots went."""
 
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.issue_rate = sim.config.issue_rate
+        self.queue_capacity = sim.config.fetch_queue_groups * self.issue_rate
+        #: Cause for cycles fetch sits out a timed block: set by a branch
+        #: restart's penalty, or by an I-cache miss stall.
+        self.blocked_cause = ""
 
-def shortfall_cause(break_reason: str, mispredict: bool) -> str:
-    """Cause for the slots a short (but non-empty) delivery left empty.
+    def classify(
+        self, cycle, restarted, result, queue, waiting, blocked_until
+    ) -> tuple[str, int, str]:
+        """``(stall, delivered, cause)`` for one cycle of the reference
+        loop: the pipetrace stall label, the slots that carried an
+        instruction, and the cause the rest are charged to.
 
-    A mispredicted delivery truncated at the divergence, so the missing
-    slots are part of the misprediction's bill regardless of how the
-    plan itself ended.
-    """
-    if mispredict:
-        return "mispredict_resolve"
-    return BREAK_REASON_CAUSE.get(break_reason, "misalignment")
-
-
-def queue_gate_cause(core, head_instruction) -> str:
-    """Cause for a cycle whose fetch was gated by decoupling-queue
-    capacity.
-
-    Reads core state without recording statistics (``can_dispatch``
-    would charge stall counters).  The queue drains every cycle until
-    its head blocks, so a capacity-gated fetch almost always traces back
-    to core backpressure (``window_full``); ``queue_full`` is kept for
-    the residual case of a dispatchable head behind a still-full queue.
-    """
-    window = core.window
-    rob = core.rob
-    if window._occupied >= window.size or len(rob._entries) >= rob.capacity:
-        return "window_full"
-    if (
-        head_instruction is not None
-        and head_instruction.op is OpClass.BR_COND
-        and core.unresolved_branches >= core.config.speculation_depth
-    ):
-        # Speculation depth is core-side backpressure too: the window
-        # has room but refuses more unresolved branches.
-        return "window_full"
-    return "queue_full"
+        A fetch (*result* not ``None``) is charged by its result: a
+        short delivery by why the run ended, or to the misprediction it
+        truncated at.  Otherwise the first gate that held fetch is
+        charged (an unfetched cycle leaves the gate state as it was):
+        queue capacity, then misprediction resolution, then the timed
+        fetch-blocked penalty, then trace drain (``idle``).
+        """
+        if restarted:
+            self.blocked_cause = "mispredict_resolve"
+        if result is not None:
+            if result.stall_cycles:
+                self.blocked_cause = "icache_miss"
+                return "miss", 0, "icache_miss"
+            cause = BREAK_REASON_CAUSE.get(result.break_reason, "misalignment")
+            if result.mispredict:  # truncated at the misprediction
+                cause = "mispredict_resolve"
+            return "", len(result.instructions), cause
+        if len(queue) + self.issue_rate > self.queue_capacity:
+            # The queue drains each cycle until its head blocks, so a full
+            # queue is core backpressure (``window_full``: window or ROB
+            # full, or speculation depth refusing a branch at the head)
+            # unless the head could still dispatch.  Reads core state
+            # directly: ``can_dispatch`` would charge stall counters.
+            core = self.sim.core
+            head = self.sim.trace.instructions[queue[0].trace_index] if queue else None
+            if (
+                core.window.full
+                or core.rob.full
+                or (
+                    head is not None
+                    and head.op is OpClass.BR_COND
+                    and core.unresolved_branches >= core.config.speculation_depth
+                )
+            ):
+                return "queue", 0, "window_full"
+            return "queue", 0, "queue_full"
+        if waiting:
+            return "resolve", 0, "mispredict_resolve"
+        if cycle < blocked_until:
+            return "penalty", 0, self.blocked_cause or "mispredict_resolve"
+        return "", 0, "idle"  # trace drained; the core is still retiring
 
 
 def check_conservation(

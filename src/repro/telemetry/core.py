@@ -1,13 +1,13 @@
 """Lightweight metrics core: counters, histograms and wall-clock timers.
 
 The registry is deliberately tiny — plain dictionaries, no label
-cardinality, no export protocol — because its job is to give the
-instrumented simulation loop and the CLI somewhere cheap to record
-events.  :class:`NullRegistry` is the off-switch: every method is a
-no-op, so library code can unconditionally call ``registry.inc(...)``
-without branching.  The simulator goes one step further and runs a
-completely separate instrumented loop only when telemetry is requested,
-so the hot path carries zero telemetry cost when it is off (the
+cardinality, no export protocol — because its job is to give a
+telemetry run and the CLI somewhere cheap to record events.
+:class:`NullRegistry` is the off-switch: every method is a no-op, so
+library code can unconditionally call ``registry.inc(...)`` without
+branching.  The simulator goes one step further: only a telemetry run
+attaches its slot-ledger observer and phase timers to the reference
+loop, so the fast loop carries zero telemetry cost when it is off (the
 guarantee ``tests/test_telemetry.py`` locks in).
 """
 
@@ -132,7 +132,7 @@ NULL_REGISTRY = NullRegistry()
 
 @dataclass(slots=True)
 class TelemetryReport:
-    """Everything one instrumented simulation recorded."""
+    """Everything one telemetry run recorded."""
 
     #: Measured-region slot attribution (cause -> slots); sums to
     #: ``cycles * issue_rate``.

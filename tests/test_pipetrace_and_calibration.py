@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.fetch.factory import create_fetch_unit
 from repro.machines import PI4
 from repro.sim import Simulator
 from repro.sim.pipetrace import trace_pipeline
@@ -41,6 +42,19 @@ class TestPipeTrace:
         log = trace_pipeline(PI4, trace, "sequential", max_cycles=10_000)
         reasons = {e.stall for e in log.events}
         assert "resolve" in reasons  # mispredictions occur
+
+    def test_reused_fetch_unit_traces_from_the_start(self):
+        # The trace position is the loop's own, not the unit's delivered
+        # counter, so a unit that already ran still traces the whole run.
+        trace = self.make_trace(800)
+        unit = create_fetch_unit("sequential", PI4, trace)
+        Simulator(PI4, trace, unit).run()
+        log = trace_pipeline(PI4, trace, unit, max_cycles=10_000)
+        fetched = sum(len(e.fetched) for e in log.events)
+        retired = sum(e.retired for e in log.events)
+        assert fetched == len(trace.instructions)
+        assert retired == len(trace.instructions)
+        assert len(log.events) < 10_000
 
     def test_render(self):
         trace = self.make_trace(300)

@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.sim.batch import (
     run_batch_report,
     suite_jobs,
 )
-from repro.sim.supervisor import run_supervised
+from repro.sim.supervisor import WorkerPool, run_supervised
 
 #: Fast supervision policy so retries/backoff cost milliseconds.
 FAST = SupervisorConfig(
@@ -361,6 +362,26 @@ class TestSupervisorChaos:
     def test_empty_batch(self):
         assert run_batch([]) == []
         assert run_batch_report([]).outcomes == []
+
+
+class TestSerialPoolWakeup:
+    """Closing intake wakes a serial pool's thread at once instead of
+    leaving it asleep in its inbox poll for up to ``poll_interval``."""
+
+    SLOW_POLL = SupervisorConfig(poll_interval=5.0)
+
+    def test_idle_serial_pool_drains_promptly(self):
+        pool = WorkerPool(_run_job, processes=0, config=self.SLOW_POLL)
+        start = time.monotonic()
+        assert pool.drain(timeout=10.0)
+        assert time.monotonic() - start < 1.0
+
+    def test_idle_serial_pool_cancels_promptly(self):
+        pool = WorkerPool(_run_job, processes=0, config=self.SLOW_POLL)
+        start = time.monotonic()
+        pool.cancel()
+        assert time.monotonic() - start < 1.0
+        assert not pool._thread.is_alive()
 
 
 # -- journal + resume ---------------------------------------------------------

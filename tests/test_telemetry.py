@@ -10,12 +10,17 @@ The contracts locked in here:
   loop runs untouched, ``SimStats.extra`` stays empty, and with it on
   the counted statistics still equal the uninstrumented run's.
 * **Cross-checks** — the pipetrace's per-cycle attribution and the
-  instrumented simulator agree total for total, and the EIR gap between
+  telemetry ledger agree total for total, and the EIR gap between
   ``sequential`` and ``perfect`` is fully explained by the per-cause
   rate differences.
+* **Golden ledgers** — both are observers of the one reference loop, so
+  the per-cause split is also pinned against values captured from the
+  earlier hand-written instrumented loop and pipetrace loop, an
+  implementation independent of the shared observer.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -174,6 +179,296 @@ def test_pipetrace_attribution_matches_simulator(scheme):
     assert sum(totals.values()) == len(log.events) * machine.issue_rate
     expected = {cause: report.attribution.get(cause, 0) for cause in CAUSES}
     assert totals == expected
+
+
+# -- golden ledgers ------------------------------------------------------------
+
+#: Counted ``SimStats`` fields, in the order the golden tuples list them.
+COUNTED = (
+    "cycles",
+    "retired",
+    "delivered",
+    "fetch_mispredicts",
+    "fetch_cache_accesses",
+    "fetch_cache_misses",
+    "btb_lookups",
+    "btb_hits",
+    "dynamic_branches",
+    "dynamic_taken_branches",
+    "retired_nops",
+    "speculation_stalls",
+    "window_full_stalls",
+)
+
+#: espresso, ``LENGTH`` instructions, seed 0, ``WARMUP`` warmup, telemetry
+#: on: (machine, scheme, variant) -> (counted stats in ``COUNTED`` order,
+#: slot ledger in ``CAUSES`` order, ``fetch_cycles`` counter).  Variant
+#: ``wrong_path`` adds ``wrong_path_fetch=True``; ``cold`` turns
+#: ``prewarm_cache`` off so I-cache misses reach the ledger.
+GOLDEN_CELLS = {
+    ("PI4", "sequential", ""): (
+        (1593, 2500, 2487, 112, 970, 0, 2594, 342, 448, 348, 0, 44, 3),
+        (2487, 559, 621, 0, 0, 2497, 0, 188, 20),
+        1147,
+    ),
+    ("PI4", "interleaved_sequential", ""): (
+        (1459, 2500, 2487, 112, 1496, 1, 2574, 342, 448, 348, 0, 114, 3),
+        (2487, 349, 0, 0, 0, 2508, 0, 468, 24),
+        896,
+    ),
+    ("PI4", "banked_sequential", ""): (
+        (1454, 2500, 2487, 112, 1301, 1, 2584, 344, 448, 348, 0, 121, 3),
+        (2487, 164, 6, 129, 0, 2510, 0, 496, 24),
+        886,
+    ),
+    ("PI4", "collapsing_buffer", ""): (
+        (1436, 2500, 2487, 112, 1315, 1, 2623, 344, 448, 348, 0, 121, 8),
+        (2487, 154, 25, 30, 0, 2508, 0, 516, 24),
+        862,
+    ),
+    ("PI4", "perfect", ""): (
+        (1393, 2500, 2487, 112, 1405, 1, 2659, 349, 448, 348, 0, 136, 9),
+        (2487, 0, 2, 0, 0, 2479, 0, 580, 24),
+        807,
+    ),
+    ("PI4", "trace_cache", ""): (
+        (1445, 2500, 2487, 117, 386, 1, 1208, 208, 448, 348, 0, 124, 8),
+        (2487, 49, 66, 0, 0, 2626, 0, 528, 24),
+        837,
+    ),
+    ("PI12", "sequential", ""): (
+        (1189, 2499, 2487, 112, 548, 0, 2808, 349, 448, 348, 0, 1, 3),
+        (2487, 2042, 1243, 0, 0, 8388, 0, 48, 60),
+        656,
+    ),
+    ("PI12", "interleaved_sequential", ""): (
+        (1096, 2494, 2487, 112, 842, 1, 2874, 351, 448, 348, 0, 4, 14),
+        (2487, 1841, 0, 0, 0, 8548, 0, 216, 60),
+        504,
+    ),
+    ("PI12", "banked_sequential", ""): (
+        (1044, 2494, 2487, 112, 617, 1, 2939, 364, 448, 348, 0, 7, 17),
+        (2487, 971, 126, 26, 0, 8570, 0, 288, 60),
+        441,
+    ),
+    ("PI12", "collapsing_buffer", ""): (
+        (1014, 2494, 2487, 112, 568, 1, 3019, 372, 448, 348, 0, 11, 22),
+        (2487, 572, 56, 7, 0, 8590, 0, 396, 60),
+        397,
+    ),
+    ("PI12", "perfect", ""): (
+        (986, 2494, 2487, 112, 546, 1, 3143, 384, 448, 348, 0, 29, 31),
+        (2487, 0, 2, 0, 0, 8551, 0, 720, 72),
+        331,
+    ),
+    ("PI12", "trace_cache", ""): (
+        (1076, 2494, 2487, 119, 196, 1, 1209, 189, 448, 348, 0, 23, 18),
+        (2487, 140, 593, 0, 0, 9140, 0, 492, 60),
+        401,
+    ),
+    ("PI4", "collapsing_buffer", "wrong_path"): (
+        (1436, 2500, 2487, 112, 2006, 2, 4225, 513, 448, 348, 0, 121, 8),
+        (2487, 154, 25, 30, 0, 2508, 0, 516, 24),
+        862,
+    ),
+    ("PI12", "sequential", "cold"): (
+        (1568, 2500, 2492, 113, 588, 39, 2820, 349, 448, 348, 0, 1, 3),
+        (2492, 2042, 1243, 0, 4752, 8179, 0, 48, 60),
+        732,
+    ),
+}
+
+
+@pytest.mark.parametrize(("machine_name", "scheme", "variant"), GOLDEN_CELLS)
+def test_golden_ledgers_and_counted_stats(machine_name, scheme, variant):
+    expected_stats, expected_ledger, fetch_cycles = GOLDEN_CELLS[
+        machine_name, scheme, variant
+    ]
+    stats, report = _instrumented(
+        get_machine(machine_name),
+        _trace("espresso"),
+        scheme,
+        warmup=WARMUP,
+        wrong_path_fetch=variant == "wrong_path",
+        prewarm_cache=variant != "cold",
+    )
+    assert tuple(getattr(stats, name) for name in COUNTED) == expected_stats
+    assert tuple(report.attribution[c] for c in CAUSES) == expected_ledger
+    assert stats.slot_attribution() == report.attribution
+    assert report.counters["fetch_cycles"] == fetch_cycles
+    assert set(report.phase_seconds) == {
+        "retire",
+        "writeback",
+        "fire",
+        "dispatch",
+        "fetch",
+        "icache_lookup",
+    }
+
+
+def test_golden_wrong_path_report():
+    sim = Simulator(
+        get_machine("PI4"),
+        _trace("espresso"),
+        "collapsing_buffer",
+        warmup=WARMUP,
+        wrong_path_fetch=True,
+        telemetry=True,
+    )
+    sim.run()
+    report = sim.telemetry_report
+    assert sim.kernel_decline_reason == "telemetry"
+    assert sim.wrong_path_cycles == 546
+    assert report.counters == {"fetch_cycles": 862, "wrong_path_cycles": 546}
+    histogram = report.histograms["delivered_per_fetch"]
+    assert (histogram["count"], histogram["total"]) == (862, 3000.0)
+    assert (histogram["min"], histogram["max"]) == (1, 4)
+
+
+#: ``PipeTrace.render(limit=None)`` of 30 traced cycles over a 1,200-
+#: instruction trace: (benchmark, machine, scheme, prewarm) -> (sha256 of
+#: the exact text, its lines with trailing blanks stripped).
+GOLDEN_RENDERS = {
+    ("espresso", "PI4", "collapsing_buffer", True): (
+        "f58ac8ec19b7a5e56c9052b945105a21"
+        "a2c3dde1aeb85c87a59ac57389c883ab",
+        (
+            "pipeline trace: collapsing_buffer on PI4",
+            " cyc fetch group                    stall    disp fire  ret  slots lost to",
+            "   0 0,1,2,3                                    0    0    0",
+            "   1 4,5,6,7                                    4    0    0",
+            "   2 8,9,10,11                                  4    3    0",
+            "   3 12,13,14,15                                4    3    0",
+            "   4 16,17,18 !mp                               4    2    0  mispredict_resolve:1",
+            "   5                                resolve     3    3    4  mispredict_resolve:4",
+            "   6                                resolve     0    3    4  mispredict_resolve:4",
+            "   7                                resolve     0    2    3  mispredict_resolve:4",
+            "   8                                resolve     0    3    1  mispredict_resolve:4",
+            "   9                                penalty     0    0    3  mispredict_resolve:4",
+            "  10                                penalty     0    0    2  mispredict_resolve:4",
+            "  11 11,12,13,14                                0    0    2",
+            "  12 15,16,17,18                                4    0    0",
+            "  13 11,12,13,14                                4    2    0",
+            "  14 15,16,17,18                                4    3    0",
+            "  15 11,12,13,14                                4    4    1",
+            "  16 15,16,17,18                                4    3    3",
+            "  17 11,12,13,14                                4    2    2",
+            "  18 15,16,17,18                                4    5    4",
+            "  19 11,12,13,14                                4    2    4",
+            "  20 15,16,17,18                                4    5    0",
+            "  21 11,12,13,14                                4    2    4",
+            "  22 15,16,17,18                                4    3    4",
+            "  23                                queue       3    4    4  window_full:4",
+            "  24 11,12,13,14                                1    3    4",
+            "  25 15,16,17,18                                4    4    0",
+            "  26 11,12,13,14                                4    2    4",
+            "  27 15,16,17,18                                4    3    4",
+            "  28                                queue       3    4    4  window_full:4",
+            "  29 11,12,13,14                                1    3    4",
+        ),
+    ),
+    ("li", "PI12", "sequential", False): (
+        "07e9698c04c6076be698e441a75c4175"
+        "bb052467789a34aa43b5112ee5d0b0a0",
+        (
+            "pipeline trace: sequential on PI12",
+            " cyc fetch group                    stall    disp fire  ret  slots lost to",
+            "   0                                miss        0    0    0  icache_miss:12",
+            "   1                                penalty     0    0    0  icache_miss:12",
+            "   2                                penalty     0    0    0  icache_miss:12",
+            "   3                                penalty     0    0    0  icache_miss:12",
+            "   4                                penalty     0    0    0  icache_miss:12",
+            "   5                                penalty     0    0    0  icache_miss:12",
+            "   6                                penalty     0    0    0  icache_miss:12",
+            "   7                                penalty     0    0    0  icache_miss:12",
+            "   8                                penalty     0    0    0  icache_miss:12",
+            "   9                                penalty     0    0    0  icache_miss:12",
+            "  10 0,1,2,3,4,5,6,7,8,9,10,11                  0    0    0",
+            "  11 12,13 !mp                                 12    0    0  mispredict_resolve:10",
+            "  12                                resolve     2    3    0  mispredict_resolve:12",
+            "  13                                resolve     0    1    0  mispredict_resolve:12",
+            "  14                                resolve     0    5    1  mispredict_resolve:12",
+            "  15                                resolve     0    2    1  mispredict_resolve:12",
+            "  16                                resolve     0    2    4  mispredict_resolve:12",
+            "  17                                penalty     0    0    2  mispredict_resolve:12",
+            "  18                                penalty     0    1    0  mispredict_resolve:12",
+            "  19                                miss        0    0    3  icache_miss:12",
+            "  20                                penalty     0    0    3  icache_miss:12",
+            "  21                                penalty     0    0    0  icache_miss:12",
+            "  22                                penalty     0    0    0  icache_miss:12",
+            "  23                                penalty     0    0    0  icache_miss:12",
+            "  24                                penalty     0    0    0  icache_miss:12",
+            "  25                                penalty     0    0    0  icache_miss:12",
+            "  26                                penalty     0    0    0  icache_miss:12",
+            "  27                                penalty     0    0    0  icache_miss:12",
+            "  28                                penalty     0    0    0  icache_miss:12",
+            "  29 35,36,37,38,39,40,41,42 !mp                0    0    0  mispredict_resolve:4",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("benchmark_name", "machine_name", "scheme", "prewarm"), GOLDEN_RENDERS
+)
+def test_golden_pipetrace_render(benchmark_name, machine_name, scheme, prewarm):
+    digest, expected = GOLDEN_RENDERS[
+        benchmark_name, machine_name, scheme, prewarm
+    ]
+    log = trace_pipeline(
+        get_machine(machine_name),
+        _trace(benchmark_name, 1_200),
+        scheme,
+        max_cycles=30,
+        prewarm_cache=prewarm,
+    )
+    text = log.render(limit=None)
+    assert tuple(line.rstrip() for line in text.splitlines()) == expected
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_golden_pipetrace_totals_to_completion():
+    log = trace_pipeline(
+        get_machine("PI4"),
+        _trace("espresso", 1_200),
+        "collapsing_buffer",
+        max_cycles=100_000,
+    )
+    assert len(log.events) == 898
+    assert log.attribution_totals() == {
+        "delivered": 1200,
+        "taken_branch_break": 36,
+        "misalignment": 7,
+        "bank_conflict": 1,
+        "icache_miss": 0,
+        "mispredict_resolve": 2220,
+        "queue_full": 0,
+        "window_full": 108,
+        "idle": 20,
+    }
+
+
+def test_telemetry_with_sanitizer():
+    machine = get_machine("PI4")
+    trace = _trace("espresso")
+    plain = Simulator(machine, trace, "collapsing_buffer", warmup=WARMUP).run()
+    sim = Simulator(
+        machine,
+        trace,
+        "collapsing_buffer",
+        warmup=WARMUP,
+        sanitize=True,
+        telemetry=True,
+    )
+    stats = sim.run()
+    assert sim.kernel_decline_reason == "telemetry"
+    assert sim.sanitizer.cycles_checked > 0
+    assert sim.sanitizer.cycles_checked >= stats.cycles
+    for name in COUNTED:
+        assert getattr(stats, name) == getattr(plain, name), name
+    check_conservation(
+        sim.telemetry_report.attribution, stats.cycles, machine.issue_rate
+    )
 
 
 # -- gap decomposition ---------------------------------------------------------
