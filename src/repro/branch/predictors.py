@@ -110,6 +110,9 @@ class GShare:
     def __init__(self, num_entries: int = 4096, history_bits: int = 8) -> None:
         if num_entries <= 0 or num_entries & (num_entries - 1):
             raise ValueError("num_entries must be a power of two")
+        # History bits beyond the index width never reach the index.
+        if not 0 <= history_bits <= num_entries.bit_length() - 1:
+            raise ValueError("history_bits out of range")
         self.num_entries = num_entries
         self.history_bits = history_bits
         self._mask = num_entries - 1

@@ -16,8 +16,9 @@ and then replays the dynamic trace as plain array lookups:
   edge (last store before each load/store).  Built with numpy when
   available, plain ``bytes``/``list`` batch ops otherwise.
 
-* **Fetch outcome table** (built lazily during the run): fetch plans are
-  pure functions of (fetch address, BTB effective state, I-cache tags).
+* **Fetch outcome table** (built lazily during the run): with the BTB
+  as the only predictor, fetch plans are pure functions of (fetch
+  address, BTB effective state, I-cache tags).
   Each planned packet — its delivered addresses, continuation address
   and statistic deltas — is memoized per fetch address together with the
   BTB slots and cache sets it read (recorded via instance-attribute
@@ -32,17 +33,25 @@ and then replays the dynamic trace as plain array lookups:
   :mod:`repro.check` are honoured at table-build time: when a
   ``PacketChecker`` hangs off the fetch unit, every *distinct* packet is
   checked once as its table entry is built (K-codes per entry instead of
-  per cycle).
+  per cycle).  A direction predictor or return stack carries
+  per-lookup state outside that dependency model, so such a unit plans
+  *live*: no memo, no wrappers, one ``fetch.plan()`` per fetch, and
+  training updates the direction predictor after the BTB exactly as
+  ``FetchUnit.train`` does.
 
 * **Fetch-outcome tape** (recorded on the first compiled run): a run is
-  a pure function of (trace, config, scheme, prewarm) — no RNG, no wall
-  clock, and a factory-built fetch unit starts from fixed state — so the
-  first run records every fetch invocation's resolved outcome (position,
-  stall, delivered count, mispredict flag, cumulative BTB/cache stat
-  deltas) and later identical runs replay the tape with *zero* predictor
-  object work: no plan builds, no memo lookups, no BTB training, no
-  I-cache prewarm.  Ineligible when the fetch unit was caller-supplied
-  (possibly pre-trained) or carries a packet checker.
+  a pure function of (trace, config, the fetch unit's starting state,
+  prewarm) — no RNG, no wall clock — so the first run records every
+  fetch invocation's resolved outcome (position, stall, delivered
+  count, mispredict flag, cumulative BTB/cache stat deltas) plus the
+  unit's end state, and later runs from the same starting state replay
+  the tape with *zero* predictor object work: no plan builds, no memo
+  lookups, no BTB training, no I-cache prewarm.  A replay installs the
+  recorded end state (BTB entries and counters, cache tags, predictor
+  and return stack attributes), so the unit ends as a live run leaves
+  it.  :func:`_tape_key` alone decides eligibility: no packet checker,
+  zeroed fetch/BTB/cache counters, an empty cache, and predictor /
+  return stack state made only of plain values (it joins the key).
 
 The replay loop then mirrors ``Simulator.run()`` — same phase order,
 same event-skip conditions, same warmup-snapshot placement — over flat
@@ -55,9 +64,9 @@ latencies are 1 or 2), producing bit-identical
 oracle).
 
 The kernel *declines* configurations it cannot reproduce exactly —
-sanitize/telemetry instrumentation, wrong-path fetch, direction
-predictor / return stack extensions, schemes with mutable planning state
-(the trace cache) — and ``Simulator.run()`` falls back transparently to
+sanitize/telemetry instrumentation, wrong-path fetch, schemes with
+mutable planning state (the trace cache) — and ``Simulator.run()``
+falls back transparently to
 the interpreted loop (see :func:`decline_reason`).  ``REPRO_KERNEL=0``
 disables it globally; the fault site ``sim.kernel`` degrades to the
 interpreted loop under chaos testing.
@@ -69,8 +78,12 @@ format or replay-semantics change.
 
 from __future__ import annotations
 
+import dataclasses
+from array import array
+
 from repro import knobs
-from repro.branch.counters import WEAK_TAKEN
+from repro.branch.btb import BTBEntry
+from repro.branch.counters import WEAK_TAKEN, TwoBitCounter
 from repro.fetch.banked import BankedSequentialFetch
 from repro.fetch.collapsing import CollapsingBufferFetch
 from repro.fetch.interleaved import InterleavedSequentialFetch
@@ -151,9 +164,9 @@ def decline_reason(sim) -> str | None:
 
     Mirrored in docs/performance.md: instrumented modes (sanitize,
     telemetry) need per-cycle hooks; wrong-path fetch perturbs the cache
-    mid-resolution; direction predictors and return stacks carry
-    per-lookup mutable state; non-vetted schemes (trace cache) keep
-    planning state outside the (BTB, cache-tags) dependency model.
+    mid-resolution; non-vetted schemes (trace cache) keep planning state
+    outside the (BTB, cache-tags) dependency model.  Direction predictors
+    and return stacks are not a reason: the kernel plans such units live.
     """
     if sim.telemetry is not None:
         return "telemetry"
@@ -164,13 +177,130 @@ def decline_reason(sim) -> str | None:
     fetch = sim.fetch_unit
     if type(fetch) not in _SUPPORTED_SCHEMES:
         return f"scheme:{fetch.name}"
-    if fetch.direction_predictor is not None:
-        return "direction-predictor"
-    if fetch.return_stack is not None:
-        return "return-stack"
     if not sim.trace.instructions:
         return "empty-trace"
     return None
+
+
+# -- fetch-outcome tape eligibility and unit state ---------------------------
+
+_PLAIN_TYPES = frozenset({int, bool, float, str, type(None)})
+
+
+def _plain_state(obj) -> tuple | None:
+    """*obj*'s type and attribute values, lists as tuples: ``()`` for an
+    absent extension, ``None`` when some value is not a plain value (so
+    the state cannot be compared, and the unit gets no tape)."""
+    if obj is None:
+        return ()
+    try:
+        attrs = vars(obj)
+    except TypeError:
+        return None
+    items = []
+    for name, value in attrs.items():
+        if type(value) is list:
+            value = tuple(value)
+        if type(value) is tuple:
+            if not all(type(v) in _PLAIN_TYPES for v in value):
+                return None
+        elif type(value) not in _PLAIN_TYPES:
+            return None
+        items.append((name, value))
+    return (type(obj), tuple(items))
+
+
+def _tape_key(sim) -> tuple | None:
+    """The fetch-outcome tape key of *sim*, or ``None`` when its fetch
+    unit may not use a tape.
+
+    The one eligibility rule, for factory-built and caller-built units
+    alike: no packet checker (K-codes must actually run), zeroed fetch,
+    BTB and cache counters, and every cache tag -1 — the unit has never
+    planned, trained or filled.  Its remaining starting state is the
+    configuration it was built with plus the direction predictor's and
+    return stack's attribute values, all of which join the key.
+    ``warmup`` is left out on purpose: it moves the snapshot, never the
+    fetch dynamics.
+    """
+    fetch = sim.fetch_unit
+    cache = fetch.cache
+    if fetch.checker is not None:
+        return None
+    for counters in (fetch.stats, fetch.btb.stats, cache.stats):
+        if any(getattr(counters, f.name) for f in dataclasses.fields(counters)):
+            return None
+    tags = cache._tags
+    if tags.count(-1) != len(tags):
+        return None
+    predictor = _plain_state(fetch.direction_predictor)
+    stack = _plain_state(fetch.return_stack)
+    if predictor is None or stack is None:
+        return None
+    return (
+        "tape",
+        sim.config,
+        fetch.config,
+        type(fetch),
+        fetch.num_banks,
+        predictor,
+        stack,
+        sim._prewarmed,
+        len(sim.trace.instructions),
+    )
+
+
+def _end_state(fetch) -> tuple:
+    """What a run leaves in *fetch* beyond its counted statistics: valid
+    BTB entries, BTB update/allocation counts, cache tags, and predictor
+    and return stack attributes."""
+    btb = fetch.btb
+    entries = tuple(
+        (
+            bank,
+            index,
+            e.tag,
+            e.target,
+            e.counter.state,
+            e.is_unconditional,
+            e.is_call,
+            e.is_return,
+        )
+        for bank, bank_entries in enumerate(btb._banks)
+        for index, e in enumerate(bank_entries)
+        if e.tag >= 0
+    )
+    return (
+        entries,
+        btb.stats.updates,
+        btb.stats.allocations,
+        array("q", fetch.cache._tags),  # no int object per set
+        _plain_state(fetch.direction_predictor),
+        _plain_state(fetch.return_stack),
+    )
+
+
+def _install_end_state(fetch, end: tuple) -> None:
+    """Leave *fetch* — in the starting state its tape was recorded from —
+    as the recorded run left it (see :func:`_end_state`)."""
+    entries, updates, allocations, tags, predictor, stack = end
+    btb = fetch.btb
+    banks = btb._banks
+    for bank, index, tag, target, state, unc, call, ret in entries:
+        banks[bank][index] = BTBEntry(
+            tag, target, TwoBitCounter(state), unc, call, ret
+        )
+    btb.stats.updates = updates
+    btb.stats.allocations = allocations
+    fetch.cache._tags = list(tags)
+    for obj, state in (
+        (fetch.direction_predictor, predictor),
+        (fetch.return_stack, stack),
+    ):
+        for name, value in state[1] if state else ():
+            if type(getattr(obj, name)) is list:
+                value = list(value)
+            setattr(obj, name, value)
 
 
 # -- trace table ------------------------------------------------------------
@@ -345,32 +475,19 @@ def run_compiled(sim):
     table = compile_trace(trace, conservative)
     tables = trace._kernel_tables
 
-    # -- fetch-outcome tape --------------------------------------------------
-    # A run is a pure function of (trace, config, scheme, prewarm): no RNG,
-    # no wall clock, and a factory-built fetch unit starts from a fixed
-    # state.  The first compiled run records every fetch invocation's
-    # resolved outcome — (fetch position, stall, delivered count,
-    # mispredict flag, BTB/cache stat deltas) — and later identical runs
-    # replay that tape with *zero* BTB/cache object work: no plan builds,
-    # no memo lookups, no BTB training.  Ineligible when the fetch unit
-    # was handed in (prior state unknown) or a packet checker is attached
-    # (K-codes must actually run).  ``warmup`` is excluded from the key on
-    # purpose: it moves the snapshot, never the fetch dynamics.
-    tape_key = None
-    tape = None
-    if sim._fresh_fetch_unit and fetch.checker is None:
-        tape_key = (
-            "tape",
-            config,
-            type(fetch).__name__,
-            sim._prewarmed,
-            total,
-        )
-        tape = tables.get(tape_key)
-    live = tape is None
+    # -- fetch-outcome tape (see the module docstring) ------------------------
+    # The first run from an eligible starting state records each fetch's
+    # (position, stall, delivered count, mispredict flag, cumulative
+    # BTB/cache stat deltas) and the unit's end state; later runs from the
+    # same state replay it, then install that end state.
+    tape_key = _tape_key(sim)
+    recorded = tables.get(tape_key) if tape_key is not None else None
+    live = recorded is None
     if live:
         # A tape replay never reads the I-cache; only live planning does.
         sim._ensure_prewarmed()
+    else:
+        tape, end_state = recorded
     tape_rec: list[tuple] | None = [] if (live and tape_key is not None) else None
     tape_i = 0
     # Execution-mode attribute for the tracing layer (and tests): how
@@ -462,6 +579,13 @@ def run_compiled(sim):
     last_e = (0, 0, 0, 0, 0, 0, 0, 0)
 
     # -- fetch-plan memo + dependency tracking ------------------------------
+    # A direction predictor or return stack makes a plan depend on state
+    # outside the (BTB slot, cache set) dependency model: such a unit
+    # plans live on every fetch (``memo`` stays empty, no wrappers).
+    direction = fetch.direction_predictor
+    memoize = direction is None and fetch.return_stack is None
+    direction_update = direction.update if direction is not None else None
+    instrs = trace.instructions
     memo: dict[int, tuple] = {}
     btb_rev: dict[int, set[int]] = {}  # BTB slot -> memoized fetch addrs
     cache_rev: dict[int, set[int]] = {}  # cache set -> memoized fetch addrs
@@ -514,8 +638,9 @@ def run_compiled(sim):
         nothing (and is never memoized — the miss fill it triggered
         changes its own outcome); the packet checker, when attached, runs
         once per distinct packet here instead of once per cycle.  A plan
-        that filled the cache (prefetch/successor miss) is replayed live
-        next time rather than memoized.
+        that filled the cache (prefetch/successor miss), or any plan of a
+        unit that plans live, is planned again next time rather than
+        memoized.
         """
         nonlocal filled, n_builds
         n_builds += 1
@@ -554,7 +679,7 @@ def run_compiled(sim):
             cstats.accesses - ac0,
             cstats.misses - ms0,
         )
-        if not filled:
+        if memoize and not filled:
             memo[address] = rec
             for s in dep_slots:
                 members = btb_rev.get(s)
@@ -611,6 +736,9 @@ def run_compiled(sim):
                     if memo.pop(a, None) is not None:
                         n_invalidated += 1
 
+    if not memoize:
+        train = btb_update  # no memo to invalidate
+
     # -- main loop ----------------------------------------------------------
     cycle = 0
     position = 0  # next trace index to fetch
@@ -625,7 +753,8 @@ def run_compiled(sim):
     # in place) so its bound append survives hoisting.
     ready_append = ready.append
 
-    if live:
+    wrapped = live and memoize
+    if wrapped:
         btb.predict = rec_predict  # type: ignore[method-assign]
         cache.access = rec_access  # type: ignore[method-assign]
         cache.fill = rec_fill  # type: ignore[method-assign]
@@ -716,6 +845,10 @@ def run_compiled(sim):
                             call_[j],
                             ret_[j],
                         )
+                        if direction_update is not None and brcond_[j]:
+                            direction_update(
+                                addr_[j], instrs[j].target, taken_[j]
+                            )
                     if j == flagged_index and not recovery_at_retire:
                         waiting = False
                         restart = cycle + fetch_penalty
@@ -970,7 +1103,7 @@ def run_compiled(sim):
                         spec_stalls += skipped
                     cycle = target
     finally:
-        if live:
+        if wrapped:
             del btb.predict  # type: ignore[method-assign]
             del cache.access  # type: ignore[method-assign]
             del cache.fill  # type: ignore[method-assign]
@@ -1000,14 +1133,16 @@ def run_compiled(sim):
         stats["plan_replays"] += (fs_cycles - fs_cycles_start) - n_builds
         stats["plan_invalidations"] += n_invalidated
         if tape_rec is not None:
-            tables[tape_key] = tape_rec
-            # Tapes are per (config, scheme, prewarm) and a sweep visits
-            # many; cap the per-trace cache (oldest-inserted evicted
+            tables[tape_key] = (tape_rec, _end_state(fetch))
+            # Tapes are per (config, unit state, prewarm) and a sweep
+            # visits many; cap the per-trace cache (oldest-inserted evicted
             # first — the just-recorded tape is newest, tables rebuild).
             while len(tables) > 32:
                 del tables[next(iter(tables))]
             stats["tapes_recorded"] += 1
     else:
+        _install_end_state(fetch, end_state)
+        sim._prewarm_pending = False  # the installed tags include it
         stats["tape_replays"] += fs_cycles - fs_cycles_start
     # Precise architectural state: the Future file holds the last
     # *retired* writer per register, exactly as retire updates it in
@@ -1020,7 +1155,6 @@ def run_compiled(sim):
             if w >= 0:
                 fwriter[r] = w
     else:  # max_cycles cut the run short; scan the retired prefix
-        instrs = trace.instructions
         for i in range(retired):
             d = instrs[i].dest
             if d >= 0:

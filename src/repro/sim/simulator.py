@@ -134,14 +134,8 @@ class Simulator:
         self.trace = trace
         if isinstance(scheme, FetchUnit):
             self.fetch_unit = scheme
-            #: Whether this run's fetch unit was built fresh by the
-            #: factory (vs. handed in, possibly carrying prior state).
-            #: Gates the kernel's fetch-outcome tape: only a fresh unit
-            #: makes the run a pure function of (trace, config, scheme).
-            self._fresh_fetch_unit = False
         else:
             self.fetch_unit = create_fetch_unit(scheme, config, trace)
-            self._fresh_fetch_unit = True
         self._prewarmed = bool(prewarm_cache and trace.instructions)
         self.core = ExecutionCore(config)
         self.warmup = min(max(0, warmup), len(trace.instructions) // 2)
@@ -170,10 +164,12 @@ class Simulator:
         self.kernel_used = False
         self.kernel_decline_reason: str | None = None
         #: How the compiled kernel executed, set by
-        #: :func:`repro.sim.kernel.run_compiled`: ``"compile"`` (built
-        #: the table live), ``"record"`` (live + recorded a replay tape)
-        #: or ``"replay"`` (replayed a memoised tape).  ``None`` when
-        #: the interpreted loop ran.
+        #: :func:`repro.sim.kernel.run_compiled`: ``"record"`` (planned
+        #: live and recorded a fetch-outcome tape), ``"replay"``
+        #: (replayed the tape recorded from the same fetch-unit starting
+        #: state) or ``"compile"`` (planned live without a tape: the unit
+        #: carries a packet checker or is past its starting state).
+        #: ``None`` when the interpreted loop ran.
         self.kernel_mode: str | None = None
         #: Prewarm is deferred until a loop actually reads the I-cache:
         #: a kernel tape replay never touches it, and every interpreted

@@ -163,6 +163,17 @@ class TestOtherPredictors:
         with pytest.raises(ValueError):
             GShare(num_entries=100)
 
+    @pytest.mark.parametrize("history_bits", [-1, 13])
+    def test_gshare_rejects_history_beyond_index_width(self, history_bits):
+        with pytest.raises(ValueError, match="history_bits out of range"):
+            GShare(num_entries=4096, history_bits=history_bits)
+
+    @pytest.mark.parametrize("history_bits", [0, 12])
+    def test_gshare_accepts_history_within_index_width(self, history_bits):
+        p = GShare(num_entries=4096, history_bits=history_bits)
+        p.update(100, 200, True)
+        assert p.predict(100, 200)
+
 
 class TestTwoLevelLocal:
     def test_learns_periodic_pattern(self):

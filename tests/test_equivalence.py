@@ -10,13 +10,20 @@ broken an invariant (see ``docs/performance.md``).
 The kernel matrix below covers every vetted scheme on every machine
 preset plus the synthetic micro workloads; the fallback tests prove the
 kernel declines ineligible configurations *silently* — same statistics,
-interpreted loop, decline reason recorded.
+interpreted loop, decline reason recorded.  The predictor matrix runs
+direction predictors and return stacks through the kernel's record and
+replay modes, and the tape-safety tests prove a fetch-outcome tape is
+only ever replayed into a unit in the starting state it was recorded
+from, leaving the unit as the recorded run did.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.branch.predictors import GShare, StaticBTFNT, TwoLevelLocal
+from repro.branch.ras import ReturnAddressStack
+from repro.fetch.factory import create_fetch_unit
 from repro.machines.presets import get_machine
 from repro.sim import kernel as sim_kernel
 from repro.sim.simulator import Simulator
@@ -305,3 +312,265 @@ def test_unvetted_scheme_declines():
     assert sim.kernel_decline_reason.startswith("scheme:")
     ref, _ = _reference_stats(machine, trace, scheme, warmup=WARMUP)
     _assert_stats_equal(stats, ref, f"unvetted scheme {scheme}")
+
+
+# -- direction predictors and return stacks in the kernel ---------------------
+
+#: Predictor configurations as the study engine builds them
+#: (``study/engine.py``), plus a static predictor.
+PREDICTOR_UNITS = {
+    "gshare": lambda: (GShare(), None),
+    "2level": lambda: (TwoLevelLocal(), None),
+    "btb+ras": lambda: (None, ReturnAddressStack()),
+    "gshare+ras": lambda: (GShare(), ReturnAddressStack()),
+    "btfnt": lambda: (StaticBTFNT(), None),
+}
+PREDICTOR_SCHEMES = (
+    "sequential",
+    "banked_sequential",
+    "collapsing_buffer",
+    "perfect",
+)
+
+
+def _predictor_unit(name, scheme, machine, trace, num_banks=None):
+    predictor, stack = PREDICTOR_UNITS[name]()
+    return create_fetch_unit(
+        scheme,
+        machine,
+        trace,
+        direction_predictor=predictor,
+        return_stack=stack,
+        num_banks=num_banks,
+    )
+
+
+def _record_then_replay(make_unit, machine, trace):
+    """Two kernel runs on fresh units over one trace (record, replay),
+    each equal to ``run_reference()`` on a third."""
+    ref_sim = Simulator(machine, trace, make_unit(), warmup=WARMUP)
+    ref = ref_sim.run_reference()
+    sims = []
+    for _ in range(2):
+        sim = Simulator(machine, trace, make_unit(), warmup=WARMUP)
+        stats = sim.run()
+        assert sim.kernel_used, sim.kernel_decline_reason
+        _assert_stats_equal(stats, ref, f"{sim.kernel_mode} run")
+        assert sim._snapshot == ref_sim._snapshot
+        sims.append(sim)
+    assert [sim.kernel_mode for sim in sims] == ["record", "replay"]
+
+
+@pytest.mark.parametrize("bench", BENCHMARKS)
+@pytest.mark.parametrize("machine_name", MACHINES)
+@pytest.mark.parametrize("scheme", PREDICTOR_SCHEMES)
+@pytest.mark.parametrize("predictor", sorted(PREDICTOR_UNITS))
+def test_predictor_units_record_and_replay(bench, machine_name, scheme, predictor):
+    machine = get_machine(machine_name)
+    trace = _trace(bench)
+    _record_then_replay(
+        lambda: _predictor_unit(predictor, scheme, machine, trace),
+        machine,
+        trace,
+    )
+
+
+def test_predictor_unit_with_one_bank_records_and_replays():
+    machine = get_machine("PI4")
+    trace = _trace("li")
+    _record_then_replay(
+        lambda: _predictor_unit(
+            "gshare+ras", "collapsing_buffer", machine, trace, num_banks=1
+        ),
+        machine,
+        trace,
+    )
+
+
+def test_predictors_no_longer_decline():
+    trace = _trace("li")
+    machine = get_machine("PI4")
+    for scheme in KERNEL_SCHEMES:
+        for name in PREDICTOR_UNITS:
+            sim = Simulator(
+                machine, trace, _predictor_unit(name, scheme, machine, trace)
+            )
+            assert sim_kernel.decline_reason(sim) is None
+
+
+# -- tape safety: a replay is only ever served from the starting state ---------
+
+
+def _unit_state(unit):
+    """Everything a run leaves in a fetch unit, read from its objects."""
+    entries = [
+        (e.tag, e.target, e.counter.state, e.is_unconditional, e.is_call, e.is_return)
+        for bank in unit.btb._banks
+        for e in bank
+    ]
+    extensions = [
+        None if obj is None else dict(vars(obj))
+        for obj in (unit.direction_predictor, unit.return_stack)
+    ]
+    return (
+        entries,
+        dataclasses.astuple(unit.btb.stats),
+        dataclasses.astuple(unit.cache.stats),
+        dataclasses.astuple(unit.stats),
+        list(unit.cache._tags),
+        extensions,
+    )
+
+
+def _kernel_run(machine, trace, unit):
+    sim = Simulator(machine, trace, unit, warmup=WARMUP)
+    stats = sim.run()
+    assert sim.kernel_used
+    return stats, sim.kernel_mode
+
+
+def _reference_run(machine, trace, unit):
+    return Simulator(machine, trace, unit, warmup=WARMUP).run_reference()
+
+
+def _gshare_ras_unit(machine, trace, predictor=None):
+    return create_fetch_unit(
+        "collapsing_buffer",
+        machine,
+        trace,
+        direction_predictor=predictor or GShare(),
+        return_stack=ReturnAddressStack(),
+    )
+
+
+@pytest.fixture
+def recorded():
+    """PI4 / li with a tape already recorded from a fresh GShare+RAS
+    collapsing-buffer unit, so any wrongly served replay would show."""
+    machine = get_machine("PI4")
+    trace = _trace("li")
+    _, mode = _kernel_run(machine, trace, _gshare_ras_unit(machine, trace))
+    assert mode == "record"
+    return machine, trace
+
+
+def test_unit_that_already_ran_gets_no_replay(recorded):
+    machine, trace = recorded
+    unit = _gshare_ras_unit(machine, trace)
+    twin = _gshare_ras_unit(machine, trace)
+    _kernel_run(machine, trace, unit)
+    _reference_run(machine, trace, twin)
+    stats, mode = _kernel_run(machine, trace, unit)
+    assert mode == "compile"
+    _assert_stats_equal(stats, _reference_run(machine, trace, twin), "second run")
+
+
+def test_btb_trained_unit_gets_no_replay(recorded):
+    machine, trace = recorded
+    units = [_gshare_ras_unit(machine, trace) for _ in range(2)]
+    for unit in units:
+        unit.btb.update(trace.instructions[0].address, True, 0)
+    stats, mode = _kernel_run(machine, trace, units[0])
+    assert mode == "compile"
+    _assert_stats_equal(
+        stats, _reference_run(machine, trace, units[1]), "pre-trained BTB"
+    )
+
+
+def test_filled_cache_gets_no_replay():
+    """Fills leave no counter behind; the cache tags themselves bar the
+    tape (cold-cache runs, where a pre-filled block changes the misses)."""
+    machine = get_machine("PI4")
+    trace = _trace("li")
+    runs = []
+    for fill in (False, True, True):
+        unit = _gshare_ras_unit(machine, trace)
+        if fill:
+            unit.cache.fill(unit.cache.block_index(trace.instructions[0].address))
+        runs.append(Simulator(machine, trace, unit, prewarm_cache=False))
+    runs[0].run()
+    assert runs[0].kernel_mode == "record"
+    stats = runs[1].run()
+    assert runs[1].kernel_mode == "compile"
+    _assert_stats_equal(stats, runs[2].run_reference(), "pre-filled cache")
+
+
+def test_trained_gshare_gets_its_own_tape(recorded):
+    machine, trace = recorded
+    units = []
+    for _ in range(2):
+        predictor = GShare()
+        for taken in (True, True, False):
+            predictor.update(trace.instructions[0].address, 0, taken)
+        units.append(_gshare_ras_unit(machine, trace, predictor))
+    stats, mode = _kernel_run(machine, trace, units[0])
+    assert mode == "record"
+    _assert_stats_equal(
+        stats, _reference_run(machine, trace, units[1]), "pre-trained GShare"
+    )
+
+
+def test_checked_unit_gets_no_replay(recorded):
+    from repro.check.sanitizer import PacketChecker
+
+    machine, trace = recorded
+    units = [_gshare_ras_unit(machine, trace) for _ in range(2)]
+    checker = PacketChecker.for_unit(units[0])
+    stats, mode = _kernel_run(machine, trace, units[0])
+    assert mode == "compile"
+    assert checker.packets_checked > 0
+    _assert_stats_equal(
+        stats, _reference_run(machine, trace, units[1]), "packet-checked unit"
+    )
+
+
+def test_gshare_geometries_do_not_share_a_tape(recorded):
+    machine, trace = recorded
+    stats, mode = _kernel_run(
+        machine, trace, _gshare_ras_unit(machine, trace, GShare(256, 4))
+    )
+    assert mode == "record"
+    ref = _reference_run(
+        machine, trace, _gshare_ras_unit(machine, trace, GShare(256, 4))
+    )
+    _assert_stats_equal(stats, ref, "GShare(256, 4)")
+
+
+def test_unit_configs_do_not_share_a_tape(recorded):
+    machine, trace = recorded
+    other = dataclasses.replace(machine, btb_entries=64)
+    stats, mode = _kernel_run(machine, trace, _gshare_ras_unit(other, trace))
+    assert mode == "record"
+    ref = _reference_run(machine, trace, _gshare_ras_unit(other, trace))
+    _assert_stats_equal(stats, ref, "unit built with another config")
+
+
+@pytest.mark.parametrize("predictor", ["gshare+ras", "2level", None])
+def test_replay_leaves_the_unit_as_the_recorded_run(predictor):
+    machine = get_machine("PI4")
+    trace = _trace("espresso")
+
+    def make_unit():
+        if predictor is None:
+            return create_fetch_unit("banked_sequential", machine, trace)
+        return _predictor_unit(predictor, "banked_sequential", machine, trace)
+
+    recorded_unit, replayed_unit, reference_unit = (make_unit() for _ in range(3))
+    assert _kernel_run(machine, trace, recorded_unit)[1] == "record"
+    assert _kernel_run(machine, trace, replayed_unit)[1] == "replay"
+    _reference_run(machine, trace, reference_unit)
+    assert _unit_state(replayed_unit) == _unit_state(recorded_unit)
+    assert _unit_state(replayed_unit) == _unit_state(reference_unit)
+    # A chained run on each unit starts where the first run left it.
+    chained = [
+        _kernel_run(machine, trace, unit)
+        for unit in (recorded_unit, replayed_unit)
+    ]
+    assert [mode for _, mode in chained] == ["compile", "compile"]
+    _assert_stats_equal(chained[1][0], chained[0][0], "chained run")
+    _assert_stats_equal(
+        chained[1][0],
+        _reference_run(machine, trace, reference_unit),
+        "chained run vs reference",
+    )
+    assert _unit_state(replayed_unit) == _unit_state(recorded_unit)
