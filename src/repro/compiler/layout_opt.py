@@ -43,7 +43,8 @@ class ReorderResult:
         traces: Block ids per trace in final order, including any
             trampoline blocks appended during fix-up (used by pad-trace).
         trace_heats: Peak profiled block count per trace (aligned with
-            ``traces``); pad-trace pads only hot traces.
+            ``traces``); pad-trace pads only hot traces.  Empty when the
+            trace set carried no heats (pad-trace then pads every trace).
         flipped_branches: Conditional branches whose condition was
             inverted so the hot successor falls through.
         inserted_jumps: Trampoline jumps (and fall-through conversions)
@@ -156,11 +157,10 @@ def apply_layout(
     new_program = Program.from_order(
         cfg, order, base_address=program.base_address, name=program.name
     )
-    heats = list(trace_set.heats) or [0] * len(result_traces)
     return ReorderResult(
         program=new_program,
         traces=result_traces,
-        trace_heats=heats,
+        trace_heats=list(trace_set.heats),
         flipped_branches=flipped,
         inserted_jumps=inserted,
         removed_jumps=removed,

@@ -28,36 +28,11 @@ from repro.workloads.trace import PROFILING_SEEDS
 
 @dataclass(slots=True)
 class EdgeProfile:
-    """Execution counts gathered over the profiling inputs."""
+    """Execution counts gathered over the profiling inputs, keyed in
+    first-visit order (trace selection breaks ties on that order)."""
 
     block_counts: Counter = field(default_factory=Counter)
     edge_counts: Counter = field(default_factory=Counter)
-
-    def successors_by_weight(self, block_id: int) -> list[tuple[int, int]]:
-        """(successor, count) pairs of *block_id*, heaviest first."""
-        out = [
-            (dst, count)
-            for (src, dst), count in self.edge_counts.items()
-            if src == block_id
-        ]
-        out.sort(key=lambda pair: -pair[1])
-        return out
-
-    def hottest_successor(self, block_id: int) -> int:
-        """Most frequent layout successor of *block_id* (-1 if none)."""
-        best, best_count = -1, 0
-        for (src, dst), count in self.edge_counts.items():
-            if src == block_id and count > best_count:
-                best, best_count = dst, count
-        return best
-
-    def hottest_predecessor(self, block_id: int) -> int:
-        """Most frequent layout predecessor of *block_id* (-1 if none)."""
-        best, best_count = -1, 0
-        for (src, dst), count in self.edge_counts.items():
-            if dst == block_id and count > best_count:
-                best, best_count = src, count
-        return best
 
 
 def collect_profile(
@@ -72,33 +47,48 @@ def collect_profile(
     (restarting the program when it halts), mirroring the paper's
     multiple-training-input methodology.
     """
-    profile = EdgeProfile()
+    block_counts: dict[int, int] = {}
+    edge_counts: dict[tuple[int, int], int] = {}
     cfg = program.cfg
+    entry = cfg.entry_block_id
+    # One row per block: kind, the COND behaviour's decide(), and the
+    # (edge, successor) pairs of the taken and fall-through paths, swapped
+    # for a flipped COND so decide() == True picks the original target.
+    table = []
+    for block in cfg.blocks:
+        kind, src = block.term_kind, block.block_id
+        taken = ((src, block.taken_id), block.taken_id)
+        fall = ((src, block.fall_id), block.fall_id)
+        if kind is TermKind.COND and block.flipped:
+            taken, fall = fall, taken
+        branch = behavior.branches.get(block.branch_key)
+        table.append((kind, None if branch is None else branch.decide, taken, fall))
+    COND, JUMP, CALL, RET = TermKind.COND, TermKind.JUMP, TermKind.CALL, TermKind.RET
     for seed in seeds:
         rng = random.Random(seed)
         behavior.reset()
         call_stack: list[int] = []
-        current = cfg.entry_block_id
+        current = entry
         for _ in range(max_transitions):
-            block = cfg.block(current)
-            profile.block_counts[current] += 1
-            kind = block.term_kind
-            if kind is TermKind.FALLTHROUGH:
-                nxt = block.fall_id
-                profile.edge_counts[(current, nxt)] += 1
-            elif kind is TermKind.COND:
-                nxt = behavior.decide_successor(block, rng)
-                profile.edge_counts[(current, nxt)] += 1
-            elif kind is TermKind.JUMP:
-                nxt = block.taken_id
-                profile.edge_counts[(current, nxt)] += 1
-            elif kind is TermKind.CALL:
+            block_counts[current] = block_counts.get(current, 0) + 1
+            kind, decide, taken, fall = table[current]
+            if kind is COND:
+                if decide is None:
+                    key = cfg.block(current).branch_key
+                    raise KeyError(f"no behaviour for branch key {key}")
+                edge, current = taken if decide(rng) else fall
+            elif kind is JUMP:
+                edge, current = taken
+            elif kind is CALL:
                 # Layout edge to the return continuation; execution enters
                 # the callee.
-                profile.edge_counts[(current, block.fall_id)] += 1
-                call_stack.append(block.fall_id)
-                nxt = block.taken_id
-            else:  # RET
-                nxt = call_stack.pop() if call_stack else cfg.entry_block_id
-            current = nxt
-    return profile
+                edge, continuation = fall
+                call_stack.append(continuation)
+                current = taken[1]
+            elif kind is RET:
+                current = call_stack.pop() if call_stack else entry
+                continue
+            else:  # FALLTHROUGH
+                edge, current = fall
+            edge_counts[edge] = edge_counts.get(edge, 0) + 1
+    return EdgeProfile(Counter(block_counts), Counter(edge_counts))

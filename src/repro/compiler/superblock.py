@@ -17,14 +17,13 @@ alignment across program variants) is preserved.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.compiler.layout_opt import ReorderResult, apply_layout
 from repro.compiler.profile import collect_profile
 from repro.compiler.trace_selection import TraceSet, select_traces
-from repro.program.basic_block import NO_BLOCK, BasicBlock, TermKind
-from repro.program.program import Program, clone_cfg
+from repro.program.basic_block import BasicBlock, TermKind
+from repro.program.program import Program, clone_block, clone_cfg
 from repro.workloads.behavior import BehaviorModel
 from repro.workloads.trace import PROFILING_SEEDS
 
@@ -105,9 +104,9 @@ def form_superblocks(
         copies: list[int] = []
         for block_id in tail:
             original = cfg.block(block_id)
-            duplicate = _clone_block(original)
-            cfg.add_block(duplicate, cfg.function(original.func_id))
+            duplicate = clone_block(original)
             duplicate.is_func_entry = False
+            cfg.add_block(duplicate, cfg.function(original.func_id))
             remap[block_id] = duplicate.block_id
             copies.append(duplicate.block_id)
             duplicated_blocks += 1
@@ -161,21 +160,3 @@ def _first_side_entrance(
             return position
     return -1
 
-
-def _clone_block(block: BasicBlock) -> BasicBlock:
-    """Copy a block for tail duplication (fresh instructions, same
-    successors and branch identity)."""
-    return BasicBlock(
-        block_id=NO_BLOCK,
-        func_id=block.func_id,
-        body=[copy.copy(instr) for instr in block.body],
-        term_kind=block.term_kind,
-        terminator=copy.copy(block.terminator)
-        if block.terminator is not None
-        else None,
-        taken_id=block.taken_id,
-        fall_id=block.fall_id,
-        branch_key=block.branch_key,
-        flipped=block.flipped,
-        is_func_entry=False,
-    )

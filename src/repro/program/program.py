@@ -11,12 +11,10 @@ invariant; :meth:`Program.from_order` checks it.
 
 from __future__ import annotations
 
-import copy
-
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
 from repro.program.basic_block import NO_BLOCK, BasicBlock, TermKind
-from repro.program.cfg import ControlFlowGraph
+from repro.program.cfg import ControlFlowGraph, Function
 
 
 class LayoutError(ValueError):
@@ -140,10 +138,39 @@ class Program:
         return nops / len(self.instructions)
 
 
-def clone_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
-    """Deep-copy a CFG so a transform can relayout without aliasing.
+def clone_block(block: BasicBlock) -> BasicBlock:
+    """Copy *block* field by field, with its own body and instructions."""
+    term = block.terminator
+    return BasicBlock(
+        block.block_id,
+        block.func_id,
+        [_clone_instruction(instr) for instr in block.body],
+        block.term_kind,
+        None if term is None else _clone_instruction(term),
+        block.taken_id,
+        block.fall_id,
+        block.branch_key,
+        block.flipped,
+        block.is_func_entry,
+    )
 
-    Instruction objects are copied (addresses/targets will be reassigned);
-    block ids, function structure, branch keys and flip state are preserved.
+
+def _clone_instruction(i: Instruction) -> Instruction:
+    return Instruction(i.op, i.dest, i.src1, i.src2, i.address, i.target, i.block_id)
+
+
+def clone_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
+    """Copy a CFG so a transform can relayout without aliasing.
+
+    Functions, blocks and instructions are fresh objects with equal
+    fields.  No deeper copy is needed: layout writes each instruction's
+    ``address``, so no instruction is ever shared between blocks.
     """
-    return copy.deepcopy(cfg)
+    clone = ControlFlowGraph()
+    clone.functions.extend(
+        Function(f.func_id, f.name, f.entry_id, list(f.block_ids))
+        for f in cfg.functions
+    )
+    clone.blocks.extend(clone_block(block) for block in cfg.blocks)
+    clone.entry_func_id = cfg.entry_func_id
+    return clone

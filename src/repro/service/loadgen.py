@@ -225,10 +225,11 @@ def run_loadgen(
                 "p95": round(p95, 4),
                 "p99": round(p99, 4),
             },
+            # Microseconds: 4 decimals would round a memo hit's time to 0.
             "server_seconds": {
-                "p50": round(_percentile(server_seconds, 0.50), 4),
-                "p95": round(_percentile(server_seconds, 0.95), 4),
-                "p99": round(_percentile(server_seconds, 0.99), 4),
+                "p50": round(_percentile(server_seconds, 0.50), 6),
+                "p95": round(_percentile(server_seconds, 0.95), 6),
+                "p99": round(_percentile(server_seconds, 0.99), 6),
             },
             "client_server_delta_seconds": {
                 "mean": round(delta_mean, 4),

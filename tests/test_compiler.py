@@ -65,6 +65,85 @@ class TestProfile:
         assert sum(profile.block_counts.values()) == 5000
 
 
+    # SHA-256 of the ordered (edge_counts, block_counts) items at the
+    # default seeds.  Insertion order is part of the contract: trace
+    # selection breaks ties on it.
+    PROFILE_DIGESTS = {
+        "compress": "becfaa956ab51616591dabcbf5848708"
+        "ede3144ac0010a29af6ad9f784c729c4",
+        "li": "69b41c690eaddb0aae4e53f030b9c53b"
+        "f289fb1dd35dbf1770b4e93cdbd5d10c",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROFILE_DIGESTS))
+    def test_profile_locked(self, name):
+        import hashlib
+
+        workload = load_workload(name)
+        profile = collect_profile(workload.program, workload.behavior)
+        ordered = (
+            list(profile.edge_counts.items()),
+            list(profile.block_counts.items()),
+        )
+        digest = hashlib.sha256(repr(ordered).encode()).hexdigest()
+        assert digest == self.PROFILE_DIGESTS[name]
+
+    def test_flipped_branches_follow_the_logical_path(self):
+        workload = load_workload("compress")
+        reordered = reorder_program(workload.program, workload.behavior)
+        # Same block set (no trampolines), many flipped branches: the
+        # walk must take the same logical path, so the counts are equal.
+        assert len(reordered.program.cfg.blocks) == len(
+            workload.program.cfg.blocks
+        )
+        assert reordered.flipped_branches > 0
+        before = collect_profile(workload.program, workload.behavior)
+        after = collect_profile(reordered.program, workload.behavior)
+        assert after.edge_counts == before.edge_counts
+        assert after.block_counts == before.block_counts
+
+    @staticmethod
+    def _branchy_program(branch_in_main):
+        """main (optionally with a branch) plus a helper with a branch;
+        the helper is never called."""
+        b = ProgramBuilder("branchy")
+        b.begin_function("main")
+        top = b.new_label()
+        b.bind(top)
+        b.ialu(1, 1)
+        if branch_in_main:
+            b.branch_if(1, top, probability=0.5)
+        b.ret()
+        b.end_function()
+        b.begin_function("helper")
+        loop = b.new_label()
+        b.bind(loop)
+        b.ialu(2, 2)
+        b.branch_if(2, loop, probability=0.5)
+        b.ret()
+        b.end_function()
+        return b.finish()
+
+    def test_unreachable_branch_needs_no_behaviour(self):
+        from repro.workloads import BehaviorModel
+
+        program = self._branchy_program(branch_in_main=False)
+        profile = collect_profile(
+            program, BehaviorModel(), seeds=(1,), max_transitions=100
+        )
+        assert sum(profile.block_counts.values()) == 100
+
+    def test_reachable_branch_without_behaviour_raises(self):
+        from repro.workloads import BehaviorModel
+
+        program = self._branchy_program(branch_in_main=True)
+        key = program.cfg.conditional_blocks()[0].branch_key
+        with pytest.raises(KeyError, match=f"no behaviour for branch key {key}"):
+            collect_profile(
+                program, BehaviorModel(), seeds=(1,), max_transitions=100
+            )
+
+
 class TestTraceSelection:
     def test_traces_partition_blocks(self):
         workload = load_workload("compress")
@@ -200,6 +279,25 @@ class TestPadding:
         n = min(len(a), len(b))
         assert a[:n] == b[:n]
 
+    def test_pad_trace_without_heats_pads_every_trace(self):
+        from repro.compiler.layout_opt import apply_layout
+        from repro.compiler.trace_selection import TraceSet
+
+        workload = load_workload("li")
+        program = workload.program
+        traces = select_traces(
+            program.cfg, collect_profile(program, workload.behavior)
+        )
+        bare = apply_layout(program, TraceSet(traces=traces.traces))
+        assert bare.trace_heats == []
+        padded = pad_trace(bare, 4)
+        # With no heats every trace counts as hot, so every trace after
+        # the first starts on a block boundary.
+        for trace in bare.traces[1:]:
+            assert padded.program.block_start[trace[0]] % 4 == 0
+        hot_only = pad_trace(apply_layout(program, traces), 4)
+        assert padded.nops_inserted > hot_only.nops_inserted > 0
+
     def test_pad_trace_much_cheaper_than_pad_all(self):
         workload = load_workload("sc")
         reordered = reorder_program(workload.program, workload.behavior)
@@ -300,6 +398,19 @@ class TestSuperblocks:
             == result.original_size + result.duplicated_instructions
             + result.reorder.inserted_jumps - result.reorder.removed_jumps
         )
+
+    def test_duplicates_own_their_instructions(self):
+        from repro.compiler import form_superblocks
+
+        workload = load_workload("espresso")
+        result = form_superblocks(workload.program, workload.behavior)
+        # Every duplicate has instructions of its own, laid out once, and
+        # none is shared with the source program.
+        instructions = result.program.instructions
+        assert len({id(instr) for instr in instructions}) == len(instructions)
+        assert not {id(i) for i in workload.program.instructions} & {
+            id(i) for i in instructions
+        }
 
     def test_hot_superblocks_have_single_entry(self):
         """After formation, a hot trace's non-head blocks have exactly one

@@ -293,3 +293,69 @@ class TestLayoutEdgeCases:
             block = prog.cfg.block(block_id)
             if block.instructions:
                 assert block.instructions[0].address == start
+
+
+class TestCloneCfg:
+    """``clone_cfg`` is a structural copy: fresh objects, equal values."""
+
+    @staticmethod
+    def _objects(cfg):
+        """Every mutable object a CFG owns, by kind."""
+        blocks = list(cfg.blocks)
+        return {
+            "block": blocks,
+            "body": [block.body for block in blocks],
+            "instruction": [
+                instr for block in blocks for instr in block.instructions
+            ],
+            "function": list(cfg.functions),
+            "block_ids": [func.block_ids for func in cfg.functions],
+        }
+
+    @pytest.fixture(scope="class")
+    def gcc(self):
+        from repro.workloads import load_workload
+
+        program = load_workload("gcc").program
+        return program, clone_cfg(program.cfg)
+
+    def test_shares_no_mutable_object(self, gcc):
+        program, cloned = gcc
+        source, clone = self._objects(program.cfg), self._objects(cloned)
+        for kind, objects in source.items():
+            ids = {id(obj) for obj in objects}
+            assert len(ids) == len(objects), kind
+            assert ids.isdisjoint(id(obj) for obj in clone[kind]), kind
+
+    def test_every_field_equal(self, gcc):
+        from dataclasses import astuple
+
+        program, cloned = gcc
+        src_cfg = program.cfg
+        assert cloned.entry_func_id == src_cfg.entry_func_id
+        assert [astuple(f) for f in cloned.functions] == [
+            astuple(f) for f in src_cfg.functions
+        ]
+        assert len(cloned.blocks) == len(src_cfg.blocks)
+        for mine, theirs in zip(cloned.blocks, src_cfg.blocks):
+            # astuple recurses into the body list, the body instructions
+            # and the terminator.
+            assert astuple(mine) == astuple(theirs)
+
+    def test_same_layout(self, gcc):
+        program, _ = gcc
+        relaid = Program.from_order(
+            clone_cfg(program.cfg),
+            list(program.block_order),
+            base_address=program.base_address,
+        )
+        assert relaid.image() == program.image()
+        assert relaid.block_start == program.block_start
+
+    def test_block_ids_list_is_independent(self):
+        prog = simple_loop_program()
+        cloned = clone_cfg(prog.cfg)
+        before = list(prog.cfg.functions[0].block_ids)
+        cloned.functions[0].block_ids.append(99)
+        cloned.functions[0].block_ids.reverse()
+        assert prog.cfg.functions[0].block_ids == before
