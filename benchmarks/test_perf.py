@@ -7,7 +7,7 @@ kernel deliver:
   the default run path — the compiled kernel — must stay above a floor
   chosen well below typical measurements, so only a genuine regression,
   not scheduler noise, trips it;
-* the kernel must beat the interpreted loop with bit-identical results
+* the kernel must beat the reference loop with bit-identical results
   (the ``compiled_kernel`` section also feeds CI's kernel-bench step);
 * a warm persistent-cache run must be a small fraction of the cold run.
 
@@ -36,7 +36,7 @@ BENCH_FILE = REPO_ROOT / "BENCH_sim_throughput.json"
 
 #: Default-path (compiled kernel, warm) floor: a 1-vCPU container
 #: measures ~0.8-1.2M insn/s; noise is large but not 2x.  The
-#: interpreted loop alone measured ~120-200k, so this floor also
+#: reference loop alone measures ~120-190k, so this floor also
 #: guarantees the kernel is actually engaged on the default path.
 MIN_INSN_PER_SEC = 500_000
 
@@ -102,7 +102,7 @@ def test_kernel_throughput_floor():
         f"warm kernel replay regressed: {warm:,.0f} insn/s "
         f"(floor {KERNEL_MIN_INSN_PER_SEC:,})"
     )
-    # The kernel must actually pay off over the interpreted loop.
+    # The kernel must actually pay off over the reference loop.
     assert report["speedup_warm_over_interpreted"] > 1.5
 
 
@@ -113,7 +113,7 @@ def test_sanitizer_overhead_bounded():
     trace = generate_trace(workload.program, workload.behavior, 16_000)
     machine = get_machine("PI8")
 
-    # Both sides pinned to the interpreted loop: the sanitizer always
+    # Both sides pinned to the reference loop: the sanitizer always
     # declines the compiled kernel, so letting the plain run use it
     # would measure the kernel's speedup, not the sanitizer's overhead.
     def simulate(sanitize):

@@ -23,8 +23,8 @@ Commands:
   ``--resume DIR`` skips work already journalled there;
   ``--sanitize`` runs every job under the pipeline sanitizer,
   ``--telemetry [DIR]`` with slot attribution, ``--no-kernel``
-  forces the interpreted loop.
-* ``bench`` — single-simulation throughput, interpreted vs compiled
+  runs the reference loop.
+* ``bench`` — single-simulation throughput, reference loop vs compiled
   kernel (cold table build and warm tape replay); ``--update PATH``
   refreshes ``BENCH_sim_throughput.json``, ``--floor N`` gates CI.
 * ``check`` — lint a benchmark x machine x scheme matrix with the
@@ -936,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-kernel",
         action="store_true",
         help=(
-            "force the interpreted cycle loop instead of the compiled "
+            "run the reference loop instead of the compiled "
             "kernel (bit-identical statistics either way)"
         ),
     )
@@ -1132,7 +1132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--no-kernel",
         action="store_true",
-        help="force the interpreted loop for every job",
+        help="run the reference loop for every job",
     )
     sweep.add_argument(
         "--telemetry",
@@ -1209,7 +1209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="single-simulation throughput: interpreted vs compiled kernel",
+        help="single-simulation throughput: reference loop vs compiled kernel",
     )
     bench.add_argument("--benchmark", default="espresso")
     bench.add_argument("--machine", default="PI8")
@@ -1226,7 +1226,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-kernel",
         action="store_true",
-        help="measure only the interpreted loop",
+        help="measure only the reference loop",
     )
     bench.add_argument("--json", action="store_true")
     bench.add_argument(
@@ -1239,7 +1239,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="INSN_PER_SEC",
-        help="exit 1 if warm-kernel (or interpreted-only) throughput is lower",
+        help="exit 1 if warm-kernel (or reference-only) throughput is lower",
     )
     bench.set_defaults(func=_cmd_bench)
 

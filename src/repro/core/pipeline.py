@@ -127,135 +127,7 @@ class ExecutionCore:
         self.stats.dispatched += 1
         return entry
 
-    def dispatch_queue(
-        self,
-        head: int,
-        tail: int,
-        instructions,
-        flagged_index: int,
-        is_taken,
-        next_addr,
-    ) -> int:
-        """Dispatch trace indices ``[head, tail)`` until blocked — one
-        cycle's worth.  Returns the new head.
-
-        The fetch queue is always a contiguous index range (fetch
-        delivers consecutive correct-path instructions), so the
-        simulator's fast loop passes two ints instead of a queue.  Batch
-        form of ``can_dispatch`` + ``dispatch`` + ``window.dispatch``:
-        one call per cycle instead of three per instruction, with the
-        renaming inlined.  The stall accounting is identical — the first
-        blocked head charges exactly one stall counter and ends the
-        cycle (window/ROB capacity is checked before speculation depth,
-        the ``can_dispatch`` order).
-        """
-        stats = self.stats
-        window = self.window
-        window_size = window.size
-        occupied = window._occupied
-        ready_append = window._ready.append
-        producer = window.messy._producer
-        consumers = window._consumers
-        rob_entries = self.rob._entries
-        rob_capacity = self.rob.capacity
-        conservative = self._conservative
-        speculation_depth = self.config.speculation_depth
-        waiting = EntryState.WAITING
-        br_cond = OpClass.BR_COND
-        load = OpClass.LOAD
-        store = OpClass.STORE
-        seq = self._next_seq
-        start = head
-        while head < tail:
-            if (
-                occupied >= window_size
-                or len(rob_entries) >= rob_capacity
-            ):
-                stats.window_full_stalls += 1
-                break
-            index = head
-            instruction = instructions[index]
-            op = instruction.op
-            if (
-                op is br_cond
-                and self.unresolved_branches >= speculation_depth
-            ):
-                stats.speculation_stalls += 1
-                break
-            entry = ROBEntry(
-                seq,
-                instruction,
-                index,
-                waiting,
-                index == flagged_index,
-                is_taken[index],
-                next_addr[index],
-            )
-            rob_entries.append(entry)
-            # The entry is its own reservation station (no wrapper).
-            pending = 0
-            src = instruction.src1
-            if src != NO_REG:
-                tag = producer[src]
-                if tag != READY:
-                    pending += 1
-                    consumers.setdefault(tag, []).append(entry)
-            src = instruction.src2
-            if src != NO_REG:
-                tag = producer[src]
-                if tag != READY:
-                    pending += 1
-                    consumers.setdefault(tag, []).append(entry)
-            if conservative and (op is load or op is store):
-                if self._pending_store_seq >= 0:
-                    pending += 1
-                    consumers.setdefault(
-                        self._pending_store_seq, []
-                    ).append(entry)
-                if op is store:
-                    self._pending_store_seq = seq
-            entry.pending_operands = pending
-            dest = instruction.dest
-            if dest != NO_REG:
-                producer[dest] = seq
-            occupied += 1
-            if pending == 0:
-                ready_append(entry)
-            if op is br_cond:
-                self.unresolved_branches += 1
-            seq += 1
-            head += 1
-        window._occupied = occupied
-        self._next_seq = seq
-        stats.dispatched += head - start
-        return head
-
     # -- cycle phases ------------------------------------------------------------
-
-    def retire_fast(self) -> bool:
-        """Retire up to the retire width; returns True when a retired
-        entry was a flagged fetch misprediction.
-
-        Used by the simulator's fast loop, which only needs the flag (to
-        restart fetch under ``recovery_at_retire``) — not the entry list
-        :meth:`do_retire` builds.
-        """
-        entries = self.rob._entries
-        width = self.config.retire_width
-        done = EntryState.DONE
-        last_writer = self.future_file._last_retired_writer
-        flagged = False
-        n = 0
-        while n < width and entries and entries[0].state is done:
-            entry = entries.popleft()
-            dest = entry.instruction.dest
-            if dest != NO_REG:
-                last_writer[dest] = entry.seq
-            if entry.fetch_mispredicted:
-                flagged = True
-            n += 1
-        self.stats.retired += n
-        return flagged
 
     def do_retire(self, cycle: int) -> list[ROBEntry]:
         """Retire up to the retire width from the ROB head, updating the
@@ -361,18 +233,6 @@ class ExecutionCore:
         return fired
 
     # -- state -----------------------------------------------------------------------
-
-    def next_writeback_cycle(self) -> int | None:
-        """Cycle of the earliest pending writeback, or ``None`` when
-        nothing is in flight (the simulator's event-skipping loop jumps
-        straight to this cycle when the machine is otherwise idle)."""
-        inflight = self._inflight
-        return inflight[0][0] if inflight else None
-
-    @property
-    def has_ready(self) -> bool:
-        """True when some window entry could fire this cycle (O(1))."""
-        return self.window.ready_count > 0
 
     @property
     def drained(self) -> bool:

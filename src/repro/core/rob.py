@@ -83,13 +83,6 @@ class ReorderBuffer:
     def empty(self) -> bool:
         return not self._entries
 
-    @property
-    def head_done(self) -> bool:
-        """True when the head entry is eligible to retire (O(1) peek used
-        by the simulator's event-skipping loop)."""
-        entries = self._entries
-        return bool(entries) and entries[0].state is EntryState.DONE
-
     def append(self, entry: ROBEntry) -> None:
         if self.full:
             raise OverflowError("reorder buffer overflow")
@@ -105,6 +98,3 @@ class ReorderBuffer:
         ):
             retired.append(self._entries.popleft())
         return retired
-
-    def occupancy(self) -> int:
-        return len(self._entries)

@@ -54,15 +54,6 @@ class SchedulingWindow:
     def full(self) -> bool:
         return self._occupied >= self.size
 
-    @property
-    def free_slots(self) -> int:
-        return self.size - self._occupied
-
-    @property
-    def ready_count(self) -> int:
-        """Entries currently eligible to fire (O(1))."""
-        return len(self._ready)
-
     # -- dispatch ------------------------------------------------------------
 
     def dispatch(
@@ -149,9 +140,3 @@ class SchedulingWindow:
             if waiter.pending_operands == 0:
                 ready.append(waiter)
         self.messy.writeback(dest, seq)
-
-    # -- inspection -------------------------------------------------------------------
-
-    def pending_tags(self) -> set[int]:
-        """Tags some reservation station is still waiting on (for tests)."""
-        return set(self._consumers)

@@ -51,7 +51,7 @@ accepted (HTTP 503, nothing lost), and ``service.handoff`` (tokened by
 job index + attempt, like ``batch.worker``) costs the dispatch one
 retry attempt without losing the accepted job.  ``sim.kernel`` is
 special: an injected fault there does not fail the run — it makes
-``Simulator.run()`` degrade to the interpreted loop (decline reason
+``Simulator.run()`` degrade to the reference loop (decline reason
 ``fault-injected``) with bit-identical statistics.  ``telemetry.trace``
 fires on every flight-recorder append and is likewise non-fatal by
 construction: an injected fault drops that span (counted in the

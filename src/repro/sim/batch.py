@@ -68,8 +68,8 @@ class SimJob:
     #: ``SimStats.extra``; cached under a separate result-cache kind).
     telemetry: bool = False
     #: Compiled-kernel selection (:mod:`repro.sim.kernel`): ``None``
-    #: defers to the ``REPRO_KERNEL`` knob, ``False`` forces the
-    #: interpreted loop (``sweep --no-kernel``).  Joins the persistent
+    #: defers to the ``REPRO_KERNEL`` knob, ``False`` runs the
+    #: reference loop (``sweep --no-kernel``).  Joins the persistent
     #: cache key via :func:`repro.experiments.common.sim_stats`.
     kernel: bool | None = None
 

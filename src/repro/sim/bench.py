@@ -1,10 +1,11 @@
-"""Single-simulation throughput measurement (interpreted vs compiled).
+"""Single-simulation throughput measurement (reference loop vs compiled).
 
 One measurement recipe shared by ``repro bench``, the perf regression
 tests (``benchmarks/test_perf.py``) and CI's kernel-bench step, so every
 number in ``BENCH_sim_throughput.json`` means the same thing:
 
-* **interpreted** — ``Simulator(..., kernel=False).run()``, best-of-N.
+* **interpreted** — ``Simulator(..., kernel=False).run()``, which runs
+  :meth:`~repro.sim.simulator.Simulator.run_reference`, best-of-N.
 * **kernel cold** — first compiled run against a fresh trace object:
   pays table compilation, per-block plan builds and fetch-outcome tape
   recording on top of the replay itself.
@@ -122,7 +123,7 @@ def measure_throughput(
     if interp_stats is not None and kernel_stats is not None:
         if interp_stats != kernel_stats:
             raise AssertionError(
-                "kernel statistics diverged from the interpreted loop"
+                "kernel statistics diverged from the reference loop"
             )
         report["bit_identical"] = True
     return report

@@ -1,7 +1,8 @@
 """Compiled execution kernel: table-driven fetch + flattened trace replay.
 
-The interpreted loops in :mod:`repro.sim.simulator` dispatch through
-``FetchUnit``/``ExecutionCore`` objects on every cycle.  This module
+The reference loop (:meth:`repro.sim.simulator.Simulator.run_reference`)
+dispatches through ``FetchUnit``/``ExecutionCore`` objects on every
+cycle.  This module
 compiles a (trace, machine, fetch scheme) triple into dense tables once
 and then replays the dynamic trace as plain array lookups:
 
@@ -37,39 +38,45 @@ and then replays the dynamic trace as plain array lookups:
   per-lookup state outside that dependency model, so such a unit plans
   *live*: no memo, no wrappers, one ``fetch.plan()`` per fetch, and
   training updates the direction predictor after the BTB exactly as
-  ``FetchUnit.train`` does.
+  ``FetchUnit.train`` does.  Wrong-path fetch runs live in either mode:
+  while a misprediction resolves, each gated cycle calls
+  ``FetchUnit.wrong_path_cycle``, whose fills pass through the memo's
+  fill wrapper and so invalidate the plans that depended on the set.
 
 * **Fetch-outcome tape** (recorded on the first compiled run): a run is
   a pure function of (trace, config, the fetch unit's starting state,
   prewarm) — no RNG, no wall clock — so the first run records every
   fetch invocation's resolved outcome (position, stall, delivered
-  count, mispredict flag, cumulative BTB/cache stat deltas) plus the
-  unit's end state, and later runs from the same starting state replay
-  the tape with *zero* predictor object work: no plan builds, no memo
-  lookups, no BTB training, no I-cache prewarm.  A replay installs the
-  recorded end state (BTB entries and counters, cache tags, predictor
-  and return stack attributes), so the unit ends as a live run leaves
-  it.  :func:`_tape_key` alone decides eligibility: no packet checker,
+  count, mispredict flag, cumulative BTB/cache stat deltas), one entry
+  per wrong-path cycle (position -1), plus the unit's end state, and
+  later runs from the same starting state replay the tape with *zero*
+  predictor object work: no plan builds, no memo lookups, no BTB
+  training, no I-cache prewarm.  A replay installs the recorded end
+  state (BTB entries and counters, cache tags, predictor and return
+  stack attributes), so the unit ends as a live run leaves it.
+  :func:`_tape_key` alone decides eligibility: no packet checker,
   zeroed fetch/BTB/cache counters, an empty cache, and predictor /
-  return stack state made only of plain values (it joins the key).
+  return stack state made only of plain values (it joins the key, as
+  does the wrong-path mode).
 
-The replay loop then mirrors ``Simulator.run()`` — same phase order,
-same event-skip conditions, same warmup-snapshot placement — over flat
-integer state: a ``done`` byte per instruction retired via C-level
-scans, static consumer lists with pending-producer counts (a producer's
-writeback decrements its consumers; count zero at dispatch means ready),
-and completion buckets bounded to the two possible result cycles (all
-latencies are 1 or 2), producing bit-identical
+The replay loop then mirrors ``Simulator.run_reference()`` — same phase
+order, same warmup-snapshot placement — and jumps over cycles that
+provably cannot change state (the event skip, see
+``docs/performance.md``).  Its state is flat integers: a ``done`` byte
+per instruction retired via C-level scans, static consumer lists with
+pending-producer counts (a producer's writeback decrements its
+consumers; count zero at dispatch means ready), and completion buckets
+bounded to the two possible result cycles (all latencies are 1 or 2),
+producing bit-identical
 :class:`~repro.sim.stats.SimStats` (``tests/test_equivalence.py`` is the
 oracle).
 
 The kernel *declines* configurations it cannot reproduce exactly —
-sanitize/telemetry instrumentation, wrong-path fetch, schemes with
-mutable planning state (the trace cache) — and ``Simulator.run()``
-falls back transparently to
-the interpreted loop (see :func:`decline_reason`).  ``REPRO_KERNEL=0``
+sanitize/telemetry instrumentation, schemes with mutable planning state
+(the trace cache) — and ``Simulator.run()`` runs the reference loop
+for them instead (see :func:`decline_reason`).  ``REPRO_KERNEL=0``
 disables it globally; the fault site ``sim.kernel`` degrades to the
-interpreted loop under chaos testing.
+reference loop under chaos testing.
 
 ``KERNEL_TABLE_VERSION`` is salted into persistent result-cache keys
 (:mod:`repro.sim.cache`) so cached statistics never outlive a table
@@ -115,7 +122,7 @@ __all__ = [
 #: Bumped whenever the table format or replay semantics change; salted
 #: into :mod:`repro.sim.cache` keys so stale cached results are never
 #: served across kernel revisions.
-KERNEL_TABLE_VERSION = 1
+KERNEL_TABLE_VERSION = 2
 
 #: Schemes whose ``plan()`` is a pure function of (address, BTB
 #: effective state, cache tags) — verified by inspection and guarded by
@@ -163,17 +170,16 @@ def decline_reason(sim) -> str | None:
     """Why the kernel cannot run *sim* exactly, or ``None`` if it can.
 
     Mirrored in docs/performance.md: instrumented modes (sanitize,
-    telemetry) need per-cycle hooks; wrong-path fetch perturbs the cache
-    mid-resolution; non-vetted schemes (trace cache) keep planning state
-    outside the (BTB, cache-tags) dependency model.  Direction predictors
-    and return stacks are not a reason: the kernel plans such units live.
+    telemetry) need per-cycle hooks; non-vetted schemes (trace cache)
+    keep planning state outside the (BTB, cache-tags) dependency model
+    and outside the tape's end state.  Direction predictors, return
+    stacks and wrong-path fetch are not a reason.  A declined run
+    executes :meth:`~repro.sim.simulator.Simulator.run_reference`.
     """
     if sim.telemetry is not None:
         return "telemetry"
     if sim.sanitizer is not None:
         return "sanitize"
-    if sim.wrong_path_fetch:
-        return "wrong-path-fetch"
     fetch = sim.fetch_unit
     if type(fetch) not in _SUPPORTED_SCHEMES:
         return f"scheme:{fetch.name}"
@@ -219,7 +225,8 @@ def _tape_key(sim) -> tuple | None:
     BTB and cache counters, and every cache tag -1 — the unit has never
     planned, trained or filled.  Its remaining starting state is the
     configuration it was built with plus the direction predictor's and
-    return stack's attribute values, all of which join the key.
+    return stack's attribute values, all of which join the key, as does
+    the wrong-path mode (it changes what the run fetches).
     ``warmup`` is left out on purpose: it moves the snapshot, never the
     fetch dynamics.
     """
@@ -246,6 +253,7 @@ def _tape_key(sim) -> tuple | None:
         predictor,
         stack,
         sim._prewarmed,
+        sim.wrong_path_fetch,
         len(sim.trace.instructions),
     )
 
@@ -461,7 +469,7 @@ def run_compiled(sim):
     """Replay *sim* through the compiled kernel; returns ``SimStats``.
 
     Caller (``Simulator.run``) guarantees :func:`decline_reason` is
-    ``None``.  Bit-identical to the interpreted loops by construction;
+    ``None``.  Bit-identical to the reference loop by construction;
     every phase below cites the invariant it replicates.
     """
     from repro.sim.simulator import SimulationDeadlock
@@ -746,6 +754,13 @@ def run_compiled(sim):
     flagged_index = -1
     fetch_blocked_until = 0
     waiting = False
+    #: Wrong-path fetch address while a misprediction resolves, else -1
+    #: (a replay only tracks whether the path is live: 0 or -1).
+    wp_addr = -1
+    wp_cycles = 0
+    wrong_path_fetch = sim.wrong_path_fetch
+    wrong_path_cycle = fetch.wrong_path_cycle
+    predict_slot = fetch.predict_slot
     snapshot = sim._snapshot
     snapshot_taken = snapshot is not None
     memo_get = memo.get
@@ -786,7 +801,7 @@ def run_compiled(sim):
                 }
                 snapshot_taken = True
 
-            # retire (== ExecutionCore.retire_fast; the first not-done
+            # retire (== ExecutionCore.do_retire; the first not-done
             # entry is located with a C-level byte scan)
             if retired < dispatch_head and done_[retired]:
                 limit = retired + retire_width
@@ -797,12 +812,14 @@ def run_compiled(sim):
                     r = limit
                 if recovery_at_retire and retired <= flagged_index < r:
                     waiting = False
+                    wp_addr = -1
                     restart = cycle + fetch_penalty
                     if restart > fetch_blocked_until:
                         fetch_blocked_until = restart
                 retired = r
 
-            # writeback (== do_writeback + the fast loop's train/restart).
+            # writeback (== do_writeback + the reference loop's
+            # train/restart).
             # ``carry`` holds earlier result cycles (already ordered);
             # newly due buckets have strictly later result cycles and are
             # seq-sorted on pop, so ``carry + buckets`` replays the
@@ -851,6 +868,7 @@ def run_compiled(sim):
                             )
                     if j == flagged_index and not recovery_at_retire:
                         waiting = False
+                        wp_addr = -1
                         restart = cycle + fetch_penalty
                         if restart > fetch_blocked_until:
                             fetch_blocked_until = restart
@@ -910,7 +928,8 @@ def run_compiled(sim):
                             leftover.append(j)
                     ready[:] = leftover
 
-            # dispatch (== dispatch_queue with precompiled renaming).
+            # dispatch (== the reference loop's dispatch, with
+            # precompiled renaming).
             # Window/ROB room is hoisted out of the loop: neither
             # ``occupied`` (fire-phase only) nor ``retired`` change
             # mid-phase, so per-entry capacity checks reduce to a burst
@@ -968,6 +987,8 @@ def run_compiled(sim):
                             fs_mispredicts += 1
                             flagged_index = position + matched - 1
                             waiting = True
+                            if wrong_path_fetch:
+                                wp_addr = 0  # the recorded path begins
                         if matched == issue_rate:
                             fs_full += 1
                         position += matched
@@ -1027,9 +1048,21 @@ def run_compiled(sim):
                             fs_mispredicts += 1
                             flagged_index = position + matched - 1
                             waiting = True
+                            if wrong_path_fetch:
+                                # Follow the predicted (wrong) path for
+                                # its cache side effects only.
+                                last = addr_[flagged_index]
+                                prediction = predict_slot(last)
+                                wp_addr = (
+                                    prediction.target
+                                    if prediction.taken
+                                    else last + 1
+                                )
                         if matched == issue_rate:
                             fs_full += 1
                         if tape_rec is not None:
+                            # After predict_slot, so its lookup joins
+                            # the deltas.
                             tape_rec.append((
                                 position,
                                 0,
@@ -1041,12 +1074,48 @@ def run_compiled(sim):
                                 cstats.misses - ms0_run + rms,
                             ))
                         position += matched
+            elif wp_addr >= 0:
+                # Gated while a misprediction resolves: one wrong-path
+                # fetch cycle (``wp_addr`` is -1 whenever not waiting).
+                # Each is its own tape entry, position -1, so a snapshot
+                # taken mid-resolution materializes the right counters.
+                wp_cycles += 1
+                if live:
+                    wp_addr = wrong_path_cycle(wp_addr, issue_rate)
+                    if tape_rec is not None:
+                        tape_rec.append((
+                            -1,
+                            0 if wp_addr >= 0 else -1,
+                            0,
+                            0,
+                            bstats.lookups - lk0_run + rlk,
+                            bstats.hits - ht0_run + rht,
+                            cstats.accesses - ac0_run + rac,
+                            cstats.misses - ms0_run + rms,
+                        ))
+                else:
+                    entry = tape[tape_i]
+                    if entry[0] != -1:
+                        raise AssertionError(
+                            "fetch-outcome tape diverged from replay state"
+                        )
+                    tape_i += 1
+                    last_e = entry
+                    wp_addr = entry[1]
 
             cycle += 1
 
-            # -- event skip: identical conditions to Simulator.run ----------
+            # -- event skip: jump over provably idle cycles ---------------
+            # A cycle is idle when every phase is a no-op: no wrong path
+            # is being followed, nothing can retire (ROB head not done),
+            # nothing is due on the result buses, nothing can fire,
+            # dispatch is impossible (queue empty) or provably blocked,
+            # and fetch is gated.  None of that changes before the next
+            # event: the earliest writeback or the fetch-restart cycle
+            # (docs/performance.md lists the invariants).
             if (
                 retired < total
+                and wp_addr < 0
                 and not ready
                 and not (retired < dispatch_head and done_[retired])
             ):
@@ -1077,6 +1146,10 @@ def run_compiled(sim):
                 ):
                     target = fetch_blocked_until
                 if target > cycle:
+                    # Replicate the reference loop over the skipped span:
+                    # the warmup snapshot lands on its first cycle, and
+                    # each cycle with a blocked dispatch head charges one
+                    # stall.
                     if not snapshot_taken and retired >= warmup:
                         if not live:
                             rlk = last_e[4]
@@ -1128,6 +1201,7 @@ def run_compiled(sim):
     core_stats.dispatched = dispatch_head
     core_stats.window_full_stalls = wf_stalls
     core_stats.speculation_stalls = spec_stalls
+    sim.wrong_path_cycles += wp_cycles
     if live:
         stats["plans_compiled"] += n_builds
         stats["plan_replays"] += (fs_cycles - fs_cycles_start) - n_builds

@@ -12,17 +12,16 @@ stalled while
   backlog — depth 1 means fetch waits for the previous group to fully
   dispatch).
 
-Two loop implementations produce bit-identical statistics:
+Two engines produce bit-identical statistics:
 
-* :meth:`Simulator.run` — the production loop.  Phases are gated on O(1)
-  peeks (ROB head state, pending-writeback heap top, window ready count)
-  and, when a cycle provably cannot change architectural state, the loop
-  jumps ``cycle`` directly to the next event — the earliest in-flight
-  writeback or the fetch-restart cycle — instead of spinning.  The
-  event-skip invariants are documented in ``docs/performance.md``.
-* :meth:`Simulator.run_reference` — the naive per-cycle loop: the oracle
-  for the equivalence guard in ``tests/test_equivalence.py``, and the
-  one loop per-cycle consumers observe.
+* the compiled kernel (:mod:`repro.sim.kernel`), which
+  :meth:`Simulator.run` uses wherever it can reproduce the
+  configuration exactly;
+* :meth:`Simulator.run_reference` — the naive per-cycle loop: the
+  specification every oracle compares against
+  (``tests/test_equivalence.py``, ``tests/test_differential.py``), the
+  engine of every run the kernel declines, and the one loop per-cycle
+  consumers observe.
 
 :meth:`~Simulator.run_reference` hands each cycle's facts to one
 internal observer.  Two exist: telemetry's slot ledger (the opt-in
@@ -30,8 +29,7 @@ internal observer.  Two exist: telemetry's slot ledger (the opt-in
 ``SimStats.extra`` with ``slot_*`` attribution counters and leaves a
 :class:`~repro.telemetry.core.TelemetryReport` on
 ``Simulator.telemetry_report``, and the pipetrace recorder
-(:mod:`repro.sim.pipetrace`).  With telemetry off, the fast loop runs
-untouched.
+(:mod:`repro.sim.pipetrace`).
 """
 
 from __future__ import annotations
@@ -44,10 +42,8 @@ from repro import faults
 from repro.check.sanitizer import PipelineSanitizer, sanitize_enabled
 from repro.sim import kernel as compiled_kernel
 from repro.core.pipeline import ExecutionCore
-from repro.core.rob import EntryState
 from repro.fetch.base import FetchUnit
 from repro.fetch.factory import create_fetch_unit
-from repro.isa.opcodes import OpClass
 from repro.machines.config import MachineConfig
 from repro.sim.stats import SimStats
 from repro.telemetry.attribution import SlotAttribution, SlotObserver
@@ -118,17 +114,17 @@ class Simulator:
         *telemetry* opts into slot-level stall attribution and phase
         timers, observed on :meth:`run_reference`; ``None`` defers to the
         ``REPRO_TELEMETRY`` environment knob.  The counted statistics
-        stay identical to the fast loop's; ``SimStats.extra`` gains the
+        stay identical to the kernel's; ``SimStats.extra`` gains the
         ``slot_*`` attribution, and :attr:`telemetry_report` carries the
         full record after :meth:`run`.
 
         *kernel* selects the compiled execution kernel
         (:mod:`repro.sim.kernel`): ``None`` (default) defers to the
-        ``REPRO_KERNEL`` knob (on unless disabled), ``False`` forces the
-        interpreted loop.  The kernel produces bit-identical statistics
-        and silently declines configurations it cannot reproduce
-        (:attr:`kernel_decline_reason` says why; :attr:`kernel_used`
-        reports what actually ran).
+        ``REPRO_KERNEL`` knob (on unless disabled), ``False`` runs the
+        reference loop.  The kernel produces bit-identical statistics
+        and silently declines configurations it cannot reproduce, which
+        then run :meth:`run_reference` (:attr:`kernel_decline_reason`
+        says why; :attr:`kernel_used` reports what actually ran).
         """
         self.config = config
         self.trace = trace
@@ -147,8 +143,8 @@ class Simulator:
         self.sanitizer = PipelineSanitizer(self) if sanitize else None
         if telemetry is None:
             telemetry = telemetry_enabled()
-        #: Metrics registry of a telemetry run; ``None`` keeps the fast
-        #: event-skipping loop completely untouched.
+        #: Metrics registry of a telemetry run; ``None`` leaves the
+        #: kernel and the reference loop unobserved.
         self.telemetry: MetricsRegistry | None = (
             MetricsRegistry() if telemetry else None
         )
@@ -169,11 +165,11 @@ class Simulator:
         #: (replayed the tape recorded from the same fetch-unit starting
         #: state) or ``"compile"`` (planned live without a tape: the unit
         #: carries a packet checker or is past its starting state).
-        #: ``None`` when the interpreted loop ran.
+        #: ``None`` when the reference loop ran.
         self.kernel_mode: str | None = None
         #: Prewarm is deferred until a loop actually reads the I-cache:
-        #: a kernel tape replay never touches it, and every interpreted
-        #: path calls :meth:`_ensure_prewarmed` before its first cycle.
+        #: a kernel tape replay never touches it, and live planning and
+        #: the reference loop call :meth:`_ensure_prewarmed` first.
         self._prewarm_pending = self._prewarmed
 
     def _ensure_prewarmed(self) -> None:
@@ -215,11 +211,10 @@ class Simulator:
             return stats
 
     def _run(self) -> SimStats:
-        """The untraced run body: event-skipping loop, statistically
-        bit-identical to :meth:`run_reference` (guarded by
-        ``tests/test_equivalence.py``).  With telemetry on, the observed
-        reference loop runs instead (same counted statistics, plus slot
-        attribution in ``stats.extra``).
+        """The untraced run body: the compiled kernel when it can
+        reproduce this configuration, else :meth:`run_reference` (observed
+        by the slot ledger when telemetry is on: same counted statistics,
+        plus slot attribution in ``stats.extra``).
         """
         # Chaos site (per run, never per cycle): a no-op unless the
         # deterministic fault harness is armed via REPRO_FAULTS.
@@ -227,9 +222,9 @@ class Simulator:
         # Compiled-kernel selection: run the table-driven engine when it
         # is requested (argument, else REPRO_KERNEL default) and can
         # reproduce this configuration exactly; otherwise record why and
-        # fall back to the interpreted loops below.  An injected
-        # ``sim.kernel`` fault degrades to the interpreted loop before
-        # any state is touched — results stay correct under chaos.
+        # run the reference loop.  An injected ``sim.kernel`` fault
+        # degrades to the reference loop before any state is touched —
+        # results stay correct under chaos.
         requested = self.kernel_requested
         if requested is None:
             requested = compiled_kernel.kernel_enabled()
@@ -253,205 +248,14 @@ class Simulator:
             self.kernel_decline_reason = "disabled"
         if self.telemetry is not None:
             return self._run_telemetry()
-        self._ensure_prewarmed()
-        config = self.config
-        core = self.core
-        fetch = self.fetch_unit
-        trace = self.trace
-        instructions = trace.instructions
-        total = len(instructions)
-
-        # Hoisted configuration, bound methods and per-trace arrays: the
-        # cycle loop must not chase attribute chains or call trace
-        # methods per instruction.
-        issue_rate = config.issue_rate
-        queue_capacity = config.fetch_queue_groups * issue_rate
-        fetch_penalty = config.fetch_penalty
-        recovery_at_retire = config.recovery_at_retire
-        speculation_depth = config.speculation_depth
-        warmup = self.warmup
-        wrong_path_fetch = self.wrong_path_fetch
-        is_taken = trace.taken_array()
-        next_addr = trace.next_address_array()
-        control_arr = trace.control_array()
-
-        core_stats = core.stats
-        rob = core.rob
-        rob_entries = rob._entries
-        window = core.window
-        window_ready = window._ready
-        inflight = core._inflight
-        retire_fast = core.retire_fast
-        do_writeback = core.do_writeback
-        do_fire = core.do_fire
-        dispatch_queue = core.dispatch_queue
-        fetch_cycle = fetch.fetch_cycle
-        train = fetch.train
-        sanitizer = self.sanitizer
-        DONE = EntryState.DONE
-        BR_COND = OpClass.BR_COND
-
-        cycle = 0
-        snapshot_taken = self._snapshot is not None
-        position = 0  # next trace index to fetch
-        #: The decoupling queue is the contiguous index range
-        #: ``[dispatch_head, position)`` — fetch always delivers the next
-        #: consecutive correct-path instructions, so two ints suffice.
-        dispatch_head = 0
-        #: trace index flagged as fetch-mispredicted (at most one can be
-        #: outstanding because fetch stalls after flagging).
-        flagged_index = -1
-        fetch_blocked_until = 0  # cache-miss stalls / misprediction restart
-        waiting_for_resolution = False
-        wrong_path_address = -1
-        max_cycles = max(10_000, self.MAX_CPI * total)
-
-        while core_stats.retired < total:
-            if cycle > max_cycles:
-                raise SimulationDeadlock(
-                    f"no forward progress after {cycle} cycles "
-                    f"({core_stats.retired}/{total} retired)"
-                )
-            if not snapshot_taken and core_stats.retired >= warmup:
-                self._snapshot = self._counters(cycle)
-                snapshot_taken = True
-
-            if rob_entries and rob_entries[0].state is DONE:
-                if retire_fast() and recovery_at_retire:
-                    waiting_for_resolution = False
-                    restart = cycle + fetch_penalty
-                    if restart > fetch_blocked_until:
-                        fetch_blocked_until = restart
-
-            if inflight and inflight[0][0] <= cycle:
-                for entry in do_writeback(cycle):
-                    if control_arr[entry.trace_index]:
-                        train(
-                            entry.instruction,
-                            entry.actual_taken,
-                            entry.actual_target,
-                        )
-                    if entry.fetch_mispredicted and not recovery_at_retire:
-                        waiting_for_resolution = False
-                        restart = cycle + fetch_penalty
-                        if restart > fetch_blocked_until:
-                            fetch_blocked_until = restart
-
-            if window_ready:
-                do_fire(cycle)
-
-            if dispatch_head < position:
-                dispatch_head = dispatch_queue(
-                    dispatch_head,
-                    position,
-                    instructions,
-                    flagged_index,
-                    is_taken,
-                    next_addr,
-                )
-
-            if (
-                position < total
-                and not waiting_for_resolution
-                and cycle >= fetch_blocked_until
-                and position - dispatch_head + issue_rate <= queue_capacity
-            ):
-                result = fetch_cycle(position, issue_rate)
-                if result.stall_cycles:
-                    fetch_blocked_until = cycle + result.stall_cycles
-                elif result.instructions:
-                    count = len(result.instructions)
-                    if result.mispredict:
-                        flagged_index = position + count - 1
-                        waiting_for_resolution = True
-                        if wrong_path_fetch:
-                            # Hardware would continue down the predicted
-                            # (wrong) path; follow it for its cache
-                            # side effects only.
-                            last = result.instructions[-1]
-                            prediction = fetch.predict_slot(last.address)
-                            wrong_path_address = (
-                                prediction.target
-                                if prediction.taken
-                                else last.address + 1
-                            )
-                    position += count
-            elif waiting_for_resolution and wrong_path_address >= 0:
-                wrong_path_address = fetch.wrong_path_cycle(
-                    wrong_path_address, issue_rate
-                )
-                self.wrong_path_cycles += 1
-
-            if not waiting_for_resolution:
-                wrong_path_address = -1
-
-            if sanitizer is not None:
-                sanitizer.on_cycle(cycle, position, dispatch_head)
-
-            cycle += 1
-
-            # -- event skip: jump over provably idle cycles --------------
-            # A cycle is idle when every phase is a no-op: nothing can
-            # retire (ROB head not DONE), nothing is due on the result
-            # buses, nothing can fire (no ready window entry), dispatch
-            # is impossible (queue empty) or provably blocked, and fetch
-            # is gated.  None of that can change until the next event:
-            # the earliest in-flight writeback or the fetch-restart
-            # cycle (see docs/performance.md for the invariants).
-            if (
-                core_stats.retired < total
-                and wrong_path_address < 0
-                and not window_ready
-                and not (rob_entries and rob_entries[0].state is DONE)
-            ):
-                if dispatch_head == position:
-                    blocked_stat = None
-                elif window.full or rob.full:
-                    blocked_stat = "window_full_stalls"
-                else:
-                    instr = instructions[dispatch_head]
-                    if (
-                        instr.op is BR_COND
-                        and core.unresolved_branches >= speculation_depth
-                    ):
-                        blocked_stat = "speculation_stalls"
-                    else:
-                        continue  # dispatch would progress next cycle
-                target = max_cycles + 1
-                if inflight and inflight[0][0] < target:
-                    target = inflight[0][0]
-                if (
-                    position < total
-                    and not waiting_for_resolution
-                    and position - dispatch_head + issue_rate
-                    <= queue_capacity
-                    and fetch_blocked_until < target
-                ):
-                    target = fetch_blocked_until
-                if target > cycle:
-                    # Replicate the reference loop exactly over the
-                    # skipped span: the warmup snapshot lands on the
-                    # first skipped cycle, and each skipped cycle with a
-                    # blocked dispatch head charges one stall.
-                    if not snapshot_taken and core_stats.retired >= warmup:
-                        self._snapshot = self._counters(cycle)
-                        snapshot_taken = True
-                    skipped = target - cycle
-                    if blocked_stat == "window_full_stalls":
-                        core_stats.window_full_stalls += skipped
-                    elif blocked_stat == "speculation_stalls":
-                        core_stats.speculation_stalls += skipped
-                    cycle = target
-
-        if sanitizer is not None:
-            sanitizer.on_finish(cycle)
-        return self._collect_stats(cycle)
+        return self.run_reference()
 
     def run_reference(self) -> SimStats:
-        """Naive per-cycle loop, retained as the equivalence oracle.
+        """Naive per-cycle loop: the specification, and the engine of
+        every run the kernel declines.
 
         Spins every cycle and re-derives every condition from scratch;
-        :meth:`run` must produce field-for-field identical
+        the kernel must produce field-for-field identical
         :class:`SimStats`.  Beside the sanitizer, the observer's
         ``on_cycle`` reads each cycle's facts: the cycle, whether a
         branch restart set the fetch penalty, the fetch result (``None``

@@ -22,8 +22,9 @@ Cooperating pieces:
 
 Telemetry is strictly opt-in: ``Simulator(..., telemetry=True)`` (or
 ``REPRO_TELEMETRY=1`` through the runners) runs the per-cycle reference
-loop under a slot-ledger observer; with it off the fast event-skipping
-loop runs untouched and ``SimStats`` stays bit-identical.  Tracing
+loop under a slot-ledger observer; with it off the compiled kernel (or
+the plain reference loop) runs untouched and ``SimStats`` stays
+bit-identical.  Tracing
 follows the same discipline — ``REPRO_TRACE=0`` (the default) makes
 every span call a shared no-op singleton.  See ``docs/observability.md``.
 """

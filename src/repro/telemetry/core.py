@@ -7,7 +7,8 @@ telemetry run and the CLI somewhere cheap to record events.
 library code can unconditionally call ``registry.inc(...)`` without
 branching.  The simulator goes one step further: only a telemetry run
 attaches its slot-ledger observer and phase timers to the reference
-loop, so the fast loop carries zero telemetry cost when it is off (the
+loop, so the kernel and the plain reference loop carry zero telemetry
+cost when it is off (the
 guarantee ``tests/test_telemetry.py`` locks in).
 """
 

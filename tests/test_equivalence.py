@@ -1,19 +1,20 @@
 """Bit-for-bit equivalence of the execution paths.
 
 ``Simulator.run()`` prefers the compiled kernel (``repro.sim.kernel``)
-and falls back to the event-skipping interpreted loop;
-``Simulator.run_reference()`` is the retained naive loop that spins
-every cycle.  Every reported statistic — including the warmup snapshot
-counters — must be identical across all three, or an optimization has
-broken an invariant (see ``docs/performance.md``).
+and runs ``Simulator.run_reference()``, the naive loop that spins every
+cycle, for every configuration the kernel declines.  Every reported
+statistic — including the warmup snapshot counters — must be identical
+between the two, or an optimization has broken an invariant (see
+``docs/performance.md``).
 
 The kernel matrix below covers every vetted scheme on every machine
 preset plus the synthetic micro workloads; the fallback tests prove the
 kernel declines ineligible configurations *silently* — same statistics,
-interpreted loop, decline reason recorded.  The predictor matrix runs
+reference loop, decline reason recorded.  The predictor matrix runs
 direction predictors and return stacks through the kernel's record and
-replay modes, and the tape-safety tests prove a fetch-outcome tape is
-only ever replayed into a unit in the starting state it was recorded
+replay modes, as the wrong-path test does for wrong-path fetch, and the
+tape-safety tests prove a fetch-outcome tape is only ever replayed into
+a unit in the starting state (and wrong-path mode) it was recorded
 from, leaving the unit as the recorded run did.
 """
 
@@ -78,8 +79,8 @@ def _assert_stats_equal(a, b, context):
 
 
 def _assert_identical(machine, trace, scheme, expect_kernel=None, **kwargs):
-    """run() (kernel when eligible), run(kernel=False) and
-    run_reference() must agree on every counter and the warmup snapshot.
+    """run() (kernel when eligible) and run_reference() must agree on
+    every counter and the warmup snapshot.
     """
     context = f"{machine.name}/{scheme}"
     fast_sim = Simulator(machine, trace, scheme, **kwargs)
@@ -89,17 +90,12 @@ def _assert_identical(machine, trace, scheme, expect_kernel=None, **kwargs):
             f"kernel_used={fast_sim.kernel_used} "
             f"(decline: {fast_sim.kernel_decline_reason}) for {context}"
         )
-    interp_sim = Simulator(machine, trace, scheme, kernel=False, **kwargs)
-    interp = interp_sim.run()
-    assert not interp_sim.kernel_used
     ref_sim = Simulator(machine, trace, scheme, **kwargs)
     ref = ref_sim.run_reference()
     _assert_stats_equal(fast, ref, context)
-    _assert_stats_equal(interp, ref, context + " (interpreted)")
     # The warmup snapshot must also land on the same cycle with the same
-    # counter values (the skip path replays it explicitly).
+    # counter values (the kernel's event skip replays it explicitly).
     assert fast_sim._snapshot == ref_sim._snapshot
-    assert interp_sim._snapshot == ref_sim._snapshot
 
 
 # Parametrized as "bench" because pytest-benchmark claims the name
@@ -121,8 +117,8 @@ def test_fast_loop_matches_reference(bench, machine_name, scheme):
 @pytest.mark.parametrize("machine_name", KERNEL_MACHINES)
 @pytest.mark.parametrize("scheme", KERNEL_SCHEMES)
 def test_kernel_golden_matrix(bench, machine_name, scheme):
-    """Kernel vs interpreted vs reference across every vetted scheme on
-    every machine preset."""
+    """Kernel vs reference across every vetted scheme on every machine
+    preset."""
     _assert_identical(
         get_machine(machine_name),
         _trace(bench),
@@ -200,14 +196,34 @@ def test_equivalent_with_conservative_memory_ordering():
 
 
 def test_equivalent_with_wrong_path_fetch():
-    _assert_identical(
-        get_machine("PI4"),
-        _trace("li"),
-        "banked_sequential",
-        warmup=WARMUP,
-        wrong_path_fetch=True,
-        expect_kernel=False,  # the kernel declines wrong-path fetch
-    )
+    """Wrong-path fetch runs in the kernel: the first run records its
+    wrong-path cycles on the tape, the second replays them, and both
+    equal the reference, wrong-path cycle count included."""
+    machine = get_machine("PI4")
+    trace = _trace("li")
+
+    def simulator():
+        return Simulator(
+            machine,
+            trace,
+            "banked_sequential",
+            warmup=WARMUP,
+            wrong_path_fetch=True,
+        )
+
+    ref_sim = simulator()
+    ref = ref_sim.run_reference()
+    assert ref_sim.wrong_path_cycles > 0
+    modes = []
+    for _ in range(2):
+        sim = simulator()
+        stats = sim.run()
+        assert sim.kernel_used, sim.kernel_decline_reason
+        _assert_stats_equal(stats, ref, f"wrong-path {sim.kernel_mode} run")
+        assert sim._snapshot == ref_sim._snapshot
+        assert sim.wrong_path_cycles == ref_sim.wrong_path_cycles
+        modes.append(sim.kernel_mode)
+    assert modes == ["record", "replay"]
 
 
 def test_equivalent_with_shifter_penalty():
@@ -227,7 +243,7 @@ def _reference_stats(machine, trace, scheme, **kwargs):
 
 
 def test_sanitize_falls_back_to_interpreted_loop():
-    """A sanitized run silently uses the interpreted loop — decline
+    """A sanitized run silently uses the reference loop — decline
     recorded, statistics bit-identical to the plain reference."""
     machine = get_machine("PI4")
     trace = _trace("espresso")
@@ -574,3 +590,77 @@ def test_replay_leaves_the_unit_as_the_recorded_run(predictor):
         "chained run vs reference",
     )
     assert _unit_state(replayed_unit) == _unit_state(recorded_unit)
+
+
+# -- wrong-path fetch and the tape ---------------------------------------------
+
+
+def _wrong_path_unit(predictor, machine, trace):
+    if predictor is None:
+        return create_fetch_unit("banked_sequential", machine, trace)
+    return _predictor_unit(predictor, "banked_sequential", machine, trace)
+
+
+def _wrong_path_sim(machine, trace, unit, wrong_path):
+    return Simulator(
+        machine, trace, unit, warmup=WARMUP, wrong_path_fetch=wrong_path
+    )
+
+
+#: A small I-cache, so wrong-path fills evict correct-path blocks and the
+#: two modes leave different cache tags behind.
+def _small_cache_machine():
+    return dataclasses.replace(get_machine("PI4"), icache_bytes=2 * 1024)
+
+
+@pytest.mark.parametrize("predictor", ["gshare+ras", None])
+@pytest.mark.parametrize("recorded_wrong_path", [True, False])
+def test_wrong_path_and_plain_runs_do_not_share_a_tape(
+    recorded_wrong_path, predictor
+):
+    """A tape recorded with wrong-path fetch is never replayed into a
+    plain run of the same unit, nor the reverse."""
+    machine = _small_cache_machine()
+    trace = _trace("gcc")
+    first = _wrong_path_sim(
+        machine,
+        trace,
+        _wrong_path_unit(predictor, machine, trace),
+        recorded_wrong_path,
+    )
+    first.run()
+    assert first.kernel_mode == "record"
+    sim, ref_sim = (
+        _wrong_path_sim(
+            machine,
+            trace,
+            _wrong_path_unit(predictor, machine, trace),
+            not recorded_wrong_path,
+        )
+        for _ in range(2)
+    )
+    stats = sim.run()
+    assert sim.kernel_mode == "record"
+    _assert_stats_equal(stats, ref_sim.run_reference(), "other wrong-path mode")
+    assert sim.wrong_path_cycles == ref_sim.wrong_path_cycles
+    assert _unit_state(sim.fetch_unit) == _unit_state(ref_sim.fetch_unit)
+    # The modes really differ, so a wrongly served replay would show.
+    assert _unit_state(sim.fetch_unit) != _unit_state(first.fetch_unit)
+
+
+@pytest.mark.parametrize("predictor", ["gshare+ras", None])
+def test_wrong_path_replay_leaves_the_unit_as_the_recorded_run(predictor):
+    """A wrong-path replay installs the cache tags and return stack the
+    recorded run's wrong-path fetches left, as the reference does."""
+    machine = _small_cache_machine()
+    trace = _trace("gcc")
+    units = [_wrong_path_unit(predictor, machine, trace) for _ in range(3)]
+    sims = [_wrong_path_sim(machine, trace, unit, True) for unit in units]
+    for sim in sims[:2]:
+        sim.run()
+    assert [sim.kernel_mode for sim in sims[:2]] == ["record", "replay"]
+    sims[2].run_reference()
+    assert sims[2].wrong_path_cycles > 0
+    assert {sim.wrong_path_cycles for sim in sims} == {sims[2].wrong_path_cycles}
+    assert _unit_state(units[1]) == _unit_state(units[0])
+    assert _unit_state(units[1]) == _unit_state(units[2])
