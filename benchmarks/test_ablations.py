@@ -1,17 +1,24 @@
 """Benchmarks: ablation studies beyond the paper's published artifacts."""
 
+from functools import partial
+
 from conftest import run_once
 
-from repro.experiments.ablations import (
-    run_bank_sensitivity,
-    run_btb_size,
-    run_cb_crossing_limit,
-    run_cold_start,
-    run_predictor_ablation,
-    run_recovery_point,
-    run_speculation_depth,
-    run_trace_cache,
-)
+from repro.experiments.fig10_eir import run_cb_crossing_limit
+from repro.experiments.table3_taken_reduction import run_superblock
+from repro.study.presets import run_preset_table
+
+run_speculation_depth = partial(run_preset_table, "spec-depth")
+run_bank_sensitivity = partial(run_preset_table, "banks")
+run_predictor_ablation = partial(run_preset_table, "predictors")
+run_recovery_point = partial(run_preset_table, "recovery")
+run_cold_start = partial(run_preset_table, "cold-start")
+run_btb_size = partial(run_preset_table, "btb-size")
+run_trace_cache = partial(run_preset_table, "trace-cache")
+run_memory_ordering = partial(run_preset_table, "memory-ordering")
+run_window_size = partial(run_preset_table, "window-size")
+run_fetch_queue = partial(run_preset_table, "fetch-queue")
+run_issue_scaling = partial(run_preset_table, "issue-scaling")
 
 
 def test_speculation_depth(benchmark, bench_config):
@@ -104,8 +111,6 @@ def test_cb_crossing_limit(benchmark, bench_config):
 
 
 def test_superblock(benchmark, bench_config):
-    from repro.experiments.ablations import run_superblock
-
     result = run_once(benchmark, run_superblock, bench_config)
     print("\n" + result.as_text())
     for row in result.rows:
@@ -118,8 +123,6 @@ def test_superblock(benchmark, bench_config):
 
 
 def test_memory_ordering(benchmark, bench_config):
-    from repro.experiments.ablations import run_memory_ordering
-
     result = run_once(benchmark, run_memory_ordering, bench_config)
     print("\n" + result.as_text())
     for row in result.rows:
@@ -129,8 +132,6 @@ def test_memory_ordering(benchmark, bench_config):
 
 
 def test_window_size(benchmark, bench_config):
-    from repro.experiments.ablations import run_window_size
-
     result = run_once(benchmark, run_window_size, bench_config)
     print("\n" + result.as_text())
     for row in result.rows:
@@ -141,8 +142,6 @@ def test_window_size(benchmark, bench_config):
 
 
 def test_fetch_queue(benchmark, bench_config):
-    from repro.experiments.ablations import run_fetch_queue
-
     result = run_once(benchmark, run_fetch_queue, bench_config)
     print("\n" + result.as_text())
     for row in result.rows:
@@ -152,8 +151,6 @@ def test_fetch_queue(benchmark, bench_config):
 
 
 def test_issue_scaling(benchmark, bench_config):
-    from repro.experiments.ablations import run_issue_scaling
-
     result = run_once(benchmark, run_issue_scaling, bench_config)
     print("\n" + result.as_text())
     seq = [row[2] for row in result.rows]

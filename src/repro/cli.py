@@ -11,12 +11,12 @@ Commands:
   went, per scheme, with an EIR-gap decomposition against ``perfect``.
 * ``characterize [BENCH ...]`` — workload characterisation table.
 * ``experiment NAME [NAME ...]`` — regenerate paper tables/figures.
-* ``ablation NAME [NAME ...]`` — run the beyond-paper ablation studies.
-* ``ablate run|list|report`` — the declarative study engine
-  (:mod:`repro.study`): expand a named preset or JSON :class:`StudySpec`
-  into baseline/one-factor-off/pairwise runs, execute them under the
-  supervised sweep engine (``--resume`` replays the journal), and emit
-  importance/interaction/Pareto reports.
+* ``ablate run|list|report`` — the beyond-paper ablations on the
+  declarative study engine (:mod:`repro.study`): expand a named preset
+  or JSON :class:`StudySpec` into baseline/one-factor-off/pairwise runs,
+  execute them under the supervised sweep engine (``--resume`` replays
+  the journal), and emit importance/interaction/Pareto reports plus the
+  preset's ablation table.
 * ``sweep`` — batch-simulate a grid of configurations (``--jobs N``)
   under the supervised engine: ``--timeout``/``--retries`` set the
   recovery policy, ``--journal DIR`` records completions and
@@ -51,7 +51,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.ablations import ABLATIONS
 from repro.experiments.common import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.report import EXPERIMENTS, run_experiments
 from repro.fetch.factory import ALL_SCHEMES, HARDWARE_SCHEMES
@@ -81,7 +80,9 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         marker = "" if scheme in HARDWARE_SCHEMES + ("perfect",) else "  [extension]"
         print(f"  {scheme}{marker}")
     print("\nexperiments:", ", ".join(EXPERIMENTS))
-    print("ablations:", ", ".join(ABLATIONS))
+    from repro.study.presets import PRESETS
+
+    print("ablate presets:", ", ".join(PRESETS))
     return 0
 
 
@@ -379,22 +380,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ablation(args: argparse.Namespace) -> int:
-    names = list(ABLATIONS) if args.names == ["all"] else args.names
-    for name in names:
-        if name not in ABLATIONS:
-            known = ", ".join(ABLATIONS)
-            print(f"unknown ablation {name!r}; known: {known}", file=sys.stderr)
-            return 2
-    config = _config_for(args)
-    for name in names:
-        result = ABLATIONS[name](config)
-        print(result.to_json() if args.json else result.as_text())
-        if not args.json:
-            print("=" * 72)
-    return 0
-
-
 def _cmd_ablate(args: argparse.Namespace) -> int:
     """Declarative study engine: ``ablate run|list|report``."""
     import json
@@ -404,18 +389,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     from repro.check.errors import CheckFailure
     from repro.study import analysis as study_analysis
     from repro.study.engine import REPORT_JSON, run_study
-    from repro.study.presets import PRESETS
+    from repro.study.presets import PRESETS, metrics_from_report
     from repro.study.spec import spec_from_json
 
     if args.action == "list":
         print("study presets:")
         for preset in PRESETS.values():
-            ported = (
-                f"  [ports ablation {preset.ablation!r}]"
-                if preset.ablation
-                else ""
-            )
-            print(f"  {preset.name:16s} {preset.description}{ported}")
+            print(f"  {preset.name:16s} {preset.description}")
         print(
             "\nrun one with 'repro ablate run NAME' "
             "(or pass a JSON StudySpec path)"
@@ -435,8 +415,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         return 0
 
     # action == "run"
-    if args.spec in PRESETS:
-        spec = PRESETS[args.spec].build(_config_for(args))
+    preset = PRESETS.get(args.spec)
+    if preset is not None:
+        spec = preset.build(_config_for(args))
     else:
         path = Path(args.spec)
         if not path.exists():
@@ -444,6 +425,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             print(
                 f"unknown study {args.spec!r}; known presets: {known} "
                 "(or pass a JSON StudySpec path)",
+                file=sys.stderr,
+            )
+            return 2
+        if args.scale != 1.0:
+            print(
+                "--scale applies to presets only; a JSON StudySpec sets "
+                "its own length, eir_length and warmup",
                 file=sys.stderr,
             )
             return 2
@@ -509,6 +497,11 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     frontier = report["pareto"]["frontier"]
     if frontier:
         print(f"\nEIR-vs-cost Pareto frontier: {len(frontier)} point(s)")
+    if preset is not None and preset.table is not None:
+        table = preset.table(
+            spec, outcome.expansion, metrics_from_report(report)
+        )
+        print("\n" + table.as_text())
     print(
         f"\nwrote {outcome.directory}/report.{{json,md,csv}}, "
         "tornado.txt and manifest.json"
@@ -1002,12 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--scale", type=float, default=1.0)
     experiment.set_defaults(func=_cmd_experiment)
 
-    ablation = sub.add_parser("ablation", help="run ablation studies")
-    ablation.add_argument("names", nargs="+", help="ablation names, or 'all'")
-    ablation.add_argument("--json", action="store_true")
-    ablation.add_argument("--scale", type=float, default=1.0)
-    ablation.set_defaults(func=_cmd_ablation)
-
     ablate = sub.add_parser(
         "ablate",
         help="declarative ablation studies (expand/execute/analyse)",
@@ -1058,7 +1045,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="retries per job after a crash/timeout (default: 2)",
     )
-    ablate_run.add_argument("--scale", type=float, default=1.0)
+    ablate_run.add_argument(
+        "--scale",
+        type=float,
+        default=1.0,
+        help="scale a preset's trace lengths (presets only)",
+    )
     ablate_run.add_argument(
         "--json",
         action="store_true",

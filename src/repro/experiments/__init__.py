@@ -1,6 +1,6 @@
 """Reproductions of every table and figure in the paper's evaluation."""
 
-from repro.experiments import ablations, variance
+from repro.experiments import variance
 from repro.experiments import (
     fig03_bounds,
     fig09_schemes,
@@ -24,7 +24,6 @@ from repro.experiments.common import (
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "ablations",
     "variance",
     "ExperimentConfig",
     "ExperimentResult",

@@ -30,6 +30,10 @@ from repro.workloads.trace import TEST_INPUT_SEED, generate_trace
 #: Program variants produced by the compiler subsystem.
 VARIANTS = ("orig", "reordered", "pad_all", "pad_trace")
 
+#: Integer subset the beyond-paper ablations measure (keeps wall-clock
+#: sane while spanning branchy/call-heavy/large-footprint behaviours).
+ABLATION_BENCHMARKS = ("compress", "espresso", "li", "gcc")
+
 
 def _scale() -> float:
     return max(0.1, knobs.get_float("REPRO_SCALE"))

@@ -11,8 +11,8 @@ into four orthogonal layers:
 * :mod:`repro.study.analysis` — importance scores, pairwise
   interactions and EIR-vs-cost Pareto frontiers, rendered as JSON, CSV,
   markdown and ASCII charts.
-* :mod:`repro.study.presets` — named studies, including the declarative
-  ports of the hand-written :mod:`repro.experiments.ablations` tables.
+* :mod:`repro.study.presets` — named studies: the registry of the
+  beyond-paper ablations and the renderers of their tables.
 
 Entry points: the ``repro ablate`` CLI, or programmatically::
 

@@ -8,9 +8,10 @@ Definitions (rendered in ``docs/studies.md``):
   over its values — how much that one component can move the needle.
   Components are ranked by the study's primary metric (EIR when
   measured, else IPC).
-* **Interaction** of a pair ``(A=a, B=b)``:
-  ``metric(a,b) - (baseline + delta_A(a) + delta_B(b))`` — the part of
-  the pair run's effect the one-factor-off deltas do not explain.
+* **Interaction** of a pairwise cell ``(A=a, B=b, ...)``:
+  ``metric(a,b,...) - (baseline + delta_A(a) + delta_B(b) + ...)`` —
+  the part of the cell's effect the one-factor-off deltas do not
+  explain (a group of two or more toggles, crossed in full).
 * **Pareto frontier**: the non-dominated runs maximising EIR while
   minimising modeled hardware cost (:mod:`repro.study.cost`).  The
   ``perfect`` oracle scheme is excluded — it is a bound, not hardware.
@@ -26,6 +27,7 @@ byte-comparable to clean ones.
 from __future__ import annotations
 
 import io
+import itertools
 from typing import Iterable
 
 from repro.metrics.chart import scatter_chart, tornado_chart
@@ -84,39 +86,32 @@ def build_report(
         component["rank"] = rank
 
     interactions = []
-    for name_a, name_b in spec.pairwise:
-        toggle_a = next(t for t in spec.toggles if t.name == name_a)
-        toggle_b = next(t for t in spec.toggles if t.name == name_b)
-        for value_a in toggle_a.values:
-            for value_b in toggle_b.values:
-                run_id = expansion.pair_id(name_a, value_a, name_b, value_b)
-                entry = {
-                    "toggles": [name_a, name_b],
-                    "values": [value_a, value_b],
-                    "run_id": run_id,
-                    "effects": {},
+    by_name = {toggle.name: toggle for toggle in spec.toggles}
+    for group in spec.pairwise:
+        names = list(group)
+        for values in itertools.product(*(by_name[n].values for n in names)):
+            cell = [item for pair in zip(names, values) for item in pair]
+            run_id = expansion.pair_id(*cell)
+            entry = {
+                "toggles": names,
+                "values": list(values),
+                "run_id": run_id,
+                "effects": {},
+            }
+            for metric in spec.metrics:
+                actual = metrics_by_run[run_id][metric]
+                # Left to right, so a two-toggle cell keeps the float
+                # association (baseline + delta_a) + delta_b.
+                expected = baseline[metric]
+                for name, value in zip(names, values):
+                    single = metrics_by_run[expansion.single_id(name, value)]
+                    expected += single[metric] - baseline[metric]
+                entry["effects"][metric] = {
+                    "actual": actual,
+                    "expected": expected,
+                    "interaction": actual - expected,
                 }
-                for metric in spec.metrics:
-                    actual = metrics_by_run[run_id][metric]
-                    delta_a = (
-                        metrics_by_run[
-                            expansion.single_id(name_a, value_a)
-                        ][metric]
-                        - baseline[metric]
-                    )
-                    delta_b = (
-                        metrics_by_run[
-                            expansion.single_id(name_b, value_b)
-                        ][metric]
-                        - baseline[metric]
-                    )
-                    expected = baseline[metric] + delta_a + delta_b
-                    entry["effects"][metric] = {
-                        "actual": actual,
-                        "expected": expected,
-                        "interaction": actual - expected,
-                    }
-                interactions.append(entry)
+            interactions.append(entry)
     interactions.sort(
         key=lambda e: (
             -abs(e["effects"][primary]["interaction"]),

@@ -119,8 +119,8 @@ def _run_study_job(job: StudyJob) -> dict:
     """Compute one run's metrics on one benchmark (module-level so it
     pickles under ``spawn``; imports inside for ``fork`` friendliness).
 
-    Disk-cached under its own kind so repeated studies, the ablation
-    shim and CI smoke runs share work across processes.
+    Disk-cached under its own kind so repeated studies, in-process
+    ablation tables and CI smoke runs share work across processes.
     """
     key = tuple(
         getattr(job, field.name) for field in dataclasses.fields(StudyJob)
@@ -206,8 +206,8 @@ def aggregate(
     """Fold per-benchmark job results into per-run metrics.
 
     Scalar metrics are the harmonic mean over the spec's benchmarks in
-    declaration order — the paper's aggregate, and bit-identical to the
-    hand-written ablations' ``_hmean_ipc_custom``.
+    declaration order — the paper's aggregate, bit-identical to a direct
+    ``Simulator`` + ``harmonic_mean`` loop (``tests/test_study.py``).
     """
     from repro.metrics.summary import harmonic_mean
 

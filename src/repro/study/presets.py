@@ -1,23 +1,21 @@
-"""Named study presets, including the declarative ablation ports.
+"""Named study presets: the registry of the beyond-paper ablations.
 
-Every hand-written table in :mod:`repro.experiments.ablations` whose
-design is a baseline-plus-toggles grid is re-expressed here as a
-:class:`~repro.study.spec.StudySpec`; the legacy ``run_*`` functions
-delegate to :func:`run_preset_table`, which executes the spec on the
-study engine and re-renders the exact legacy
-:class:`~repro.experiments.common.ExperimentResult` (same titles,
-headers, notes, cell values and row order — the output contract of
-``repro ablation`` does not move).
+Each ablation table is a :class:`~repro.study.spec.StudySpec` plus a
+renderer that turns the executed study back into its
+:class:`~repro.experiments.common.ExperimentResult` (titles, headers,
+notes, cell values and row order locked by
+``tests/test_study.py::test_ablation_tables_golden``).
+``repro ablate run NAME`` prints that table under the study summary;
+:func:`run_preset_table` builds it in-process.
 
-Four ablations intentionally stay hand-written in the legacy module:
-``recovery`` (a three-factor cross), ``cb_crossings`` (a custom
-idealised fetch unit), ``superblock`` (compiler metrics, not a
-simulation), and ``issue_scaling`` (per-benchmark EIR *ratios*, which
-cannot be reconstructed from per-run harmonic means).
+Two ablation tables are not studies and live next to the artifact they
+explain: ``run_superblock`` (compiler metrics) in
+:mod:`repro.experiments.table3_taken_reduction` and
+``run_cb_crossing_limit`` (an idealised fetch unit) in
+:mod:`repro.experiments.fig10_eir`.
 
-Presets without a legacy table (``fig11-shifter``, ``smoke``) exist for
-``repro ablate run``: the worked example in ``docs/studies.md`` and the
-tiny CI chaos study.
+Presets without a table (``fig11-shifter``, ``smoke``) are the worked
+example in ``docs/studies.md`` and the tiny CI chaos study.
 """
 
 from __future__ import annotations
@@ -26,10 +24,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.experiments.common import (
+    ABLATION_BENCHMARKS,
     DEFAULT_CONFIG,
     ExperimentConfig,
     ExperimentResult,
 )
+from repro.metrics.summary import harmonic_mean
 from repro.study.engine import run_jobs
 from repro.study.spec import (
     PREDICTOR_KINDS,
@@ -38,11 +38,6 @@ from repro.study.spec import (
     Toggle,
     expand,
 )
-
-#: Integer subset the ported ablations measure (same set, same order, as
-#: the legacy ``ABLATION_BENCHMARKS`` — declared here to keep the import
-#: graph acyclic).
-STUDY_BENCHMARKS = ("compress", "espresso", "li", "gcc")
 
 #: Machine models the multi-machine ablations sweep, in table row order.
 MACHINE_NAMES = ("PI4", "PI8", "PI12")
@@ -56,24 +51,21 @@ class StudyPreset:
         name: CLI name (``repro ablate run <name>``).
         description: One line for ``repro ablate list``.
         build: ``config -> StudySpec`` (config scales trace lengths).
-        table: Optional legacy-table renderer
-            ``(spec, expansion, metrics_by_run) -> ExperimentResult``;
-            presets carrying one back a ported ablation.
-        ablation: Name of the legacy ablation this preset ports.
+        table: Optional ablation-table renderer
+            ``(spec, expansion, metrics_by_run) -> ExperimentResult``.
     """
 
     name: str
     description: str
     build: Callable[[ExperimentConfig], StudySpec]
     table: Callable | None = None
-    ablation: str | None = None
 
 
 def _base(config: ExperimentConfig, name: str, **overrides) -> StudySpec:
     """An IPC-only spec over the ablation benchmarks at *config*'s scale."""
     fields = dict(
         name=name,
-        benchmarks=STUDY_BENCHMARKS,
+        benchmarks=ABLATION_BENCHMARKS,
         length=config.trace_length,
         eir_length=config.eir_length,
         warmup=config.warmup,
@@ -97,7 +89,7 @@ def _ipc(metrics_by_run: dict, run_id: str) -> float:
     return metrics_by_run[run_id]["ipc"]
 
 
-# -- ported ablations ---------------------------------------------------------
+# -- ablation tables ----------------------------------------------------------
 
 
 def _build_spec_depth(config: ExperimentConfig) -> StudySpec:
@@ -464,7 +456,108 @@ def _table_fetch_queue(
     return result
 
 
-# -- study-native presets (no legacy table) -----------------------------------
+def _build_recovery(config: ExperimentConfig) -> StudySpec:
+    return _base(
+        config,
+        "recovery",
+        machine="PI8",
+        scheme="collapsing_buffer",
+        toggles=(
+            Toggle("machine", "machine", MACHINE_NAMES),
+            Toggle("scheme", "scheme", ("sequential", "collapsing_buffer")),
+            Toggle("retire", "recovery_at_retire", (True,)),
+        ),
+        pairwise=(("machine", "scheme"), ("machine", "scheme", "retire")),
+    )
+
+
+def _table_recovery(
+    spec: StudySpec, expansion: Expansion, metrics: dict
+) -> ExperimentResult:
+    result = ExperimentResult(
+        experiment="ablation_recovery",
+        title="Ablation: misprediction recovery point (integer subset)",
+        headers=[
+            "machine",
+            "seq @resolution",
+            "seq @retire",
+            "collapsing @resolution",
+            "collapsing @retire",
+        ],
+        notes="Expected: retirement recovery costs IPC across the board.",
+    )
+    for name in _values(spec, "machine"):
+        row: list = [name]
+        for scheme in _values(spec, "scheme"):
+            cell = ("machine", name, "scheme", scheme)
+            row.append(_ipc(metrics, expansion.pair_id(*cell)))
+            row.append(
+                _ipc(metrics, expansion.pair_id(*cell, "retire", True))
+            )
+        result.rows.append(row)
+    return result
+
+
+def _build_issue_scaling(config: ExperimentConfig) -> StudySpec:
+    return _base(
+        config,
+        "issue-scaling",
+        machine="PI8",
+        scheme="collapsing_buffer",
+        metrics=("eir",),
+        toggles=(
+            Toggle("machine", "machine", (*MACHINE_NAMES, "PI16")),
+            Toggle(
+                "scheme",
+                "scheme",
+                ("sequential", "banked_sequential", "perfect"),
+            ),
+        ),
+        pairwise=(("machine", "scheme"),),
+    )
+
+
+def _table_issue_scaling(
+    spec: StudySpec, expansion: Expansion, metrics: dict
+) -> ExperimentResult:
+    schemes = ("sequential", "banked_sequential", "collapsing_buffer")
+    result = ExperimentResult(
+        experiment="ablation_issue_scaling",
+        title="Extension: EIR/EIR(perfect) % through a 16-issue machine",
+        headers=["machine", "EIR(perfect)"] + [f"{s} %" for s in schemes],
+        notes=(
+            "Expected: sequential keeps collapsing; the collapsing buffer "
+            "degrades gently — the paper's scalability claim extrapolates."
+        ),
+    )
+
+    def per_benchmark(name: str, scheme: str) -> dict:
+        run_id = (
+            expansion.single_id("machine", name)
+            if scheme == spec.scheme
+            else expansion.pair_id("machine", name, "scheme", scheme)
+        )
+        return metrics[run_id]["benchmarks"]
+
+    for name in _values(spec, "machine"):
+        perfect = per_benchmark(name, "perfect")
+        row: list = [
+            name,
+            harmonic_mean(perfect[b]["eir"] for b in spec.benchmarks),
+        ]
+        for scheme in schemes:
+            eirs = per_benchmark(name, scheme)
+            row.append(
+                100.0
+                * harmonic_mean(
+                    eirs[b]["eir"] / perfect[b]["eir"] for b in spec.benchmarks
+                )
+            )
+        result.rows.append(row)
+    return result
+
+
+# -- presets without a table --------------------------------------------------
 
 
 def _build_fig11_shifter(config: ExperimentConfig) -> StudySpec:
@@ -512,63 +605,66 @@ PRESETS: dict[str, StudyPreset] = {
             description="IPC vs speculation depth across machines",
             build=_build_spec_depth,
             table=_table_spec_depth,
-            ablation="spec_depth",
         ),
         StudyPreset(
             name="banks",
             description="banked-sequential IPC vs cache bank count (PI8)",
             build=_build_banks,
             table=_table_banks,
-            ablation="banks",
         ),
         StudyPreset(
             name="predictors",
             description="collapsing-buffer IPC vs predictor (crossbar/shifter)",
             build=_build_predictors,
             table=_table_predictors,
-            ablation="predictors",
         ),
         StudyPreset(
             name="cold-start",
             description="steady-state vs cold-start IPC (PI8)",
             build=_build_cold_start,
             table=_table_cold_start,
-            ablation="cold_start",
         ),
         StudyPreset(
             name="btb-size",
             description="IPC vs BTB capacity (collapsing buffer, PI8)",
             build=_build_btb_size,
             table=_table_btb_size,
-            ablation="btb_size",
         ),
         StudyPreset(
             name="trace-cache",
             description="trace cache vs the paper's schemes",
             build=_build_trace_cache,
             table=_table_trace_cache,
-            ablation="trace_cache",
         ),
         StudyPreset(
             name="memory-ordering",
             description="register-only vs conservative memory ordering",
             build=_build_memory_ordering,
             table=_table_memory_ordering,
-            ablation="memory_ordering",
         ),
         StudyPreset(
             name="window-size",
             description="IPC vs scheduling-window size across machines",
             build=_build_window_size,
             table=_table_window_size,
-            ablation="window_size",
         ),
         StudyPreset(
             name="fetch-queue",
             description="IPC vs fetch/decode queue depth across machines",
             build=_build_fetch_queue,
             table=_table_fetch_queue,
-            ablation="fetch_queue",
+        ),
+        StudyPreset(
+            name="recovery",
+            description="misprediction recovery at resolution vs retirement",
+            build=_build_recovery,
+            table=_table_recovery,
+        ),
+        StudyPreset(
+            name="issue-scaling",
+            description="EIR/EIR(perfect) through a 16-issue machine",
+            build=_build_issue_scaling,
+            table=_table_issue_scaling,
         ),
         StudyPreset(
             name="fig11-shifter",
@@ -586,28 +682,28 @@ PRESETS: dict[str, StudyPreset] = {
     )
 }
 
-#: Legacy ablation name -> preset name, for the back-compat shim.
-ABLATION_PORTS: dict[str, str] = {
-    preset.ablation: preset.name
-    for preset in PRESETS.values()
-    if preset.ablation is not None
-}
+
+
+def metrics_from_report(report: dict) -> dict[str, dict]:
+    """The ``metrics_by_run`` a table renderer takes, rebuilt from a
+    study's ``report.json`` dict."""
+    return {
+        run["run_id"]: {**run["metrics"], "benchmarks": run["benchmarks"]}
+        for run in report["runs"]
+    }
 
 
 def run_preset_table(
     name: str, config: ExperimentConfig = DEFAULT_CONFIG
 ) -> ExperimentResult:
-    """Execute ported preset *name* in-process and render its legacy
-    table — the body behind the thin ``run_*`` shims in
-    :mod:`repro.experiments.ablations`.
+    """Execute preset *name* in-process and render its ablation table.
 
-    Runs serially (``processes=1``): the ablation CLI's cost profile
-    and output contract must not change, and the per-job result cache
-    already deduplicates work across invocations.
+    Runs serially (``processes=1``) with no journal; the per-job result
+    cache still deduplicates work across invocations.
     """
     preset = PRESETS[name]
     if preset.table is None:
-        raise ValueError(f"preset {name!r} has no legacy table renderer")
+        raise ValueError(f"preset {name!r} has no table renderer")
     spec = preset.build(config)
     expansion = expand(spec)
     metrics_by_run, _ = run_jobs(spec, expansion, processes=1)

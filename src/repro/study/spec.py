@@ -9,8 +9,9 @@ ablation design:
 * the **baseline** run (no overrides),
 * one **single** run per toggle value (that component flipped, all else
   at baseline),
-* optional **pair** runs for every value combination of the toggle
-  pairs listed in ``pairwise`` (interaction effects).
+* optional **pair** runs for every value combination of each toggle
+  group listed in ``pairwise`` — two or more toggles, crossed in full
+  (interaction effects).
 
 Every run gets a **content-hashed run ID**: the SHA-256 of the
 canonical JSON of its *resolved* scenario (workload block + effective
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -138,7 +140,8 @@ class StudySpec:
     #: Which metrics every run computes (subset of :data:`METRICS`).
     metrics: tuple = ("ipc", "eir")
     toggles: tuple = ()
-    #: Pairs of toggle *names* whose interaction the study measures.
+    #: Groups of two or more toggle *names* whose interaction the study
+    #: measures; each group's runs are the full cross of its values.
     pairwise: tuple = ()
 
     def as_dict(self) -> dict:
@@ -174,20 +177,39 @@ def spec_from_dict(payload: dict) -> StudySpec:
     """Build a :class:`StudySpec` from its JSON/dict form.
 
     Unknown keys are a ``D005`` failure rather than a silent drop — a
-    typoed field must not quietly fall back to the default.
+    typoed field must not quietly fall back to the default — and so is a
+    list-valued field given as a scalar or string (``tuple()`` would
+    split ``"compress"`` into characters).
     """
     errors = []
     if not isinstance(payload, dict):
         raise CheckFailure(
             [CheckError("D005", "spec", "study spec must be a JSON object")]
         )
+
+    def listed(code: str, subject: str, value) -> tuple | None:
+        if isinstance(value, (list, tuple)):
+            return tuple(value)
+        errors.append(CheckError(code, subject, "must be a JSON list"))
+        return None
+
     for key in payload:
         if key not in _SPEC_KEYS:
             errors.append(
                 CheckError("D005", str(key), "unknown study spec field")
             )
+    fields = {
+        key: value
+        for key, value in payload.items()
+        if key not in ("toggles", "pairwise")
+    }
+    for key in ("benchmarks", "metrics"):
+        if key in fields:
+            fields[key] = listed("D005", key, fields[key])
     toggles = []
-    for index, entry in enumerate(payload.get("toggles", ())):
+    for index, entry in enumerate(
+        listed("D005", "toggles", payload.get("toggles", ())) or ()
+    ):
         if not isinstance(entry, dict) or set(entry) - _TOGGLE_KEYS:
             errors.append(
                 CheckError(
@@ -197,28 +219,25 @@ def spec_from_dict(payload: dict) -> StudySpec:
                 )
             )
             continue
+        values = listed(
+            "D003", f"toggles[{index}].values", entry.get("values", ())
+        )
         toggles.append(
             Toggle(
                 name=str(entry.get("name", "")),
                 parameter=str(entry.get("parameter", "")),
-                values=tuple(entry.get("values", ())),
+                values=values or (),
             )
         )
+    pairwise = tuple(
+        listed("D005", f"pairwise[{index}]", entry)
+        for index, entry in enumerate(
+            listed("D005", "pairwise", payload.get("pairwise", ())) or ()
+        )
+    )
     if errors:
         raise CheckFailure(errors)
-    fields = {
-        key: value
-        for key, value in payload.items()
-        if key not in ("toggles", "pairwise")
-    }
-    for key in ("benchmarks", "metrics"):
-        if key in fields:
-            fields[key] = tuple(fields[key])
-    return StudySpec(
-        toggles=tuple(toggles),
-        pairwise=tuple(tuple(pair) for pair in payload.get("pairwise", ())),
-        **fields,
-    )
+    return StudySpec(toggles=tuple(toggles), pairwise=pairwise, **fields)
 
 
 def spec_from_json(text: str) -> StudySpec:
@@ -341,20 +360,24 @@ def validate(spec: StudySpec) -> list[CheckError]:
             if error is not None:
                 errors.append(error)
 
-    for pair in spec.pairwise:
-        subject = "x".join(str(p) for p in pair)
-        if len(pair) != 2 or pair[0] == pair[1]:
-            flag("D004", subject, "pairwise entry must name two distinct toggles")
+    by_name = {toggle.name: toggle for toggle in spec.toggles}
+    for group in spec.pairwise:
+        subject = "x".join(str(name) for name in group)
+        if len(group) < 2 or len(set(group)) != len(group):
+            flag(
+                "D004",
+                subject,
+                "pairwise entry must name two or more distinct toggles",
+            )
             continue
         undeclared = False
-        for name in pair:
+        for name in group:
             if name not in seen:
                 flag("D004", str(name), "pairwise names an undeclared toggle")
                 undeclared = True
         if undeclared:
             continue
-        by_name = {toggle.name: toggle for toggle in spec.toggles}
-        if by_name[pair[0]].parameter == by_name[pair[1]].parameter:
+        if len({by_name[name].parameter for name in group}) != len(group):
             flag(
                 "D004",
                 subject,
@@ -448,7 +471,7 @@ class Expansion:
     baseline_id: str = ""
     #: ``(toggle_name, value_key) -> run_id`` for one-factor-off runs.
     singles: dict = field(default_factory=dict)
-    #: ``(toggle_a, value_key_a, toggle_b, value_key_b) -> run_id``.
+    #: Sorted ``((toggle, value_key), ...) -> run_id`` for pairwise runs.
     pairs: dict = field(default_factory=dict)
     #: Every *generated* entry pre-dedup: ``(role, toggle_names, run_id)``
     #: — the conservation ledger tests count against.
@@ -457,33 +480,34 @@ class Expansion:
     def single_id(self, toggle: str, value) -> str:
         return self.singles[(toggle, value_key(value))]
 
-    def pair_id(self, toggle_a: str, value_a, toggle_b: str, value_b) -> str:
-        try:
-            return self.pairs[
-                (toggle_a, value_key(value_a), toggle_b, value_key(value_b))
-            ]
-        except KeyError:
-            return self.pairs[
-                (toggle_b, value_key(value_b), toggle_a, value_key(value_a))
-            ]
+    def pair_id(self, *names_and_values) -> str:
+        """The run of a pairwise cell, from ``toggle, value, toggle,
+        value, ...`` in any order."""
+        names = names_and_values[::2]
+        values = names_and_values[1::2]
+        return self.pairs[_pair_key(names, values)]
+
+
+def _pair_key(names, values) -> tuple:
+    return tuple(sorted(zip(names, map(value_key, values))))
 
 
 def _generate(spec: StudySpec):
-    """Yield ``(overrides, role, toggle_names)`` in declaration order."""
+    """Yield ``(overrides, role, toggle_names)`` in declaration order;
+    a pairwise row's overrides follow its toggle names' order."""
     yield {}, "baseline", ()
     for toggle in spec.toggles:
         for value in toggle.values:
             yield {toggle.parameter: value}, "single", (toggle.name,)
     by_name = {toggle.name: toggle for toggle in spec.toggles}
-    for name_a, name_b in spec.pairwise:
-        toggle_a, toggle_b = by_name[name_a], by_name[name_b]
-        for value_a in toggle_a.values:
-            for value_b in toggle_b.values:
-                yield (
-                    {toggle_a.parameter: value_a, toggle_b.parameter: value_b},
-                    "pair",
-                    (name_a, name_b),
-                )
+    for group in spec.pairwise:
+        toggles = [by_name[name] for name in group]
+        for values in itertools.product(*(t.values for t in toggles)):
+            yield (
+                {t.parameter: v for t, v in zip(toggles, values)},
+                "pair",
+                tuple(group),
+            )
 
 
 def _label(spec: StudySpec, scenario: dict, baseline: dict) -> tuple[str, tuple]:
@@ -530,15 +554,8 @@ def expand(spec: StudySpec) -> Expansion:
             (param_value,) = overrides.items()
             expansion.singles[(name, value_key(param_value[1]))] = run_id
         else:
-            name_a, name_b = toggle_names
-            values = list(overrides.items())
             expansion.pairs[
-                (
-                    name_a,
-                    value_key(values[0][1]),
-                    name_b,
-                    value_key(values[1][1]),
-                )
+                _pair_key(toggle_names, overrides.values())
             ] = run_id
 
     budget = knobs.get_int("REPRO_STUDY_MAX_RUNS")

@@ -71,9 +71,6 @@ class TestCLI:
         assert main(["characterize", "ora", "--length", "3000"]) == 0
         assert "ora" in capsys.readouterr().out
 
-    def test_unknown_ablation_rejected(self, capsys):
-        assert main(["ablation", "warp-drive"]) == 2
-
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
