@@ -609,7 +609,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if journal_dir:
             print(
                 f"completed jobs are journalled in {journal_dir}; resume "
-                f"with the same command plus '--resume {journal_dir}'",
+                f"by rerunning with '--resume {journal_dir}' (instead of "
+                f"'--journal')",
                 file=sys.stderr,
             )
         else:
@@ -1100,7 +1101,8 @@ def build_parser() -> argparse.ArgumentParser:
             "exponential backoff (default: 2)"
         ),
     )
-    sweep.add_argument(
+    journal_flags = sweep.add_mutually_exclusive_group()
+    journal_flags.add_argument(
         "--journal",
         metavar="DIR",
         help=(
@@ -1108,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
             "interrupted sweep can be resumed with --resume DIR"
         ),
     )
-    sweep.add_argument(
+    journal_flags.add_argument(
         "--resume",
         metavar="DIR",
         help=(

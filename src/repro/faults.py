@@ -41,7 +41,6 @@ site                      fired from                   kinds
 ``service.queue``         service job admission        ``exc``
 ``service.handoff``       pool worker dispatch         ``exc``
 ``service.replica``       cluster replica monitor      ``crash`` ``hang`` ``exc``
-``cache.shard``           sharded cache shard I/O      ``oserror``
 ``telemetry.trace``       flight-recorder append       ``exc``
 ========================  ===========================  =========================
 
@@ -57,15 +56,12 @@ fires on every flight-recorder append and is likewise non-fatal by
 construction: an injected fault drops that span (counted in the
 recorder's ``dropped``) without ever failing the traced operation.
 
-The cluster tier (PR 9) adds two *advisory* sites the call sites apply
-themselves: ``service.replica`` fires once per monitor tick per replica
-in the :class:`~repro.service.cluster.ClusterManager` — ``crash``
-SIGKILLs the replica process (the manager respawns it), ``hang``
-SIGSTOPs it for ``s`` seconds (the balancer ejects and later recovers
-it), ``exc`` degrades to :class:`FaultInjected` inside the monitor —
-and ``cache.shard`` fires on sharded result-cache I/O, where
-``oserror`` poisons that shard's reads/writes with ``EROFS`` so the
-shard (and only that shard) degrades to compute-through.
+The cluster tier adds one *advisory* site the call site applies
+itself: ``service.replica`` fires once per monitor tick per replica in
+the :class:`~repro.service.cluster.ClusterManager` — ``crash`` SIGKILLs
+the replica process (the manager respawns it), ``hang`` SIGSTOPs it for
+``s`` seconds (the balancer ejects and later recovers it), ``exc``
+degrades to :class:`FaultInjected` inside the monitor.
 
 Determinism: a *tokened* site (``batch.worker`` passes the job index as
 token and the retry attempt number) decides by hashing ``(seed, site,
@@ -116,7 +112,6 @@ SITES = (
     "service.queue",
     "service.handoff",
     "service.replica",
-    "cache.shard",
     "telemetry.trace",
 )
 

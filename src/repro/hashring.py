@@ -1,12 +1,10 @@
-"""Consistent hashing shared by the cache shards and the balancer.
+"""Consistent hashing for the front balancer.
 
-Two subsystems need the same primitive: map a stable string key onto
-one of N named nodes so that (a) the same key always lands on the same
-node while the node set is stable, and (b) removing or adding one node
-only remaps ~1/N of the keyspace instead of reshuffling everything.
-The sharded result cache (:mod:`repro.sim.cache`) hashes job keys onto
-cache *directories*; the front balancer (:mod:`repro.service.balancer`)
-hashes job keys onto service *replicas* — the latter is what preserves
+The balancer (:mod:`repro.service.balancer`) is the ring's only user:
+it maps a stable job key onto one of N named service replicas so that
+(a) the same key always lands on the same replica while the replica set
+is stable, and (b) removing or adding one replica only remaps ~1/N of
+the keyspace instead of reshuffling everything.  That is what preserves
 cross-replica request coalescing: identical jobs from different clients
 reach the same replica, whose scheduler single-flights them.
 
@@ -25,7 +23,7 @@ import bisect
 import hashlib
 
 #: Virtual points per node: enough for an even spread over a handful of
-#: nodes (the cluster/shard counts this repo runs) at negligible cost.
+#: nodes (the replica counts this repo runs) at negligible cost.
 DEFAULT_VNODES = 64
 
 

@@ -130,22 +130,6 @@ KNOBS: tuple[KnobSpec, ...] = (
         description="root directory of the persistent result cache",
     ),
     KnobSpec(
-        name="REPRO_CACHE_SHARDS",
-        type="str",
-        default="",
-        cache_policy="exempt",
-        reason=(
-            "selects which directories hold which entries (consistent "
-            "hashing over shard roots), not what the entries contain; "
-            "like REPRO_CACHE_DIR, shards can never serve each other's "
-            "files because the key digest picks exactly one of them"
-        ),
-        description=(
-            "os.pathsep-separated shard directories for the sharded "
-            "result-cache tier (unset: single shard at REPRO_CACHE_DIR)"
-        ),
-    ),
-    KnobSpec(
         name="REPRO_CACHE_CLAIM_TTL",
         type="float",
         default="120",
@@ -202,39 +186,6 @@ KNOBS: tuple[KnobSpec, ...] = (
             "never reaches a simulation's inputs or outputs"
         ),
         description="seconds between balancer health probes per replica",
-    ),
-    KnobSpec(
-        name="REPRO_BALANCE_EJECT_ERRORS",
-        type="int",
-        default="3",
-        cache_policy="exempt",
-        reason=(
-            "passive failure-detection threshold in the balancer; "
-            "affects which replica computes a job, never the result"
-        ),
-        description="consecutive replica errors before ejection",
-    ),
-    KnobSpec(
-        name="REPRO_BALANCE_EJECT_LATENCY",
-        type="float",
-        default="5.0",
-        cache_policy="exempt",
-        reason=(
-            "EWMA-latency ejection threshold in the balancer; a slow "
-            "replica is routed around, the simulation value is unchanged"
-        ),
-        description="EWMA request latency (seconds) that ejects a replica",
-    ),
-    KnobSpec(
-        name="REPRO_BALANCE_RETRY_BUDGET",
-        type="float",
-        default="0.2",
-        cache_policy="exempt",
-        reason=(
-            "caps balancer failover retries as a fraction of requests; "
-            "retried jobs are idempotent and bit-identical by design"
-        ),
-        description="failover retries allowed per forwarded request (ratio)",
     ),
     KnobSpec(
         name="REPRO_BALANCE_TRY_TIMEOUT",

@@ -25,8 +25,8 @@ Health
   replica's ``/readyz`` every ``REPRO_BALANCE_PROBE_INTERVAL`` seconds
   and folds the reported queue depth into routing — and **passive** —
   every proxied request updates an EWMA of latency and a consecutive
-  -error count.  ``REPRO_BALANCE_EJECT_ERRORS`` consecutive failures or
-  an EWMA above ``REPRO_BALANCE_EJECT_LATENCY`` **ejects** the replica:
+  -error count.  :data:`EJECT_ERRORS` consecutive failures or an EWMA
+  above :data:`EJECT_LATENCY` seconds **ejects** the replica:
   it leaves the routable set and waits out a cooldown that doubles with
   each successive ejection.  After cooldown the replica turns
   ``half_open`` and one successful probe — and nothing else — promotes
@@ -35,8 +35,8 @@ Health
 Retries
   Failed tries (connection errors, per-try timeouts, 5xx/429/503) fail
   over to the next replica in the ring's preference order, under a
-  **retry budget**: retries may not exceed ``REPRO_BALANCE_RETRY_BUDGET``
-  as a fraction of requests seen, so a brown-out cannot amplify load
+  **retry budget**: retries may not exceed :data:`RETRY_BUDGET` as a
+  fraction of requests seen, so a brown-out cannot amplify load
   into a retry storm.  Every try is bounded by a per-try timeout of
   ``REPRO_BALANCE_TRY_TIMEOUT`` seconds (stretched to cover an explicit
   ``?wait=`` long-poll).  Replaying a submission on another replica is
@@ -79,6 +79,15 @@ SPILL_THRESHOLD = 4
 #: Base ejection cooldown (seconds); doubles per successive ejection.
 BASE_COOLDOWN = 1.0
 MAX_COOLDOWN = 30.0
+
+#: Consecutive proxied-request failures that eject a replica.
+EJECT_ERRORS = 3
+
+#: EWMA request latency (seconds) above which a replica is ejected.
+EJECT_LATENCY = 5.0
+
+#: Failover retries allowed as a fraction of requests seen.
+RETRY_BUDGET = 0.2
 
 #: Timeout for one active ``/readyz`` probe.
 PROBE_TIMEOUT = 2.0
@@ -134,12 +143,9 @@ class ReplicaState:
 
     def should_eject(self) -> str | None:
         """Reason to eject now, or ``None``."""
-        if self.consecutive_errors >= max(
-            1, knobs.get_int("REPRO_BALANCE_EJECT_ERRORS")
-        ):
+        if self.consecutive_errors >= EJECT_ERRORS:
             return "consecutive_errors"
-        ceiling = knobs.get_float("REPRO_BALANCE_EJECT_LATENCY")
-        if ceiling > 0 and self.ewma_latency > ceiling:
+        if self.ewma_latency > EJECT_LATENCY:
             return "ewma_latency"
         return None
 
@@ -428,8 +434,7 @@ class Balancer:
         return ranked
 
     def _may_retry(self) -> bool:
-        budget = knobs.get_float("REPRO_BALANCE_RETRY_BUDGET")
-        allowed = budget * max(BUDGET_FLOOR, self._requests_seen)
+        allowed = RETRY_BUDGET * max(BUDGET_FLOOR, self._requests_seen)
         return self._retries_spent < allowed
 
     def _try_timeout(self, query: dict) -> float:
@@ -668,7 +673,7 @@ class Balancer:
             "retry_budget": {
                 "requests_seen": self._requests_seen,
                 "retries_spent": self._retries_spent,
-                "ratio": knobs.get_float("REPRO_BALANCE_RETRY_BUDGET"),
+                "ratio": RETRY_BUDGET,
             },
             "replicas": [r.as_dict() for r in self.replicas.values()],
             **(

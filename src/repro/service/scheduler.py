@@ -346,7 +346,6 @@ class JobScheduler:
             "memo": {"size": memo_size, "capacity": self.completed_capacity},
             "pool": self.pool.info(),
             "result_cache": result_cache.stats.as_dict(),
-            "result_cache_shards": result_cache.shard_stats(),
         }
 
     # shutdown --------------------------------------------------------------

@@ -9,18 +9,6 @@ simulator source is unchanged.  This module provides that memo on disk:
 * Entries live under ``$REPRO_CACHE_DIR`` (default
   ``~/.cache/repro``), in a subdirectory named after
   :data:`FORMAT_VERSION` so layout changes never misread old files.
-* With ``REPRO_CACHE_SHARDS`` set (``os.pathsep``-separated directory
-  list) the cache becomes a **consistent-hash-sharded tier**: the entry
-  digest picks exactly one shard directory via
-  :class:`repro.hashring.ConsistentRing`, so concurrent service
-  replicas sharing the tier spread I/O across directories (or mount
-  points) while every process still agrees on where a key lives.  Each
-  shard carries its *own* health: a shard whose filesystem fails
-  (``ENOSPC``/``EACCES``/``EROFS``, or an injected ``cache.shard``
-  fault) is degraded to compute-through **per shard** — its
-  ``auto_disabled`` counter increments and further I/O skips that shard
-  only; the remaining shards keep serving.  Unset, there is a single
-  shard rooted at ``REPRO_CACHE_DIR`` with the historical behaviour.
 * Every key is salted with :func:`source_version`, a digest over all
   ``repro`` package sources — any code change invalidates the whole
   cache rather than risking stale results.
@@ -42,10 +30,11 @@ simulator source is unchanged.  This module provides that memo on disk:
   than ``REPRO_CACHE_CLAIM_TTL`` seconds (a crashed claimant) is broken,
   and a waiter that outlives the TTL computes the value itself rather
   than hang, so the worst case is only ever the old duplicated work.
-* A store that fails with ``ENOSPC``/``EACCES``/``EROFS`` (full or
-  unwritable filesystem) logs one warning and degrades the cache to
-  *off* for the rest of the process (``auto_disabled`` in
-  :class:`ResultCacheStats`) instead of paying a doomed write per job.
+* A load or store that fails with ``ENOSPC``/``EACCES``/``EROFS``
+  (full, unreadable or unwritable filesystem) logs one warning and
+  degrades the cache to *off* for the rest of the process
+  (``auto_disabled`` in :class:`ResultCacheStats`) instead of paying a
+  doomed I/O per job.
 * The deterministic fault harness (:mod:`repro.faults`) can corrupt
   loaded entries (site ``cache.load``, kind ``corrupt``) or fail stores
   (site ``cache.store``, kind ``oserror``) to prove both recovery
@@ -133,151 +122,41 @@ def reset_stats() -> None:
     stats = ResultCacheStats()
 
 
-#: Errnos that mean "this filesystem will keep rejecting writes" — one
-#: of them flips the affected *shard* off for the rest of the process.
-_FATAL_STORE_ERRNOS = (errno.ENOSPC, errno.EACCES, errno.EROFS)
+#: Errnos that mean "this filesystem will keep rejecting I/O" — one of
+#: them switches the cache off for the rest of the process.
+_FATAL_IO_ERRNOS = (errno.ENOSPC, errno.EACCES, errno.EROFS)
 
-
-@dataclass(slots=True)
-class CacheShard:
-    """One directory of the sharded tier, with its own health.
-
-    ``disabled`` flips after a fatal I/O error (or an injected
-    ``cache.shard`` fault) — that shard degrades to compute-through
-    while its siblings keep serving.  The counters mirror the
-    process-global :class:`ResultCacheStats` but scoped to this shard.
-    """
-
-    index: int
-    root: Path  # versioned directory entries of this shard live in
-    disabled: bool = False
-    stores: int = 0
-    store_errors: int = 0
-    auto_disabled: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "root": str(self.root),
-            "disabled": self.disabled,
-            "stores": self.stores,
-            "store_errors": self.store_errors,
-            "auto_disabled": self.auto_disabled,
-        }
-
-
-#: Shard set memo, keyed by the raw env values that define it so tests
-#: flipping ``REPRO_CACHE_DIR``/``REPRO_CACHE_SHARDS`` mid-process see
-#: a fresh tier (shard health is per (env, process), like the old
-#: process-global disable flag).
-_shards_memo: dict[tuple[str, str], tuple["CacheShard", ...]] = {}
-_ring_memo: dict[tuple[str, str], Any] = {}
-
-
-def _shard_env() -> tuple[str, str]:
-    return (knobs.raw("REPRO_CACHE_SHARDS"), knobs.raw("REPRO_CACHE_DIR"))
-
-
-def shards() -> tuple[CacheShard, ...]:
-    """The live shard set: one per ``REPRO_CACHE_SHARDS`` entry, or a
-    single shard rooted at :func:`cache_dir` when the knob is unset."""
-    env = _shard_env()
-    cached = _shards_memo.get(env)
-    if cached is not None:
-        return cached
-    spec = env[0]
-    if spec:
-        roots = [
-            Path(part).expanduser() / f"v{FORMAT_VERSION}"
-            for part in spec.split(os.pathsep)
-            if part.strip()
-        ]
-    else:
-        roots = []
-    if not roots:
-        roots = [cache_dir()]
-    tier = tuple(
-        CacheShard(index=i, root=root) for i, root in enumerate(roots)
-    )
-    _shards_memo[env] = tier
-    return tier
-
-
-def _shard_ring():
-    env = _shard_env()
-    ring = _ring_memo.get(env)
-    if ring is None:
-        from repro.hashring import ConsistentRing
-
-        tier = shards()
-        ring = ConsistentRing([str(s.root) for s in tier])
-        _ring_memo[env] = ring
-    return ring
-
-
-def _shard_for(digest: str) -> CacheShard:
-    """The shard owning entry *digest* (consistent hashing, so every
-    process sharing the tier agrees and a config change only remaps
-    ~1/N of the keyspace)."""
-    tier = shards()
-    if len(tier) == 1:
-        return tier[0]
-    owner = _shard_ring().owner(digest)
-    for shard in tier:
-        if str(shard.root) == owner:
-            return shard
-    return tier[0]  # unreachable; ring nodes are the shard roots
-
-
-def shard_stats() -> list[dict]:
-    """Per-shard health/counters (the ``/metrics`` ``result_cache_shards``
-    section)."""
-    return [shard.as_dict() for shard in shards()]
+_runtime_disabled = False
 
 
 def cache_enabled() -> bool:
-    """False when the user disabled the cache via ``REPRO_CACHE=0`` or
-    every shard's filesystem has disabled itself for this process."""
-    if not knobs.enabled("REPRO_CACHE"):
-        return False
-    return any(not shard.disabled for shard in shards())
+    """False when the user disabled the cache via ``REPRO_CACHE=0`` or a
+    full/unwritable cache filesystem disabled it for this process."""
+    return not _runtime_disabled and knobs.enabled("REPRO_CACHE")
 
 
-def _disable_shard(shard: CacheShard, exc: OSError) -> None:
-    """Degrade *shard* to compute-through after a fatal I/O error
-    (logged once per shard; its siblings are untouched)."""
-    if shard.disabled:
+def _disable_for_process(exc: OSError) -> None:
+    """Degrade to compute-through after a fatal I/O error (logged once)."""
+    global _runtime_disabled
+    if _runtime_disabled:
         return
-    shard.disabled = True
-    shard.auto_disabled += 1
+    _runtime_disabled = True
     stats.auto_disabled += 1
     print(
-        f"repro: result-cache shard {shard.index} ({shard.root}) disabled "
-        f"for this process after "
-        f"{errno.errorcode.get(exc.errno, exc.errno)} ({exc})",
+        f"repro: result cache ({cache_dir()}) disabled for this process "
+        f"after {errno.errorcode.get(exc.errno, exc.errno)} ({exc})",
         file=sys.stderr,
     )
 
 
 def reset_runtime_disable() -> None:
-    """Re-arm shards auto-disabled by fatal I/O errors (tests)."""
-    for tier in _shards_memo.values():
-        for shard in tier:
-            shard.disabled = False
-
-
-def _shard_fault(shard: CacheShard) -> None:
-    """Chaos site ``cache.shard``: an injected ``oserror`` poisons this
-    shard's I/O with ``EROFS`` — degrading exactly this shard."""
-    if faults.decide("cache.shard", token=shard.index) == "oserror":
-        raise OSError(
-            errno.EROFS, f"injected EROFS on cache shard {shard.index}"
-        )
+    """Re-arm a cache auto-disabled by a fatal I/O error (tests)."""
+    global _runtime_disabled
+    _runtime_disabled = False
 
 
 def cache_dir() -> Path:
-    """Root directory for this format version's entries (the single
-    shard when ``REPRO_CACHE_SHARDS`` is unset)."""
+    """Root directory for this format version's entries."""
     root = knobs.raw("REPRO_CACHE_DIR")
     if root:
         base = Path(root)
@@ -343,15 +222,8 @@ def _entry_digest(kind: str, key: tuple) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _entry(kind: str, key: tuple) -> tuple[CacheShard, Path]:
-    """``(owning shard, entry path)`` for ``(kind, key)``."""
-    digest = _entry_digest(kind, key)
-    shard = _shard_for(digest)
-    return shard, shard.root / f"{digest}.pkl"
-
-
 def _entry_path(kind: str, key: tuple) -> Path:
-    return _entry(kind, key)[1]
+    return cache_dir() / f"{_entry_digest(kind, key)}.pkl"
 
 
 def load(kind: str, key: tuple) -> Any | None:
@@ -359,16 +231,13 @@ def load(kind: str, key: tuple) -> Any | None:
 
     Any failure — missing file, unpicklable bytes, digest collision with
     a different key — is a miss; damaged files are removed.  A fatal
-    ``OSError`` (unreadable shard filesystem) degrades that shard to
+    ``OSError`` (unreadable filesystem) degrades the cache to
     compute-through instead of paying a doomed read per job.
     """
-    if not knobs.enabled("REPRO_CACHE"):
+    if not cache_enabled():
         return None
-    shard, path = _entry(kind, key)
-    if shard.disabled:
-        return None
+    path = _entry_path(kind, key)
     try:
-        _shard_fault(shard)
         with path.open("rb") as handle:
             data = handle.read()
         if faults.decide("cache.load") == "corrupt":
@@ -383,11 +252,11 @@ def load(kind: str, key: tuple) -> Any | None:
         stats.misses += 1
         return None
     except OSError as exc:
-        # The shard's filesystem failed underneath us (not a damaged
-        # entry): miss, and retire the shard for fatal conditions.
+        # The filesystem failed underneath us (not a damaged entry):
+        # miss, and switch the cache off for fatal conditions.
         stats.misses += 1
-        if exc.errno in _FATAL_STORE_ERRNOS:
-            _disable_shard(shard, exc)
+        if exc.errno in _FATAL_IO_ERRNOS:
+            _disable_for_process(exc)
         return None
     except Exception:
         # Corrupt or foreign entry: drop it so the slot heals itself.
@@ -402,13 +271,10 @@ def load(kind: str, key: tuple) -> Any | None:
 
 def store(kind: str, key: tuple, value: Any) -> None:
     """Persist *value* for ``(kind, key)`` (atomic; best-effort)."""
-    if not knobs.enabled("REPRO_CACHE"):
+    if not cache_enabled():
         return
-    shard, path = _entry(kind, key)
-    if shard.disabled:
-        return
+    path = _entry_path(kind, key)
     try:
-        _shard_fault(shard)
         if faults.decide("cache.store") == "oserror":
             raise OSError(errno.ENOSPC, "injected ENOSPC")
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -424,7 +290,6 @@ def store(kind: str, key: tuple, value: Any) -> None:
                 )
             os.replace(tmp_name, path)
             stats.stores += 1
-            shard.stores += 1
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -434,11 +299,10 @@ def store(kind: str, key: tuple, value: Any) -> None:
     except OSError as exc:
         # A read-only or full filesystem only costs the memoisation —
         # and, for persistent conditions, further attempts are pointless:
-        # degrade *this shard* to compute-through for the process.
+        # degrade to compute-through for the rest of the process.
         stats.store_errors += 1
-        shard.store_errors += 1
-        if exc.errno in _FATAL_STORE_ERRNOS:
-            _disable_shard(shard, exc)
+        if exc.errno in _FATAL_IO_ERRNOS:
+            _disable_for_process(exc)
 
 
 # -- single-flight (cross-process request coalescing) -------------------------
@@ -508,9 +372,8 @@ def get_or_compute(kind: str, key: tuple, compute: Callable[[], Any]) -> Any:
 
     With tracing on (``REPRO_TRACE``), the whole operation is one
     ``sim.cache`` span whose ``outcome`` attribute names the path taken
-    (``hit``/``computed``/``coalesced``/``takeover``/``disabled``/
-    ``shard_disabled``) and, for the waiter paths, how long the
-    single-flight wait lasted.
+    (``hit``/``computed``/``coalesced``/``takeover``/``disabled``) and,
+    for the waiter paths, how long the single-flight wait lasted.
     """
     if not tracing.tracing_enabled():
         value, _, _ = _get_or_compute(kind, key, compute)
@@ -530,12 +393,6 @@ def _get_or_compute(
     single-flight wait seconds)`` for the tracing wrapper."""
     if not cache_enabled():
         return compute(), "disabled", 0.0
-    shard, _ = _entry(kind, key)
-    if shard.disabled:
-        # The owning shard degraded to compute-through: no memo, no
-        # single-flight claim (the claim file would live on the same
-        # broken filesystem), just the work.
-        return compute(), "shard_disabled", 0.0
     value = load(kind, key)
     if value is not None:
         return value, "hit", 0.0
@@ -574,17 +431,17 @@ def _get_or_compute(
 
 
 def clear() -> int:
-    """Delete all entries of the current format version across every
-    shard; returns the number removed."""
+    """Delete all entries of the current format version; returns the
+    number removed."""
     removed = 0
-    for shard in shards():
-        if not shard.root.is_dir():
-            continue
-        for path in shard.root.glob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
+    directory = cache_dir()
+    if not directory.is_dir():
+        return 0
+    for path in directory.glob("*.pkl"):
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            pass
     stats.cleared += removed
     return removed

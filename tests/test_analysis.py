@@ -230,7 +230,7 @@ class TestRegistryCoverage:
             discovered.update(token.findall(path.read_text()))
         assert discovered, "grep found no knobs at all?"
         assert discovered <= set(knobs.REGISTRY)
-        assert len(knobs.REGISTRY) == 19
+        assert len(knobs.REGISTRY) == 15
 
     def test_analyzer_sees_every_knob(self):
         project = Project(REPO_ROOT)

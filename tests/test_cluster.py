@@ -10,23 +10,16 @@ Three layers, cheapest first:
   and failover without a single subprocess;
 * the **chaos gauntlet** — a real :class:`ClusterManager` fleet of
   ``repro serve`` subprocesses under a deterministic ``REPRO_FAULTS``
-  schedule (``service.replica`` crash/hang injections, a ``cache.shard``
-  poisoning) with ``loadgen --cluster`` asserting that every request
-  completes bit-identical to the in-process reference run.
-
-The sharded result-cache tier (consistent hashing over
-``REPRO_CACHE_SHARDS``, per-shard health) is tested here too: shard
-takeover must degrade *one* shard to compute-through, never the whole
-process.
+  schedule (``service.replica`` crash/hang injections, a poisoned
+  ``cache.store``) with ``loadgen --cluster`` asserting that every
+  request completes bit-identical to the in-process reference run.
 """
 
 import asyncio
 import contextlib
-import errno
 import json
 import os
 import signal
-import tempfile
 import threading
 import time
 
@@ -34,7 +27,7 @@ import pytest
 
 from repro import faults
 from repro.hashring import ConsistentRing
-from repro.service.balancer import Balancer, ReplicaState
+from repro.service.balancer import RETRY_BUDGET, Balancer, ReplicaState
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.cluster import ClusterManager
 from repro.service.loadgen import run_loadgen
@@ -72,18 +65,16 @@ def _clean_slate(tmp_path, monkeypatch):
     """Isolated caches, fast balancer knobs, faults disarmed on exit."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_SHARDS", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.setenv("REPRO_BALANCE_PROBE_INTERVAL", "0.05")
     monkeypatch.setenv("REPRO_BALANCE_TRY_TIMEOUT", "3")
     monkeypatch.setenv("REPRO_CACHE_CLAIM_TTL", "1")
     faults.reload()
     yield
-    # Tests set these two via os.environ directly (so subprocesses
-    # inherit them); delenv-on-absent registers no monkeypatch undo,
-    # so pop them ourselves.
+    # Tests set REPRO_FAULTS via os.environ directly (so subprocesses
+    # inherit it); delenv-on-absent registers no monkeypatch undo, so
+    # pop it ourselves.
     os.environ.pop("REPRO_FAULTS", None)
-    os.environ.pop("REPRO_CACHE_SHARDS", None)
     faults.reload()
     cache.reset_runtime_disable()
     cache.reset_stats()
@@ -364,6 +355,7 @@ def test_dead_replica_is_ejected_and_submissions_fail_over():
                 r["name"]: r["state"] for r in metrics["replicas"]
             }
             assert states == {"r1": "ejected", "r2": "healthy"}
+            assert metrics["retry_budget"]["ratio"] == RETRY_BUDGET
 
 
 def test_ejected_replica_recovers_through_half_open_probe():
@@ -425,104 +417,6 @@ def test_client_retry_honors_total_deadline_budget():
             elapsed = time.monotonic() - started
     assert excinfo.value.status == 503
     assert elapsed < 3.0  # gave up at the budget, not after 8 x 5s
-
-
-# -- sharded result cache -----------------------------------------------------
-
-
-def _shard_roots(tmp_path, count=3):
-    roots = [tmp_path / f"shard{i}" for i in range(count)]
-    os.environ["REPRO_CACHE_SHARDS"] = os.pathsep.join(str(r) for r in roots)
-    return roots
-
-
-def test_cache_shards_partition_keys_consistently(tmp_path, monkeypatch):
-    _shard_roots(tmp_path)
-    keys = [("k", i) for i in range(60)]
-    for key in keys:
-        cache.store("sim_stats", key, {"v": key[1]})
-    for key in keys:
-        assert cache.load("sim_stats", key) == {"v": key[1]}
-    populated = [s for s in cache.shard_stats() if s["stores"] > 0]
-    assert len(populated) == 3  # keys spread over every shard
-    assert sum(s["stores"] for s in cache.shard_stats()) == len(keys)
-
-
-def test_readonly_shard_degrades_to_compute_through_per_shard(
-    tmp_path, monkeypatch
-):
-    """Satellite: mid-sweep EROFS on one shard must disable *that shard
-    only* — siblings keep caching and the process keeps computing."""
-    roots = _shard_roots(tmp_path)
-    keys = [("k", i) for i in range(60)]
-    for key in keys:
-        cache.store("sim_stats", key, {"v": key[1]})
-    shards = cache.shards()
-    victim = shards[0]
-    victim_keys = [
-        key
-        for key in keys
-        if cache._entry(  # noqa: SLF001 - routing oracle for the test
-            "sim_stats", key
-        )[0]
-        is victim
-    ]
-    assert victim_keys, "no keys routed to the victim shard"
-    # Remount the victim read-only, as far as the cache can tell: its
-    # temp-file creation raises EROFS (chmod is no use — the suite may
-    # run as root, which ignores permission bits).
-    real_mkstemp = tempfile.mkstemp
-
-    def readonly_mkstemp(*args, **kwargs):
-        if str(kwargs.get("dir", "")).startswith(str(victim.root)):
-            raise OSError(errno.EROFS, "read-only file system")
-        return real_mkstemp(*args, **kwargs)
-
-    monkeypatch.setattr(tempfile, "mkstemp", readonly_mkstemp)
-    cache.reset_stats()
-    for key in victim_keys:
-        cache.store("sim_stats", ("fresh",) + key, {"v": 1})
-    assert victim.disabled, "victim shard was not auto-disabled"
-    assert victim.auto_disabled == 1
-    # Scoped per shard, not process-global:
-    assert [s.disabled for s in shards].count(True) == 1
-    assert cache.cache_enabled()  # the tier as a whole stays on
-    assert cache.stats.auto_disabled == 1
-    # Sibling shards still store and load.
-    healthy_key = next(
-        key
-        for key in keys
-        if cache._entry("sim_stats", key)[0] is not victim
-    )
-    assert cache.load("sim_stats", healthy_key) is not None
-    # The disabled shard's keys compute through (no claim, no I/O).
-    calls = []
-    value = cache.get_or_compute(
-        "sim_stats", victim_keys[0] + ("more",), lambda: calls.append(1) or 7
-    )
-    assert value == 7 and calls == [1]
-    cache.reset_runtime_disable()
-    assert not victim.disabled  # re-armed for the next run
-
-
-def test_cache_shard_fault_injection_poisons_exactly_one_shard(tmp_path):
-    _shard_roots(tmp_path, count=2)
-    shards = cache.shards()
-    arm("seed=2;cache.shard=oserror:p=1:n=1")
-    cache.reset_stats()
-    value = cache.get_or_compute("sim_stats", ("chaos", 1), lambda: 42)
-    assert value == 42  # the injected EROFS never surfaced to the caller
-    assert [s.disabled for s in shards].count(True) == 1
-    assert cache.stats.auto_disabled == 1
-    assert cache.cache_enabled()
-    # The surviving shard still round-trips.
-    healthy = next(s for s in shards if not s.disabled)
-    for i in range(40):
-        key = ("after", i)
-        if cache._entry("sim_stats", key)[0] is healthy:
-            cache.store("sim_stats", key, {"ok": True})
-            assert cache.load("sim_stats", key) == {"ok": True}
-            break
 
 
 # -- chaos gauntlet: subprocess fleet under deterministic fault schedule ------
@@ -615,18 +509,17 @@ def test_lost_job_is_rerouted_and_bit_identical():
         manager.stop()
 
 
-def test_chaos_gauntlet_zero_lost_requests_bit_identical(tmp_path):
+def test_chaos_gauntlet_zero_lost_requests_bit_identical():
     """The acceptance gauntlet: 3 replicas under a deterministic
-    ``service.replica`` crash+hang schedule with one ``cache.shard``
+    ``service.replica`` crash+hang schedule with one ``cache.store``
     poisoned, hammered by ``loadgen --cluster`` — every request must
     complete, bit-identical to the faultless reference."""
-    _shard_roots(tmp_path)
     # Deterministic schedule: SIGKILL one replica (n=1 crash), SIGSTOP
-    # another for 3 seconds (n=1 hang), poison one cache shard per
+    # another for 3 seconds (n=1 hang), fail one cache store per
     # replica process (n=1 oserror).  Seeded: same kills every run.
     arm(
         "seed=13;service.replica=crash:p=0.08:n=1;"
-        "cache.shard=oserror:p=1:n=1"
+        "cache.store=oserror:p=1:n=1"
     )
     mix = [dict(JOB), dict(JOB, machine="PI8")]
     manager = ClusterManager(count=3, workers=0, max_queue=32)

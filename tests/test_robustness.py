@@ -7,11 +7,14 @@ results — the sweep journal and ``--resume``, and the hardened result
 cache (injected corruption, injected ``ENOSPC`` degrade-to-off).
 """
 
+import errno
 import json
 import multiprocessing
 import os
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -543,9 +546,62 @@ class TestCacheHardening:
         cache.store("sim_stats", ("k2",), 2)
         assert cache.stats.store_errors == 1  # no further doomed writes
         assert cache.load("sim_stats", ("k",)) is None
-        assert "result-cache shard 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "result cache" in err and "ENOSPC" in err
         cache.reset_runtime_disable()
         assert cache.cache_enabled()
+
+    def test_readonly_store_degrades_to_compute_through(
+        self, cache_env, monkeypatch, capsys
+    ):
+        # Remount the cache read-only, as far as it can tell: temp-file
+        # creation raises EROFS (chmod is no use — the suite may run as
+        # root, which ignores permission bits).
+        def readonly_mkstemp(*args, **kwargs):
+            raise OSError(errno.EROFS, "read-only file system")
+
+        monkeypatch.setattr(tempfile, "mkstemp", readonly_mkstemp)
+        cache.reset_stats()
+        cache.store("sim_stats", ("k",), 1)
+        assert cache.stats.store_errors == 1
+        assert cache.stats.auto_disabled == 1
+        assert not cache.cache_enabled()
+        assert "EROFS" in capsys.readouterr().err
+        # Disabled: get_or_compute runs the work with no claim file.
+        calls = []
+        key = ("k2",)
+        assert cache.get_or_compute(
+            "sim_stats", key, lambda: calls.append(1) or 7
+        ) == 7
+        assert calls == [1]
+        assert not cache._claim_path("sim_stats", key).exists()
+        assert list(cache.cache_dir().glob("*.claim")) == []
+        cache.reset_runtime_disable()
+        assert cache.cache_enabled()
+
+    def test_readonly_load_degrades_to_compute_through(
+        self, cache_env, monkeypatch
+    ):
+        key = ("ora", "PI4", "sequential", 3000)
+        cache.store("sim_stats", key, {"ipc": 3.4})
+        real_open = Path.open
+
+        def unreadable_open(self, mode="r", *args, **kwargs):
+            if "r" in mode and self.suffix == ".pkl":
+                raise OSError(errno.EROFS, "read-only file system")
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", unreadable_open)
+        cache.reset_stats()
+        assert cache.load("sim_stats", key) is None  # a miss, not a crash
+        assert cache.stats.misses == 1
+        assert cache.stats.auto_disabled == 1
+        assert cache.stats.corrupt_dropped == 0  # the entry is not damaged
+        assert not cache.cache_enabled()
+        assert cache.get_or_compute("sim_stats", key, lambda: 9) == 9
+        monkeypatch.setattr(Path, "open", real_open)
+        cache.reset_runtime_disable()
+        assert cache.load("sim_stats", key) == {"ipc": 3.4}  # never dropped
 
     def test_worker_cache_disable_is_counted_in_batch(self, cache_env):
         # The auto-disable counter rides the worker->parent delta like
@@ -594,6 +650,23 @@ class TestSweepCLI:
             ]
 
         assert table(first) == table(second)
+
+    def test_journal_and_resume_together_is_a_usage_error(
+        self, cache_env, tmp_path, capsys
+    ):
+        # One sweep has one journal: naming two must not silently drop
+        # the --journal directory.
+        from repro.cli import main
+
+        journal_dir, resume_dir = tmp_path / "a", tmp_path / "b"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                self.SWEEP
+                + ["--journal", str(journal_dir), "--resume", str(resume_dir)]
+            )
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not journal_dir.exists() and not resume_dir.exists()
 
     def test_permanent_failure_exits_nonzero(self, cache_env, capsys):
         from repro.cli import main
