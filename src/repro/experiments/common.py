@@ -1,9 +1,12 @@
 """Shared infrastructure for the paper-reproduction experiments.
 
 Each experiment module exposes ``run(config) -> ExperimentResult`` that
-regenerates one of the paper's tables or figures.  Simulation outputs are
-memoised per (benchmark, program variant, machine, scheme) so composite
-experiments and the benchmark harness can share work.
+regenerates one of the paper's tables or figures.  Every measured cell is
+memoised in the persistent result cache (:mod:`repro.sim.cache`):
+simulations per (benchmark, program variant, machine, scheme), and the
+trace statistics and nop expansions of Tables 2-4 per their full
+argument tuple, so a warm report reads cells instead of rebuilding
+workloads, traces or compiler passes.
 
 Trace lengths default to laptop-friendly excerpts; set the environment
 variable ``REPRO_SCALE`` (e.g. ``REPRO_SCALE=4``) to lengthen every trace
@@ -16,9 +19,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro import faults, knobs
-from repro.compiler import pad_all, pad_trace, reorder_program
+from repro.compiler import PaddingResult, pad_all, pad_trace, reorder_program
 from repro.machines.config import MachineConfig
 from repro.machines.presets import MACHINES, get_machine
+from repro.metrics.branches import TakenBranchStats, taken_branch_stats
 from repro.metrics.summary import format_table, harmonic_mean
 from repro.sim import cache as result_cache
 from repro.sim.eir import EIRResult, measure_eir
@@ -110,12 +114,8 @@ def variant_program(benchmark: str, variant: str, block_words: int = 4):
     if variant == "reordered":
         result = _reorder_cached(benchmark)
         return result.program, workload.behavior
-    if variant == "pad_all":
-        padded = pad_all(workload.program, block_words)
-        return padded.program, workload.behavior
-    if variant == "pad_trace":
-        padded = pad_trace(_reorder_cached(benchmark), block_words)
-        return padded.program, workload.behavior
+    if variant in ("pad_all", "pad_trace"):
+        return _pad(benchmark, variant, block_words).program, workload.behavior
     raise KeyError(f"unknown variant {variant!r}; known: {VARIANTS}")
 
 
@@ -123,6 +123,20 @@ def variant_program(benchmark: str, variant: str, block_words: int = 4):
 def _reorder_cached(benchmark: str):
     workload = load_workload(benchmark)
     return reorder_program(workload.program, workload.behavior)
+
+
+def _pad(benchmark: str, variant: str, block_words: int) -> PaddingResult:
+    """The padding pass behind :func:`variant_program` (Figure 13) and
+    :func:`pad_expansion` (Table 4).
+
+    Not memoised: holding every padded program from Table 4 until
+    Figure 13 raises a report's peak memory by over half.
+    """
+    if variant == "pad_all":
+        return pad_all(load_workload(benchmark).program, block_words)
+    if variant == "pad_trace":
+        return pad_trace(_reorder_cached(benchmark), block_words)
+    raise KeyError(f"not a padded variant: {variant!r}")
 
 
 @lru_cache(maxsize=None)
@@ -263,6 +277,33 @@ def eir_stats(
         return measure_eir(trace, machine, scheme)
 
     return result_cache.get_or_compute("eir_stats", key, compute)
+
+
+def branch_stats(
+    benchmark: str, variant: str, length: int, seed: int, block_words: int
+) -> TakenBranchStats:
+    """Taken-branch statistics of the ``orig`` or ``reordered`` trace
+    (Tables 2 and 3) at *block_words*, disk-cached like
+    :func:`sim_stats`.  The trace itself does not depend on
+    *block_words*."""
+    key = (benchmark, variant, length, seed, block_words)
+
+    def compute() -> TakenBranchStats:
+        trace = variant_trace(benchmark, variant, length, seed)
+        return taken_branch_stats(trace, block_words)
+
+    return result_cache.get_or_compute("branch_stats", key, compute)
+
+
+def pad_expansion(benchmark: str, variant: str, block_words: int) -> float:
+    """Static nop expansion of a ``pad_all``/``pad_trace`` variant
+    (Table 4), disk-cached like :func:`sim_stats`."""
+    key = (benchmark, variant, block_words)
+
+    def compute() -> float:
+        return _pad(benchmark, variant, block_words).expansion
+
+    return result_cache.get_or_compute("pad_expansion", key, compute)
 
 
 def hmean_ipc(

@@ -13,9 +13,8 @@ from repro.experiments.common import (
     ExperimentConfig,
     ExperimentResult,
     all_machines,
-    variant_trace,
+    branch_stats,
 )
-from repro.metrics.branches import taken_branch_stats
 from repro.workloads.profiles import ALL_BENCHMARKS, get_profile
 
 #: The paper's published values (percent; PI4/PI8/PI12).  bison and doduc
@@ -49,12 +48,15 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
         ),
     )
     for benchmark in ALL_BENCHMARKS:
-        trace = variant_trace(
-            benchmark, "orig", config.stats_length, config.seed
-        )
         row = [get_profile(benchmark).workload_class, benchmark]
         for machine in all_machines():
-            stats = taken_branch_stats(trace, machine.words_per_block)
+            stats = branch_stats(
+                benchmark,
+                "orig",
+                config.stats_length,
+                config.seed,
+                machine.words_per_block,
+            )
             row.append(100.0 * stats.intra_block_fraction)
         result.rows.append(row)
     return result

@@ -14,9 +14,9 @@ from repro.experiments.common import (
     DEFAULT_CONFIG,
     ExperimentConfig,
     ExperimentResult,
-    variant_trace,
+    branch_stats,
 )
-from repro.metrics.branches import taken_branch_reduction
+from repro.metrics.branches import reduction_between, taken_branch_reduction
 from repro.workloads.profiles import INTEGER_BENCHMARKS
 from repro.workloads.suite import load_workload
 from repro.workloads.trace import generate_trace
@@ -46,13 +46,11 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
         ),
     )
     for benchmark in INTEGER_BENCHMARKS:
-        original = variant_trace(
-            benchmark, "orig", config.stats_length, config.seed
+        original, reordered = (
+            branch_stats(benchmark, variant, config.stats_length, config.seed, 4)
+            for variant in ("orig", "reordered")
         )
-        reordered = variant_trace(
-            benchmark, "reordered", config.stats_length, config.seed
-        )
-        reduction = 100.0 * taken_branch_reduction(original, reordered)
+        reduction = 100.0 * reduction_between(original, reordered)
         result.rows.append(
             [benchmark, reduction, PAPER_TABLE3[benchmark]]
         )
@@ -91,14 +89,15 @@ def run_superblock(
         workload = load_workload(benchmark)
         superblocked = form_superblocks(workload.program, workload.behavior)
         reordered = reorder_program(workload.program, workload.behavior)
-        original = generate_trace(
-            workload.program, workload.behavior, config.stats_length
-        )
-        re_trace = generate_trace(
-            reordered.program, workload.behavior, config.stats_length
-        )
-        sb_trace = generate_trace(
-            superblocked.program, workload.behavior, config.stats_length
+        original, re_trace, sb_trace = (
+            generate_trace(
+                program, workload.behavior, config.stats_length, seed=config.seed
+            )
+            for program in (
+                workload.program,
+                reordered.program,
+                superblocked.program,
+            )
         )
         result.rows.append(
             [

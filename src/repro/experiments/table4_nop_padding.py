@@ -8,16 +8,14 @@ Paper: pad-trace stays cheap (0.1-42%), pad-all explodes (16-255%).
 
 from __future__ import annotations
 
-from repro.compiler import pad_all, pad_trace
 from repro.experiments.common import (
     DEFAULT_CONFIG,
     ExperimentConfig,
     ExperimentResult,
-    _reorder_cached,
+    all_machines,
+    pad_expansion,
 )
-from repro.experiments.common import all_machines
 from repro.workloads.profiles import INTEGER_BENCHMARKS
-from repro.workloads.suite import load_workload
 
 #: Paper Table 4 (percent of nops vs original code size) at 16B blocks.
 PAPER_TABLE4_16B = {
@@ -48,11 +46,9 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
         ),
     )
     for benchmark in INTEGER_BENCHMARKS:
-        workload = load_workload(benchmark)
-        reordered = _reorder_cached(benchmark)
         row = [benchmark]
         for words in block_sizes:
-            row.append(100.0 * pad_all(workload.program, words).expansion)
-            row.append(100.0 * pad_trace(reordered, words).expansion)
+            for variant in ("pad_all", "pad_trace"):
+                row.append(100.0 * pad_expansion(benchmark, variant, words))
         result.rows.append(row)
     return result

@@ -56,13 +56,24 @@ def taken_branch_reduction(
     optimized: DynamicTrace,
     block_words: int = 4,
 ) -> float:
+    """Fractional reduction in dynamic taken branches (paper Table 3)
+    between two traces; see :func:`reduction_between`."""
+    return reduction_between(
+        taken_branch_stats(original, block_words),
+        taken_branch_stats(optimized, block_words),
+    )
+
+
+def reduction_between(
+    original: TakenBranchStats, optimized: TakenBranchStats
+) -> float:
     """Fractional reduction in dynamic taken branches (paper Table 3).
 
     Normalised per *work* instruction so traces of differing lengths (the
     optimized layout adds/removes jumps and nops) compare fairly.
     """
-    before = taken_branch_stats(original, block_words).taken_per_work_instruction
-    after = taken_branch_stats(optimized, block_words).taken_per_work_instruction
+    before = original.taken_per_work_instruction
+    after = optimized.taken_per_work_instruction
     if before == 0:
         return 0.0
     return 1.0 - after / before

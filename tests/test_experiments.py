@@ -1,5 +1,7 @@
 """Tests for the experiment harness (scaled-down configurations)."""
 
+import functools
+
 import pytest
 
 from repro.experiments import (
@@ -13,7 +15,15 @@ from repro.experiments import (
     variant_program,
     variant_trace,
 )
+from repro.experiments import common
 from repro.experiments.report import EXPERIMENTS, run_experiments
+from repro.metrics.branches import (
+    reduction_between,
+    taken_branch_reduction,
+    taken_branch_stats,
+)
+from repro.sim import cache as result_cache
+from repro.workloads.profiles import INTEGER_BENCHMARKS
 
 #: Small config so experiment tests stay fast.
 FAST = ExperimentConfig(
@@ -152,3 +162,118 @@ class TestSerialisation:
         assert decoded["experiment"] == "table4"
         assert decoded["rows"] == [list(r) for r in json.loads(
             result.to_json())["rows"]]
+
+
+#: Tables 2-4 at a size small enough to run three times per test.
+TINY = ExperimentConfig(
+    trace_length=1500, eir_length=1500, stats_length=4000, warmup=300, seed=7
+)
+
+#: Workload, trace and compiler entry points a warm Table 2-4 run must
+#: never reach (every cell comes from the result cache).
+_UNCACHED_WORK = (
+    "generate_trace",
+    "reorder_program",
+    "pad_all",
+    "pad_trace",
+    "load_workload",
+)
+
+
+@pytest.fixture()
+def fresh_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+
+
+@pytest.fixture(scope="class")
+def cold_tables(tmp_path_factory):
+    """Tables 2-4 run cold on an empty cache: (cache dir, JSON, counter
+    deltas)."""
+    cache_dir = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        patch.delenv("REPRO_CACHE", raising=False)
+        _clear_memos()
+        before = result_cache.stats.snapshot()
+        text = _tables_json(TINY)
+        yield cache_dir, text, result_cache.stats.since(before)
+    _clear_memos()
+
+
+def _clear_memos() -> None:
+    for value in vars(common).values():
+        if isinstance(value, functools._lru_cache_wrapper):
+            value.cache_clear()
+
+
+def _tables_json(config: ExperimentConfig) -> str:
+    return "\n".join(
+        module.run(config).to_json()
+        for module in (table2_intra_block, table3_taken_reduction, table4_nop_padding)
+    )
+
+
+def _forbid_uncached_work(monkeypatch) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm table run reached a workload/compiler pass")
+
+    for module in (
+        common,
+        table2_intra_block,
+        table3_taken_reduction,
+        table4_nop_padding,
+    ):
+        for name in _UNCACHED_WORK:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+
+class TestTableCaching:
+    """Tables 2-4 read every measured cell through the result cache."""
+
+    def test_warm_run_does_no_trace_or_compiler_work(
+        self, cold_tables, monkeypatch
+    ):
+        cache_dir, cold, cold_delta = cold_tables
+        # 15 x 3 Table 2 cells, 9 reordered Table 3 cells (its 9 orig
+        # cells are Table 2's 4-word cells) and 9 x 6 Table 4 cells.
+        assert (cold_delta["misses"], cold_delta["hits"]) == (108, 9)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        _clear_memos()
+        _forbid_uncached_work(monkeypatch)
+        before = result_cache.stats.snapshot()
+        warm = _tables_json(TINY)
+        delta = result_cache.stats.since(before)
+        assert warm == cold
+        assert (delta["misses"], delta["hits"]) == (0, 117)
+
+    def test_uncached_run_matches_cached(self, cold_tables, monkeypatch):
+        _, cached, _ = cold_tables
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        _clear_memos()
+        assert _tables_json(TINY) == cached
+
+    def test_table3_cells_equal_trace_reduction(self, fresh_cache):
+        for benchmark, measured, _ in table3_taken_reduction.run(TINY).rows:
+            original, reordered = (
+                variant_trace(benchmark, variant, TINY.stats_length, TINY.seed)
+                for variant in ("orig", "reordered")
+            )
+            assert measured == 100.0 * taken_branch_reduction(
+                original, reordered
+            )
+            for words in (8, 16):
+                assert reduction_between(
+                    taken_branch_stats(original, words),
+                    taken_branch_stats(reordered, words),
+                ) == taken_branch_reduction(original, reordered, words)
+
+    def test_superblock_reorder_column_uses_config_seed(self, fresh_cache):
+        table3 = {
+            row[0]: row[1] for row in table3_taken_reduction.run(TINY).rows
+        }
+        rows = table3_taken_reduction.run_superblock(TINY).rows
+        assert rows
+        for row in rows:
+            assert row[1] == table3[row[0]], row[0]
