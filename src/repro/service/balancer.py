@@ -67,7 +67,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro import knobs
 from repro.hashring import ConsistentRing
 from repro.service.protocol import ValidationError, job_key, validate_job
-from repro.service.server import MAX_BODY_BYTES, ServiceServer
+from repro.service.server import KeepAliveConnections, ServiceServer, read_headers
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import trace as tracing
 from repro.telemetry.export import to_prometheus
@@ -210,7 +210,6 @@ class Balancer:
         self.ring = ConsistentRing([r.name for r in replicas])
         self.host = host
         self.port = port
-        self.idle_timeout = idle_timeout
         self.registry = MetricsRegistry()
         self.started = time.time()
         #: Optional :class:`~repro.service.cluster.ClusterManager` — set
@@ -218,7 +217,9 @@ class Balancer:
         self.cluster = None
         self._server: asyncio.base_events.Server | None = None
         self._shutdown = asyncio.Event()
-        self._connections: set[asyncio.Task] = set()
+        self._connections = KeepAliveConnections(
+            self._route, self.registry, "balance.connection_errors", idle_timeout
+        )
         self._pools: dict[str, list[_Upstream]] = {}
         self._requests_seen = 0
         self._retries_spent = 0
@@ -227,7 +228,7 @@ class Balancer:
 
     async def start(self) -> int:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._connections.serve, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -252,10 +253,7 @@ class Balancer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._connections.close()
         for pool in self._pools.values():
             for upstream in pool:
                 upstream.writer.close()
@@ -404,7 +402,7 @@ class Balancer:
         if len(parts) < 2 or not parts[1].isdigit():
             raise ConnectionError(f"bad status line from {replica.name}")
         status = int(parts[1])
-        resp_headers = await ServiceServer._read_headers(upstream.reader)
+        resp_headers = await read_headers(upstream.reader)
         if resp_headers is None:
             raise ConnectionError(f"truncated response from {replica.name}")
         length = int(resp_headers.get("content-length", "0") or 0)
@@ -531,70 +529,6 @@ class Balancer:
             sp.set(ejected=True)
 
     # request handling ------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self.idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if not line.strip():
-                    if not line:
-                        break
-                    continue
-                parts = line.decode("latin-1").split()
-                if len(parts) != 3:
-                    await ServiceServer._respond(
-                        writer, 400, {"error": "bad request line"}
-                    )
-                    break
-                method, target, version = parts
-                headers = await ServiceServer._read_headers(reader)
-                if headers is None:
-                    break
-                length = int(headers.get("content-length", "0") or 0)
-                if length > MAX_BODY_BYTES:
-                    await ServiceServer._respond(
-                        writer, 400, {"error": "body too large"}
-                    )
-                    break
-                body = await reader.readexactly(length) if length else b""
-                try:
-                    status, payload, extra = await self._route(
-                        method.upper(), target, body, headers
-                    )
-                except Exception as exc:  # noqa: BLE001 - last-resort 500
-                    status, payload, extra = (
-                        500,
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                        [],
-                    )
-                close = (
-                    headers.get("connection", "").lower() == "close"
-                    or version == "HTTP/1.0"
-                )
-                await ServiceServer._respond(
-                    writer, status, payload, extra, close
-                )
-                if close:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-            # A torn client connection ends this keep-alive session only;
-            # the counter keeps churn visible in the balancer's /metrics.
-            self.registry.inc("balance.connection_errors")
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - peer already gone
-                pass
 
     async def _route(
         self, method: str, target: str, body: bytes, headers: dict[str, str]

@@ -71,6 +71,143 @@ _REASONS = {
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
+class KeepAliveConnections:
+    """The keep-alive HTTP/1.1 connections of one front end (the service
+    or the balancer).
+
+    :meth:`serve` is the ``asyncio.start_server`` callback: it answers
+    one request after another with *route* (a last-resort 500 if that
+    raises) until the peer closes or asks to, the connection idles past
+    *idle_timeout*, or :meth:`close` runs.  A connection torn
+    mid-request counts in *registry* as *torn_counter*.
+    """
+
+    def __init__(
+        self, route, registry, torn_counter: str, idle_timeout: float
+    ) -> None:
+        self.route = route
+        self.registry = registry
+        self.torn_counter = torn_counter
+        self.idle_timeout = idle_timeout
+        self._tasks: set[asyncio.Task] = set()
+        self._closing = False
+
+    async def serve(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
+        try:
+            # The flag ends the loop even when close()'s cancel is lost:
+            # Python 3.11's wait_for drops a cancel that lands just as
+            # readline() completes, and the handler would then serve
+            # that request and idle in readline() again.
+            while not self._closing:
+                try:
+                    line = await asyncio.wait_for(
+                        reader.readline(), self.idle_timeout
+                    )
+                except asyncio.TimeoutError:
+                    break
+                if not line.strip():
+                    if not line:
+                        break  # peer closed
+                    continue
+                parts = line.decode("latin-1").split()
+                if len(parts) != 3:
+                    await respond(writer, 400, {"error": "bad request line"})
+                    break
+                method, target, version = parts
+                headers = await read_headers(reader)
+                if headers is None:
+                    break
+                length = int(headers.get("content-length", "0") or 0)
+                if length > MAX_BODY_BYTES:
+                    await respond(writer, 400, {"error": "body too large"})
+                    break
+                body = await reader.readexactly(length) if length else b""
+                try:
+                    status, payload, extra = await self.route(
+                        method.upper(), target, body, headers
+                    )
+                except Exception as exc:  # noqa: BLE001 - last-resort 500
+                    status, payload, extra = (
+                        500,
+                        {"error": f"{type(exc).__name__}: {exc}"},
+                        [],
+                    )
+                close = (
+                    headers.get("connection", "").lower() == "close"
+                    or version == "HTTP/1.0"
+                )
+                await respond(writer, status, payload, extra, close)
+                if close:
+                    break
+        except (
+            asyncio.IncompleteReadError,
+            ConnectionError,
+            ValueError,
+        ):
+            # A torn connection only ends this keep-alive session; the
+            # counter keeps (balancer-induced) churn visible in /metrics.
+            self.registry.inc(self.torn_counter)
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except Exception:  # noqa: BLE001 - peer already gone
+                pass
+
+    async def close(self) -> None:
+        """End every connection (idle keep-alives would otherwise pin the
+        loop): mark them closing, cancel them, wait for them to finish."""
+        self._closing = True
+        for task in list(self._tasks):
+            task.cancel()
+        if self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+
+
+async def read_headers(reader) -> dict[str, str] | None:
+    """The header block of one HTTP message (``None`` at end-of-file)."""
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if not line:
+            return None
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
+async def respond(
+    writer,
+    status: int,
+    payload: object,
+    extra_headers: list[tuple[str, str]] | None = None,
+    close: bool = False,
+) -> None:
+    """Write one HTTP response: JSON, or text for a ``str`` payload."""
+    if isinstance(payload, str):
+        # Plain-text exposition (Prometheus /metrics).
+        body = payload.encode()
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        body = (json.dumps(payload) + "\n").encode()
+        content_type = "application/json"
+    head = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(body)}",
+        "Connection: " + ("close" if close else "keep-alive"),
+    ]
+    for name, value in extra_headers or []:
+        head.append(f"{name}: {value}")
+    writer.write("\r\n".join(head).encode() + b"\r\n\r\n" + body)
+    await writer.drain()
+
+
 class ServiceServer:
     """One listening service instance around a :class:`JobScheduler`."""
 
@@ -86,17 +223,21 @@ class ServiceServer:
         self.host = host
         self.port = port
         self.max_wait = max_wait
-        self.idle_timeout = idle_timeout
         self._server: asyncio.base_events.Server | None = None
         self._shutdown = asyncio.Event()
-        self._connections: set[asyncio.Task] = set()
+        self._connections = KeepAliveConnections(
+            self._route,
+            scheduler.registry,
+            "service.connection_errors",
+            idle_timeout,
+        )
 
     # lifecycle -------------------------------------------------------------
 
     async def start(self) -> int:
         """Bind and listen; returns the actual port (``port=0`` picks)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._connections.serve, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -135,124 +276,8 @@ class ServiceServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Idle keep-alive connections would otherwise pin the loop.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._connections.close()
         self._shutdown.set()
-
-    # connection handling ---------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self.idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if not line.strip():
-                    if not line:
-                        break  # peer closed
-                    continue
-                parts = line.decode("latin-1").split()
-                if len(parts) != 3:
-                    await self._respond(writer, 400, {"error": "bad request line"})
-                    break
-                method, target, version = parts
-                headers = await self._read_headers(reader)
-                if headers is None:
-                    break
-                body = b""
-                length = int(headers.get("content-length", "0") or 0)
-                if length > MAX_BODY_BYTES:
-                    await self._respond(writer, 400, {"error": "body too large"})
-                    break
-                if length:
-                    body = await reader.readexactly(length)
-                started = time.monotonic()
-                try:
-                    status, payload, extra = await self._route(
-                        method.upper(), target, body, headers
-                    )
-                except Exception as exc:  # noqa: BLE001 - last-resort 500
-                    status, payload, extra = (
-                        500,
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                        [],
-                    )
-                if isinstance(payload, dict):
-                    # Server-side handling time for this very request —
-                    # what loadgen subtracts from client latency to make
-                    # network + queueing visible.
-                    payload.setdefault(
-                        "server_seconds", round(time.monotonic() - started, 6)
-                    )
-                close = (
-                    headers.get("connection", "").lower() == "close"
-                    or version == "HTTP/1.0"
-                )
-                await self._respond(writer, status, payload, extra, close)
-                if close:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            ValueError,
-        ):
-            # A torn connection only ends this keep-alive session; the
-            # counter keeps balancer-induced churn visible in /metrics.
-            self.scheduler.registry.inc("service.connection_errors")
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - peer already gone
-                pass
-
-    @staticmethod
-    async def _read_headers(reader) -> dict[str, str] | None:
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line:
-                return None
-            if line in (b"\r\n", b"\n"):
-                return headers
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-
-    @staticmethod
-    async def _respond(
-        writer,
-        status: int,
-        payload: object,
-        extra_headers: list[tuple[str, str]] | None = None,
-        close: bool = False,
-    ) -> None:
-        if isinstance(payload, str):
-            # Plain-text exposition (Prometheus /metrics).
-            body = payload.encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            body = (json.dumps(payload) + "\n").encode()
-            content_type = "application/json"
-        head = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: " + ("close" if close else "keep-alive"),
-        ]
-        for name, value in extra_headers or []:
-            head.append(f"{name}: {value}")
-        writer.write("\r\n".join(head).encode() + b"\r\n\r\n" + body)
-        await writer.drain()
 
     # routing ---------------------------------------------------------------
 
@@ -268,23 +293,33 @@ class ServiceServer:
         ``traceparent`` header) and is echoed back as a ``traceparent``
         response header so clients learn their trace id."""
         headers = headers or {}
+        started = time.monotonic()
         if not tracing.tracing_enabled():
-            return await self._route_inner(method, target, body, headers)
-        parent = tracing.parse_traceparent(headers.get("traceparent"))
-        with tracing.span(
-            "service.request",
-            parent=parent,
-            method=method,
-            path=urlsplit(target).path,
-        ) as sp:
             status, payload, extra = await self._route_inner(
                 method, target, body, headers
             )
-            sp.set(status=status)
-            echo = sp.traceparent()
-            if echo:
-                extra = list(extra) + [("traceparent", echo)]
-            return status, payload, extra
+        else:
+            with tracing.span(
+                "service.request",
+                parent=tracing.parse_traceparent(headers.get("traceparent")),
+                method=method,
+                path=urlsplit(target).path,
+            ) as sp:
+                status, payload, extra = await self._route_inner(
+                    method, target, body, headers
+                )
+                sp.set(status=status)
+                echo = sp.traceparent()
+                if echo:
+                    extra = list(extra) + [("traceparent", echo)]
+        if isinstance(payload, dict):
+            # Server-side handling time for this very request — what
+            # loadgen subtracts from client latency to make network +
+            # queueing visible.
+            payload.setdefault(
+                "server_seconds", round(time.monotonic() - started, 6)
+            )
+        return status, payload, extra
 
     async def _route_inner(
         self, method: str, target: str, body: bytes, headers: dict[str, str]
@@ -512,7 +547,6 @@ def serve(
         config=SupervisorConfig(
             timeout=job_timeout,
             max_attempts=max(1, retries + 1),
-            poll_interval=0.01,
         ),
         requested_start_method=start_method,
     )

@@ -10,15 +10,25 @@ slot and treats every job as a unit of recovery:
   ``backoff_base * backoff_factor**(attempt-1)`` seconds (capped,
   jittered from a seeded RNG) until ``max_attempts`` is exhausted.
 * **Dead-worker detection and requeue** — a worker that exits (injected
-  crash, OOM kill, segfault) is detected by the supervision pass, its
-  in-flight job requeued and the slot respawned.
+  crash, OOM kill, segfault) closes its result pipe; the parent reads
+  end-of-file, requeues the in-flight job and respawns the slot.
 * **Degrade to serial** — after ``max_worker_failures`` worker deaths or
-  hangs, the pool stops trusting its workers, terminates them and runs
-  the remaining jobs in-process (still honouring the retry budget).
+  hangs, the pool stops trusting its workers: attempts in flight go
+  back on the schedule, the workers are terminated, and the pool runs
+  on with zero slots (still honouring the retry budget).
 * **Per-job audit** — every job resolves to a :class:`JobOutcome`
   (``ok``/``retried``/``timeout``/``crashed``/``skipped``, attempt
   count, per-attempt failure reasons, wall time) folded into
   :class:`repro.sim.batch.BatchReport` and the telemetry manifest.
+
+One supervision loop serves every pool.  A pool with ``processes=0`` (or
+no usable start method) is a pool with zero worker slots, whose
+supervision thread runs each due attempt itself, one per pass.  Every
+attempt, first or retry, waits on one due-time heap, and the loop
+sleeps in one ``multiprocessing.connection.wait`` on a wakeup socket
+(written by ``submit``/``drain``/``cancel``) and the workers' result
+pipes, until the next due retry or job timeout — never a poll period,
+never a backoff sleep.
 
 The service submits an open-ended stream of jobs to a long-lived pool.
 :func:`run_supervised` is the batch façade over the same pool: it serves
@@ -29,11 +39,11 @@ moment it arrives, and raises :class:`BatchError` naming any job it could
 not complete.
 
 Every recovery path is provable on demand with the deterministic fault
-harness (:mod:`repro.faults`, ``REPRO_FAULTS=...``): the worker wrapper
-fires the ``batch.worker`` site with the job index and attempt number,
-and the pool fires ``service.handoff`` as it hands a job to a worker, so
-an injected crash/hang/exception schedule is reproducible across
-processes.  See ``docs/robustness.md``.
+harness (:mod:`repro.faults`, ``REPRO_FAULTS=...``): each attempt fires
+the ``batch.worker`` site with the job index and attempt number, and the
+pool fires ``service.handoff`` at every dispatch (to a worker or to
+itself), so an injected crash/hang/exception schedule is reproducible
+across processes.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ import os
 import pickle
 import queue
 import random
+import socket
 import threading
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -100,8 +111,6 @@ class SupervisorConfig:
     backoff_seed: int = 0
     #: Worker deaths/hangs tolerated before degrading to serial.
     max_worker_failures: int = 8
-    #: Parent supervision poll period in seconds.
-    poll_interval: float = 0.05
 
     def backoff_seconds(self, attempt: int, rng: random.Random) -> float:
         base = min(
@@ -271,14 +280,44 @@ class SweepJournal:
 # -- worker side --------------------------------------------------------------
 
 
+def _attempt(
+    run_job: Callable[[Any], Any],
+    index: int,
+    attempt: int,
+    job: Any,
+    trace_parent: str | None,
+) -> tuple[bool, Any, float]:
+    """Run one attempt of one job: ``(ok, result or reason, seconds)``.
+
+    The one attempt wrapper, whether a worker process or the supervision
+    thread (a pool with no worker slots) runs it: it opens the attempt's
+    ``batch.job`` span on the submitter's trace and fires the
+    ``batch.worker`` chaos site.  Exceptions are *reported*, not raised
+    — only a real crash (or an injected one, inside a worker) ends the
+    attempt otherwise."""
+    start = time.perf_counter()
+    try:
+        with tracing.span(
+            "batch.job",
+            parent=tracing.parse_traceparent(trace_parent),
+            index=index,
+            attempt=attempt,
+        ):
+            faults.maybe_fail("batch.worker", token=index, attempt=attempt)
+            value = run_job(job)
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:
+        return False, f"{type(exc).__name__}: {exc}", time.perf_counter() - start
+    return True, value, time.perf_counter() - start
+
+
 def _worker_main(worker_id: int, run_job, task_queue, result_conn) -> None:
-    """Worker loop: pull ``(index, attempt, job, trace_parent)``, send
-    an ``ok`` or ``error`` message over this worker's *private* result
-    pipe.
-    Module-level and closure-free so it pickles under ``spawn``.
-    Exceptions are *reported*, not fatal — only a real crash (or an
-    injected one) kills the process, and the supervisor notices that by
-    itself.
+    """Worker loop: pull ``(index, attempt, job, trace_parent)``, run it
+    through :func:`_attempt` and send ``(ok, worker_id, index, attempt,
+    value, cache_delta, seconds, spans)`` over this worker's *private*
+    result pipe.  Module-level and closure-free so it pickles under
+    ``spawn``.
 
     The result channel is a per-worker ``Pipe``, deliberately **not** a
     shared ``multiprocessing.Queue``: a queue serialises its writers
@@ -287,8 +326,8 @@ def _worker_main(worker_id: int, run_job, task_queue, result_conn) -> None:
     OOM) between that thread's acquire and release leaks the lock
     forever, wedging every other worker's result delivery and
     deadlocking the supervisor.  With one single-writer pipe per worker
-    a death can only sever that worker's own channel — the parent sees
-    ``EOFError``, requeues the job and respawns the slot.
+    a death can only sever that worker's own channel — the parent reads
+    end-of-file, requeues the job and respawns the slot.
 
     Tracing: the shipped ``trace_parent`` joins this attempt's
     ``batch.job`` span to the parent's trace; the spans buffered in this
@@ -302,40 +341,23 @@ def _worker_main(worker_id: int, run_job, task_queue, result_conn) -> None:
         if item is None:
             return
         index, attempt, job, trace_parent = item
-        start = time.perf_counter()
         before = result_cache.stats.snapshot()
         try:
-            with tracing.span(
-                "batch.job",
-                parent=tracing.parse_traceparent(trace_parent),
-                index=index,
-                attempt=attempt,
-            ):
-                faults.maybe_fail("batch.worker", token=index, attempt=attempt)
-                result = run_job(job)
+            ok, value, seconds = _attempt(
+                run_job, index, attempt, job, trace_parent
+            )
         except KeyboardInterrupt:  # pragma: no cover - parent interrupt
             return
-        except BaseException as exc:
-            message = (
-                "error",
-                worker_id,
-                index,
-                attempt,
-                f"{type(exc).__name__}: {exc}",
-                time.perf_counter() - start,
-                tracing.drain_spans(),
-            )
-        else:
-            message = (
-                "ok",
-                worker_id,
-                index,
-                attempt,
-                result,
-                result_cache.stats.since(before),
-                time.perf_counter() - start,
-                tracing.drain_spans(),
-            )
+        message = (
+            ok,
+            worker_id,
+            index,
+            attempt,
+            value,
+            result_cache.stats.since(before),
+            seconds,
+            tracing.drain_spans(),
+        )
         try:
             result_conn.send(message)
         except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
@@ -359,7 +381,6 @@ def start_method(requested: str | None) -> str | None:
 
 @dataclass(slots=True)
 class _Worker:
-    id: int
     process: Any
     tasks: Any
     #: Parent-side receive end of this worker's private result pipe.
@@ -440,11 +461,12 @@ class WorkerPool:
     * :meth:`cancel` stops intake and abandons everything still queued
       or in flight — the batch's interrupt path.
 
-    ``processes=0`` runs jobs inline on the supervision thread (no
-    worker processes: timeouts unenforceable, and the fault harness
-    degrades injected crashes and hangs to exceptions).  Supervision
-    runs on a daemon thread, so futures resolve off the caller's thread;
-    asyncio callers bridge with ``asyncio.wrap_future``.
+    ``processes=0`` (or no usable start method) is a pool with zero
+    worker slots: the supervision thread runs each attempt itself (no
+    timeouts, and the fault harness degrades injected crashes and hangs
+    to exceptions).  Supervision runs on a daemon thread, so futures
+    resolve off the caller's thread; asyncio callers bridge with
+    ``asyncio.wrap_future``.
     """
 
     def __init__(
@@ -467,9 +489,17 @@ class WorkerPool:
         self.degraded_serial = False
         self._rng = random.Random(self.config.backoff_seed)
         self._seq = 0
-        #: Tickets, plus a ``None`` that wakes the thread when intake closes.
-        self._inbox: queue.Queue[_PoolTicket | None] = queue.Queue()
+        self._inbox: queue.Queue[_PoolTicket] = queue.Queue()
         self._live: dict[int, _PoolTicket] = {}
+        #: Attempts waiting for their due time: ``(due, seq, index, attempt)``.
+        self._pending: list[tuple[float, int, int, int]] = []
+        #: Worker slots; empty for a serial (or degraded) pool.
+        self._workers: list[_Worker] = []
+        self._next_worker_id = 0
+        #: Written by submit/drain/cancel to wake the supervision wait.
+        self._wake, self._waker = socket.socketpair()
+        self._wake.setblocking(False)
+        self._waker.setblocking(False)
         self._draining = threading.Event()
         self._cancelled = threading.Event()
         #: Set once the worker processes are spawned (immediately for
@@ -515,6 +545,7 @@ class WorkerPool:
                 index, job, future, future.outcome, trace_parent, submitted
             )
         )
+        self._wakeup()
         return future
 
     def drain(self, timeout: float | None = None) -> bool:
@@ -522,7 +553,7 @@ class WorkerPool:
         workers.  Returns True once fully drained (within *timeout*
         seconds, if given); idempotent."""
         self._draining.set()
-        self._inbox.put(None)
+        self._wakeup()
         self._thread.join(timeout)
         return not self._thread.is_alive()
 
@@ -533,7 +564,7 @@ class WorkerPool:
         preempt it."""
         self._cancelled.set()
         self._draining.set()
-        self._inbox.put(None)
+        self._wakeup()
         self._thread.join()
 
     @property
@@ -569,18 +600,62 @@ class WorkerPool:
                 and not self._draining.is_set(),
             }
 
-    # resolution bookkeeping ------------------------------------------------
-
-    def _set_result(self, ticket: _PoolTicket, value: Any) -> None:
-        with self._lock:
-            self._completed += 1
-            self._unfinished -= 1
+    def _wakeup(self) -> None:
         try:
-            ticket.future.set_result(value)
-        except concurrent.futures.InvalidStateError:  # cancelled waiter
+            self._waker.send(b"\0")
+        except OSError:  # buffer full (a wakeup is pending) or pool closed
             pass
 
-    def _set_exception(self, ticket: _PoolTicket, exc: BaseException) -> None:
+    # resolution bookkeeping ------------------------------------------------
+
+    def _schedule(self, index: int, attempt: int, delay: float) -> None:
+        self._seq += 1
+        heapq.heappush(
+            self._pending, (time.monotonic() + delay, self._seq, index, attempt)
+        )
+
+    def _settle(
+        self,
+        index: int,
+        attempt: int,
+        ok: bool,
+        value: Any,
+        seconds: float,
+        kind: str = "crashed",
+    ) -> None:
+        """Account one finished attempt: resolve the job's future, or
+        record the failure (*value* is its reason) and either schedule
+        the next attempt after its backoff or fail the job as *kind*."""
+        ticket = self._live.get(index)
+        if ticket is None:
+            return  # stale report for a job already resolved or released
+        outcome = ticket.outcome
+        outcome.attempts = max(outcome.attempts, attempt)
+        outcome.wall_seconds += seconds
+        if ok:
+            del self._live[index]
+            outcome.status = "retried" if outcome.failures else "ok"
+            with self._lock:
+                self._completed += 1
+                self._unfinished -= 1
+            try:
+                ticket.future.set_result(value)
+            except concurrent.futures.InvalidStateError:  # cancelled waiter
+                pass
+            return
+        outcome.failures.append(f"attempt {attempt}: {value}")
+        if attempt < self.config.max_attempts:
+            delay = self.config.backoff_seconds(attempt, self._rng)
+            self._schedule(index, attempt + 1, delay)
+            return
+        del self._live[index]
+        outcome.status = kind
+        self._fail(
+            ticket,
+            PoolJobError(f"job {kind} after {attempt} attempt(s): {value}", outcome),
+        )
+
+    def _fail(self, ticket: _PoolTicket, exc: BaseException) -> None:
         with self._lock:
             self._failed += 1
             self._unfinished -= 1
@@ -589,327 +664,207 @@ class WorkerPool:
         except concurrent.futures.InvalidStateError:  # cancelled waiter
             pass
 
-    def _resolve(self, ticket: _PoolTicket, attempt: int, result: Any) -> None:
-        outcome = ticket.outcome
-        outcome.attempts = max(outcome.attempts, attempt)
-        outcome.status = "ok" if not outcome.failures else "retried"
-        self._set_result(ticket, result)
+    # worker slots ----------------------------------------------------------
 
-    def _record_failure(
-        self, ticket: _PoolTicket, attempt: int, reason: str, kind: str
-    ) -> bool:
-        """Record one failed attempt; True when a retry is still owed."""
-        outcome = ticket.outcome
-        outcome.attempts = max(outcome.attempts, attempt)
-        outcome.failures.append(f"attempt {attempt}: {reason}")
-        if attempt >= self.config.max_attempts:
-            outcome.status = kind
-            self._set_exception(
-                ticket,
-                PoolJobError(
-                    f"job {kind} after {attempt} attempt(s): {reason}",
-                    outcome,
-                ),
-            )
-            return False
-        return True
-
-    # serial execution ------------------------------------------------------
-
-    def _run_inline(self, ticket: _PoolTicket, first_attempt: int = 1) -> None:
-        """Run one ticket on the supervision thread with retries."""
-        attempt = first_attempt
-        while True:
-            start = time.perf_counter()
-            try:
-                with tracing.span(
-                    "batch.job",
-                    parent=tracing.parse_traceparent(ticket.trace_parent),
-                    index=ticket.index,
-                    attempt=attempt,
-                ):
-                    faults.maybe_fail(
-                        "batch.worker", token=ticket.index, attempt=attempt
-                    )
-                    result = self.run_job(ticket.job)
-            except BaseException as exc:
-                ticket.outcome.wall_seconds += time.perf_counter() - start
-                if not self._record_failure(
-                    ticket, attempt, f"{type(exc).__name__}: {exc}", "crashed"
-                ):
-                    return
-                time.sleep(self.config.backoff_seconds(attempt, self._rng))
-                attempt += 1
-            else:
-                ticket.outcome.wall_seconds += time.perf_counter() - start
-                self._resolve(ticket, attempt, result)
-                return
-
-    def _supervise_serial(self) -> None:
-        self._workers_started.set()
-        while True:
-            try:
-                ticket = self._inbox.get(timeout=self.config.poll_interval)
-            except queue.Empty:
-                ticket = None
-            if ticket is None:  # timed out, or woken by drain()/cancel()
-                if self._draining.is_set():
-                    return
-                continue
-            if self._cancelled.is_set():
-                self._live[ticket.index] = ticket  # _release cancels it
-                return
-            _record_queue_wait(ticket)
-            self._run_inline(ticket)
-
-    # parallel execution ----------------------------------------------------
-
-    def _schedule(
-        self,
-        pending: list[tuple[float, int, int, int]],
-        index: int,
-        attempt: int,
-        delay: float,
-    ) -> None:
-        self._seq += 1
-        heapq.heappush(
-            pending, (time.monotonic() + delay, self._seq, index, attempt)
-        )
-
-    def _requeue(
-        self,
-        pending: list[tuple[float, int, int, int]],
-        index: int,
-        attempt: int,
-        reason: str,
-        kind: str,
-    ) -> None:
-        ticket = self._live.get(index)
-        if ticket is None:
-            return
-        if self._record_failure(ticket, attempt, reason, kind):
-            delay = self.config.backoff_seconds(attempt, self._rng)
-            self._schedule(pending, index, attempt + 1, delay)
-        else:
-            del self._live[index]
-
-    def _supervise_parallel(self) -> None:
+    def _spawn(self) -> _Worker:
         context = multiprocessing.get_context(self._method)
-        workers: list[_Worker] = []
-        by_id: dict[int, _Worker] = {}
-        pending: list[tuple[float, int, int, int]] = []
-        next_worker_id = 0
+        self._next_worker_id += 1
+        tasks = context.SimpleQueue()
+        # Per-worker result pipe, same rationale as _worker_main's
+        # docstring: no result lock shared across crash-prone peers.
+        recv_conn, send_conn = context.Pipe(duplex=False)
+        process = context.Process(
+            target=_worker_main,
+            args=(self._next_worker_id, self.run_job, tasks, send_conn),
+            daemon=True,
+        )
+        process.start()
+        send_conn.close()
+        return _Worker(process, tasks, recv_conn)
 
-        def spawn() -> _Worker:
-            nonlocal next_worker_id
-            next_worker_id += 1
-            tasks = context.SimpleQueue()
-            # Per-worker result pipe, same rationale as _worker_main's
-            # docstring: no result lock shared across crash-prone peers.
-            recv_conn, send_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_worker_main,
-                args=(next_worker_id, self.run_job, tasks, send_conn),
-                daemon=True,
-            )
-            process.start()
-            send_conn.close()
-            worker = _Worker(next_worker_id, process, tasks, recv_conn)
-            by_id[worker.id] = worker
-            return worker
-
-        def kill(worker: _Worker) -> None:
-            worker.process.terminate()
+    @staticmethod
+    def _kill(worker: _Worker) -> None:
+        worker.process.terminate()
+        worker.process.join(1.0)
+        if worker.process.is_alive():  # pragma: no cover - stubborn child
+            worker.process.kill()
             worker.process.join(1.0)
-            if worker.process.is_alive():  # pragma: no cover - stubborn child
-                worker.process.kill()
-                worker.process.join(1.0)
-            worker.conn.close()
-            by_id.pop(worker.id, None)
+        worker.conn.close()
 
-        def replace(worker: _Worker) -> None:
-            by_id.pop(worker.id, None)
-            workers[workers.index(worker)] = spawn()
+    def _lose(self, worker: _Worker, reason: str, kind: str, charge: float) -> None:
+        """Replace a dead or hung *worker*; its attempt in flight (if
+        any) fails with *reason*, charged *charge* seconds."""
+        self.worker_failures += 1
+        self._kill(worker)
+        self._workers[self._workers.index(worker)] = self._spawn()
+        if worker.busy is not None:
+            self._settle(*worker.busy, False, reason, charge, kind)
 
-        def handle(message: tuple) -> None:
-            kind, worker_id, index, attempt = message[:4]
-            worker = by_id.get(worker_id)
-            if worker is not None and worker.busy == (index, attempt):
-                worker.busy = None
-            ticket = self._live.get(index)
-            if ticket is None:
-                return  # stale duplicate from a reclaimed worker
-            if kind == "ok":
-                result, cache_delta, seconds, spans = message[4:]
-                ticket.outcome.wall_seconds += seconds
+    def _receive(self, worker: _Worker) -> None:
+        """Take every message *worker* has sent; at end-of-file the
+        worker died (possibly mid-message) and is replaced."""
+        try:
+            while worker.conn.poll(0):
+                ok, _, index, attempt, value, cache_delta, seconds, spans = (
+                    worker.conn.recv()
+                )
+                if worker.busy == (index, attempt):
+                    worker.busy = None
                 result_cache.stats.add(cache_delta)
                 tracing.absorb(spans)
-                del self._live[index]
-                self._resolve(ticket, attempt, result)
-            else:
-                reason, seconds, spans = message[4:]
-                ticket.outcome.wall_seconds += seconds
-                tracing.absorb(spans)
-                self._requeue(pending, index, attempt, reason, "crashed")
+                self._settle(index, attempt, ok, value, seconds)
+        except (EOFError, OSError):
+            worker.process.join(1.0)
+            reason = f"worker died (exit code {worker.process.exitcode})"
+            self._lose(worker, reason, "crashed", 0.0)
 
-        workers.extend(spawn() for _ in range(self.processes))
-        self._workers_started.set()
-        try:
-            while not self._cancelled.is_set():
-                while True:  # intake
-                    try:
-                        ticket = self._inbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    if ticket is not None:
-                        self._live[ticket.index] = ticket
-                        self._schedule(pending, ticket.index, 1, 0.0)
-                if self._draining.is_set() and not self._live:
-                    if self._inbox.empty():
-                        return
-                    continue  # late submissions raced the drain flag
+    # the supervision loop --------------------------------------------------
 
-                now = time.monotonic()
-                for worker in workers:  # dispatch
-                    if worker.busy is not None:
-                        continue
-                    while pending and pending[0][2] not in self._live:
-                        heapq.heappop(pending)
-                    if not pending or pending[0][0] > now:
-                        break  # heap is time-ordered: nothing ready yet
-                    _, _, index, attempt = heapq.heappop(pending)
-                    try:
-                        # Chaos site: the parent-side job hand-off.  An
-                        # injected failure here costs an attempt, never
-                        # the job.
-                        faults.maybe_fail(
-                            "service.handoff", token=index, attempt=attempt
-                        )
-                    except BaseException as exc:
-                        self._requeue(
-                            pending,
-                            index,
-                            attempt,
-                            f"{type(exc).__name__}: {exc}",
-                            "crashed",
-                        )
-                        continue
-                    worker.busy = (index, attempt)
-                    worker.started = now
-                    ticket = self._live[index]
-                    if attempt == 1:
-                        _record_queue_wait(ticket)
-                    worker.tasks.put(
-                        (index, attempt, ticket.job, ticket.trace_parent)
-                    )
+    def _intake(self) -> None:
+        while True:
+            try:
+                ticket = self._inbox.get_nowait()
+            except queue.Empty:
+                return
+            self._live[ticket.index] = ticket
+            self._schedule(ticket.index, 1, 0.0)
 
-                ready = multiprocessing.connection.wait(
-                    [worker.conn for worker in workers],
-                    timeout=self.config.poll_interval,
+    def _dispatch(self) -> bool:
+        """Hand every due attempt to a free worker slot.  With no slots,
+        run one due attempt inline instead and return True, so the loop
+        goes back to intake (and sees drain/cancel) between jobs."""
+        now = time.monotonic()
+        while self._pending:
+            free = next((w for w in self._workers if w.busy is None), None)
+            if self._workers and free is None:
+                return False
+            if self._pending[0][2] not in self._live:
+                heapq.heappop(self._pending)  # job already released
+                continue
+            if self._pending[0][0] > now:
+                return False  # heap is time-ordered: nothing due yet
+            _, _, index, attempt = heapq.heappop(self._pending)
+            ticket = self._live[index]
+            try:
+                # Chaos site: the job hand-off.  An injected failure here
+                # costs an attempt, never the job.
+                faults.maybe_fail("service.handoff", token=index, attempt=attempt)
+            except BaseException as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                self._settle(index, attempt, False, reason, 0.0)
+                continue
+            if attempt == 1:
+                _record_queue_wait(ticket)
+            if free is None:
+                ok, value, seconds = _attempt(
+                    self.run_job, index, attempt, ticket.job, ticket.trace_parent
                 )
-                for conn in ready:
-                    try:
-                        while conn.poll(0):
-                            handle(conn.recv())
-                    except (EOFError, OSError):
-                        # Worker died (possibly mid-message): the
-                        # supervision pass requeues and respawns.
-                        pass
+                self._settle(index, attempt, ok, value, seconds)
+                return True
+            free.busy = (index, attempt)
+            free.started = now
+            free.tasks.put((index, attempt, ticket.job, ticket.trace_parent))
+        return False
 
-                now = time.monotonic()
-                for worker in list(workers):  # supervision pass
-                    if worker.busy is None:
-                        if not worker.process.is_alive():
-                            self.worker_failures += 1
-                            replace(worker)
-                        continue
-                    index, attempt = worker.busy
-                    timeout = self.config.timeout
-                    if not worker.process.is_alive():
-                        self.worker_failures += 1
-                        exit_code = worker.process.exitcode
-                        kill(worker)
-                        self._requeue(
-                            pending,
-                            index,
-                            attempt,
-                            f"worker died (exit code {exit_code})",
-                            "crashed",
-                        )
-                        replace(worker)
-                    elif timeout is not None and now - worker.started > timeout:
-                        self.worker_failures += 1
-                        kill(worker)
-                        ticket = self._live.get(index)
-                        if ticket is not None:
-                            ticket.outcome.wall_seconds += timeout
-                        self._requeue(
-                            pending,
-                            index,
-                            attempt,
-                            f"timed out after {timeout:g}s",
-                            "timeout",
-                        )
-                        replace(worker)
+    def _wait_timeout(self) -> float | None:
+        """Seconds until the next due retry (if a slot is free to take
+        it) or the next job timeout, whichever is first; ``None`` when
+        there is neither."""
+        deadlines = []
+        free = not self._workers or any(w.busy is None for w in self._workers)
+        if self._pending and free:
+            deadlines.append(self._pending[0][0])
+        if self.config.timeout is not None:
+            deadlines.extend(
+                w.started + self.config.timeout for w in self._workers if w.busy
+            )
+        if not deadlines:
+            return None
+        return max(0.0, min(deadlines) - time.monotonic())
 
-                if self.worker_failures > self.config.max_worker_failures:
-                    # The pool is hostile territory: reclaim every job
-                    # and serve the rest of the pool's life in-process.
-                    self.degraded_serial = True
-                    for worker in workers:
-                        kill(worker)
-                    workers.clear()
-                    for index in sorted(self._live):
-                        if self._cancelled.is_set():
-                            break
-                        ticket = self._live.pop(index)
-                        self._run_inline(
-                            ticket, ticket.outcome.attempts + 1
-                        )
-                    self._supervise_serial()
+    def _degrade(self) -> None:
+        """Stop trusting worker processes: put every attempt in flight
+        back on the heap (at its own attempt number — the worker's fault,
+        not the job's), kill the workers and carry on with zero slots."""
+        self.degraded_serial = True
+        for worker in self._workers:
+            if worker.busy is not None:
+                self._schedule(*worker.busy, 0.0)
+            self._kill(worker)
+        self._workers.clear()
+
+    def _loop(self) -> None:
+        if not self.serial:
+            self._workers = [self._spawn() for _ in range(self.processes)]
+        self._workers_started.set()
+        while not self._cancelled.is_set():
+            self._intake()
+            if self._draining.is_set() and not self._live:
+                if self._inbox.empty():
                     return
-        finally:
-            # Drained: let idle workers exit on the sentinel.  Cancelled:
-            # terminate them straight away, busy or not.
-            cancelled = self._cancelled.is_set()
-            for worker in workers:
-                if not cancelled and worker.process.is_alive():
-                    try:
-                        worker.tasks.put(None)
-                    except Exception:  # pragma: no cover - broken pipe
+                continue  # late submissions raced the drain flag
+            if self._dispatch():
+                continue
+            ready = multiprocessing.connection.wait(
+                [self._wake, *(w.conn for w in self._workers)],
+                self._wait_timeout(),
+            )
+            if self._wake in ready:
+                try:
+                    while self._wake.recv(4096):
                         pass
-            deadline = time.monotonic() + (0.0 if cancelled else 2.0)
-            for worker in workers:
-                worker.process.join(max(0.0, deadline - time.monotonic()))
-                if worker.process.is_alive():
-                    kill(worker)
-                else:
-                    worker.conn.close()
+                except BlockingIOError:
+                    pass
+            for worker in list(self._workers):
+                if worker.conn in ready:
+                    self._receive(worker)
+            timeout = self.config.timeout
+            now = time.monotonic()
+            for worker in list(self._workers):
+                if worker.busy and timeout and now - worker.started > timeout:
+                    reason = f"timed out after {timeout:g}s"
+                    self._lose(worker, reason, "timeout", timeout)
+            if self._workers and (
+                self.worker_failures > self.config.max_worker_failures
+            ):
+                self._degrade()
 
-    # supervision thread ----------------------------------------------------
+    def _stop_workers(self) -> None:
+        """Drained: let idle workers exit on the sentinel.  Cancelled:
+        terminate them straight away, busy or not."""
+        cancelled = self._cancelled.is_set()
+        for worker in self._workers:
+            if not cancelled and worker.process.is_alive():
+                try:
+                    worker.tasks.put(None)
+                except Exception:  # pragma: no cover - broken pipe
+                    pass
+        deadline = time.monotonic() + (0.0 if cancelled else 2.0)
+        for worker in self._workers:
+            worker.process.join(max(0.0, deadline - time.monotonic()))
+            if worker.process.is_alive():
+                self._kill(worker)
+            else:
+                worker.conn.close()
+        self._workers.clear()
 
     def _supervise(self) -> None:
         try:
-            if self.serial:
-                self._supervise_serial()
-            else:
-                self._supervise_parallel()
+            self._loop()
         except BaseException as exc:  # pragma: no cover - safety net
             self._release(exc)
             raise
+        finally:
+            self._stop_workers()
+            self._wake.close()
+            self._waker.close()
         self._release(None)
 
     def _release(self, exc: BaseException | None) -> None:
         """Resolve every job still in the pool as supervision ends, so
         no waiter hangs: cancelled after :meth:`cancel` (or a submit that
         raced the drain), failed with *exc* if supervision itself died."""
-        while True:
-            try:
-                ticket = self._inbox.get_nowait()
-            except queue.Empty:
-                break
-            if ticket is not None:
-                self._live[ticket.index] = ticket
+        self._intake()
         for ticket in list(self._live.values()):
             if exc is None:
                 ticket.future.cancel()
@@ -918,7 +873,7 @@ class WorkerPool:
                 continue
             ticket.outcome.status = "crashed"
             ticket.outcome.failures.append(f"supervision failed: {exc}")
-            self._set_exception(
+            self._fail(
                 ticket,
                 PoolJobError(f"pool supervision failed: {exc}", ticket.outcome),
             )

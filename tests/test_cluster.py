@@ -37,13 +37,13 @@ from repro.service.server import ServiceServer
 from repro.sim import cache
 from repro.sim.batch import _run_job
 from repro.sim.supervisor import SupervisorConfig, WorkerPool
+from tests.test_service import hung_shutdowns
 
 FAST = SupervisorConfig(
     max_attempts=3,
     backoff_base=0.01,
     backoff_max=0.05,
     backoff_jitter=0.1,
-    poll_interval=0.01,
 )
 
 JOB = {
@@ -228,6 +228,16 @@ def _wait_until(predicate, timeout=10.0, interval=0.02) -> bool:
             return True
         time.sleep(interval)
     return False
+
+
+def test_balancer_shutdown_ends_a_busy_keep_alive_connection():
+    # The balancer shares the service's connection loop, and with it the
+    # fix for a shutdown cancel lost as readline() completes.
+    def make():
+        balancer = Balancer([ReplicaState("r1", "127.0.0.1", 9)], port=0)
+        return balancer, balancer.run
+
+    assert hung_shutdowns(make) == 0
 
 
 def test_balancer_routes_by_job_key_and_preserves_coalescing():

@@ -38,7 +38,6 @@ FAST = SupervisorConfig(
     backoff_base=0.01,
     backoff_max=0.05,
     backoff_jitter=0.1,
-    poll_interval=0.02,
 )
 
 FORK_ONLY = pytest.mark.skipif(
@@ -216,7 +215,6 @@ class TestSupervisorChaos:
             max_attempts=3,
             backoff_base=0.01,
             backoff_max=0.05,
-            poll_interval=0.02,
         )
         report = run_batch_report(jobs, processes=2, config=config)
         assert report.results == baseline
@@ -254,7 +252,6 @@ class TestSupervisorChaos:
             max_attempts=3,
             backoff_base=0.01,
             backoff_max=0.05,
-            poll_interval=0.02,
             max_worker_failures=0,  # first crash abandons the pool
         )
         report = run_batch_report(jobs, processes=2, config=config)
@@ -280,7 +277,6 @@ class TestSupervisorChaos:
             max_attempts=6,
             backoff_base=0.01,
             backoff_max=0.05,
-            poll_interval=0.02,
         )
         report = run_batch_report(jobs, processes=2, config=config)
         disarm()
@@ -368,23 +364,62 @@ class TestSupervisorChaos:
 
 
 class TestSerialPoolWakeup:
-    """Closing intake wakes a serial pool's thread at once instead of
-    leaving it asleep in its inbox poll for up to ``poll_interval``."""
+    """Closing intake wakes the pool's supervision thread at once: it
+    sleeps on events (submit, drain, cancel, worker messages), never
+    through a poll period or a retry's backoff."""
 
-    SLOW_POLL = SupervisorConfig(poll_interval=5.0)
+    PROCESSES = pytest.mark.parametrize(
+        "processes", [0, pytest.param(1, marks=FORK_ONLY)]
+    )
 
-    def test_idle_serial_pool_drains_promptly(self):
-        pool = WorkerPool(_run_job, processes=0, config=self.SLOW_POLL)
+    @PROCESSES
+    def test_idle_serial_pool_drains_promptly(self, processes):
+        pool = WorkerPool(_run_job, processes=processes)
         start = time.monotonic()
         assert pool.drain(timeout=10.0)
         assert time.monotonic() - start < 1.0
 
-    def test_idle_serial_pool_cancels_promptly(self):
-        pool = WorkerPool(_run_job, processes=0, config=self.SLOW_POLL)
+    @PROCESSES
+    def test_idle_serial_pool_cancels_promptly(self, processes):
+        pool = WorkerPool(_run_job, processes=processes)
         start = time.monotonic()
         pool.cancel()
         assert time.monotonic() - start < 1.0
         assert not pool._thread.is_alive()
+
+    def test_cancel_does_not_wait_out_a_serial_backoff(self):
+        # Every first attempt fails and its retry is due in >= 5 s; the
+        # retry waits on the pool's heap, not in a sleep on its thread.
+        arm("seed=7;batch.worker=exc:a=1")
+        pool = WorkerPool(
+            _run_job, processes=0, config=SupervisorConfig(backoff_base=5.0)
+        )
+        future = pool.submit(make_jobs(schemes=("sequential",))[0])
+        assert _wait_until(lambda: future.outcome.failures)
+        start = time.monotonic()
+        pool.cancel()
+        assert time.monotonic() - start < 1.0
+        assert future.cancelled()
+
+    def test_serial_handoff_faults_cost_one_attempt(self):
+        # service.handoff fires at every dispatch, inline ones included.
+        jobs = make_jobs()
+        baseline = run_batch(jobs, processes=1)
+        arm("seed=7;service.handoff=exc:a=1")
+        report = run_batch_report(jobs, processes=1, config=FAST)
+        assert report.results == baseline
+        assert [o.status for o in report.outcomes] == ["retried"] * len(jobs)
+        assert all(o.attempts == 2 for o in report.outcomes)
+        assert all("service.handoff" in o.failures[0] for o in report.outcomes)
+
+
+def _wait_until(predicate, timeout=30.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return False
 
 
 # -- journal + resume ---------------------------------------------------------

@@ -10,9 +10,11 @@ never lose an accepted job or hang a client.
 
 import asyncio
 import contextlib
+import http.client
 import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -32,7 +34,6 @@ FAST = SupervisorConfig(
     backoff_base=0.01,
     backoff_max=0.05,
     backoff_jitter=0.1,
-    poll_interval=0.01,
 )
 
 FORK_ONLY = pytest.mark.skipif(
@@ -285,6 +286,65 @@ def test_readyz_is_distinct_from_healthz():
             assert response.status == 503
             assert response.payload["ready"] is False
             assert client.health()["status"] == "draining"
+
+
+def hung_shutdowns(make, rounds=20, join=3.0) -> int:
+    """How many of *rounds* front ends built by *make* (returning the
+    front end and its ``run`` coroutine function) failed to stop within
+    *join* seconds of ``request_shutdown()`` while a client hammered
+    ``GET /healthz`` on one keep-alive connection."""
+    hung = 0
+    for _ in range(rounds):
+        frontend, run = make()
+        loop = asyncio.new_event_loop()
+        ready = threading.Event()
+        stop = threading.Event()
+
+        def serve() -> None:
+            asyncio.set_event_loop(loop)
+            loop.run_until_complete(frontend.start())
+            ready.set()
+            loop.run_until_complete(run())
+            loop.close()
+
+        def hammer() -> None:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", frontend.port, timeout=10
+            )
+            try:
+                while not stop.is_set():
+                    conn.request("GET", "/healthz")
+                    conn.getresponse().read()
+            except (OSError, http.client.HTTPException):
+                pass  # the front end closed the connection: expected
+            finally:
+                conn.close()
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        assert ready.wait(10), "front end did not start"
+        client = threading.Thread(target=hammer, daemon=True)
+        client.start()
+        time.sleep(0.05)
+        loop.call_soon_threadsafe(frontend.request_shutdown)
+        thread.join(join)
+        hung += thread.is_alive()
+        stop.set()  # a hung front end finishes once the client leaves
+        client.join(10)
+        thread.join(10)
+    return hung
+
+
+def test_shutdown_ends_a_busy_keep_alive_connection():
+    # Regression: shutdown cancels each connection's task, and Python
+    # 3.11's wait_for drops a cancel that lands just as readline()
+    # completes; the handler then kept serving that connection.
+    def make():
+        pool = WorkerPool(_run_job, processes=0, config=FAST)
+        server = ServiceServer(JobScheduler(pool), port=0)
+        return server, lambda: server.run(install_signal_handlers=False)
+
+    assert hung_shutdowns(make) == 0
 
 
 # -- chaos: the robustness stack composes with the service --------------------

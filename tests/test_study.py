@@ -39,7 +39,6 @@ FAST = SupervisorConfig(
     backoff_base=0.01,
     backoff_max=0.05,
     backoff_jitter=0.1,
-    poll_interval=0.02,
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
