@@ -42,6 +42,12 @@ and then replays the dynamic trace as plain array lookups:
   while a misprediction resolves, each gated cycle calls
   ``FetchUnit.wrong_path_cycle``, whose fills pass through the memo's
   fill wrapper and so invalidate the plans that depended on the set.
+  The memo is one closure factory, :func:`plan_memo`, shared with the
+  fetch-only EIR loop (:mod:`repro.sim.eir`).  There, stricter: a unit
+  plans live through ``FetchUnit.fetch_cycle`` when its scheme is not
+  vetted (the trace cache, subclasses), it has a direction predictor or
+  return stack, it carries a packet checker (each packet is checked as
+  often as it is fetched), or ``REPRO_KERNEL=0``.
 
 * **Fetch-outcome tape** (recorded on the first compiled run): a run is
   a pure function of (trace, config, the fetch unit's starting state,
@@ -115,8 +121,10 @@ __all__ = [
     "compile_trace",
     "decline_reason",
     "kernel_enabled",
+    "plan_memo",
     "run_compiled",
     "stats",
+    "train_flags",
 ]
 
 #: Bumped whenever the table format or replay semantics change; salted
@@ -351,27 +359,58 @@ class TraceTable:
     )
 
 
-def _categorical_arrays(table: TraceTable, instrs) -> None:
-    """Fill the op-derived byte arrays, vectorized when numpy is there."""
-    n = len(instrs)
+def _op_arrays(instrs, luts) -> list[bytes]:
+    """One byte array per lookup table in *luts*, indexed by each
+    instruction's op — vectorized when numpy is there."""
     if _np is not None:
-        ops = _np.fromiter((i.op for i in instrs), dtype=_np.intp, count=n)
-        table.lat = _np.asarray(_LAT_LUT, dtype=_np.uint8).take(ops).tobytes()
-        table.unit = _np.asarray(_UNIT_LUT, dtype=_np.uint8).take(ops).tobytes()
-        table.brcond = _np.asarray(_BRCOND_LUT, dtype=_np.uint8).take(ops).tobytes()
-        table.control = _np.asarray(_CONTROL_LUT, dtype=_np.uint8).take(ops).tobytes()
-        table.uncond = _np.asarray(_UNCOND_LUT, dtype=_np.uint8).take(ops).tobytes()
-        table.is_call = _np.asarray(_CALL_LUT, dtype=_np.uint8).take(ops).tobytes()
-        table.is_ret = _np.asarray(_RET_LUT, dtype=_np.uint8).take(ops).tobytes()
-    else:
-        ops = [int(i.op) for i in instrs]
-        table.lat = bytes(_LAT_LUT[o] for o in ops)
-        table.unit = bytes(_UNIT_LUT[o] for o in ops)
-        table.brcond = bytes(_BRCOND_LUT[o] for o in ops)
-        table.control = bytes(_CONTROL_LUT[o] for o in ops)
-        table.uncond = bytes(_UNCOND_LUT[o] for o in ops)
-        table.is_call = bytes(_CALL_LUT[o] for o in ops)
-        table.is_ret = bytes(_RET_LUT[o] for o in ops)
+        ops = _np.fromiter((i.op for i in instrs), dtype=_np.intp, count=len(instrs))
+        return [_np.asarray(lut, dtype=_np.uint8).take(ops).tobytes() for lut in luts]
+    ops = [int(i.op) for i in instrs]
+    return [bytes(lut[o] for o in ops) for lut in luts]
+
+
+def _categorical_arrays(table: TraceTable, instrs) -> None:
+    """Fill the op-derived byte arrays."""
+    (
+        table.lat,
+        table.unit,
+        table.brcond,
+        table.control,
+        table.uncond,
+        table.is_call,
+        table.is_ret,
+    ) = _op_arrays(
+        instrs,
+        (
+            _LAT_LUT,
+            _UNIT_LUT,
+            _BRCOND_LUT,
+            _CONTROL_LUT,
+            _UNCOND_LUT,
+            _CALL_LUT,
+            _RET_LUT,
+        ),
+    )
+
+
+def train_flags(trace) -> list[bytes]:
+    """``[control, unconditional, call, return]`` byte flags per dynamic
+    instruction of *trace*: what BTB training reads, without the
+    dependency tables of :func:`compile_trace`.  Cached on the trace
+    beside them, under the same length-suffixed key scheme."""
+    n = len(trace.instructions)
+    tables = trace._kernel_tables
+    if tables is None:
+        tables = {}
+        trace._kernel_tables = tables
+    key = ("train_flags", n)
+    flags = tables.get(key)
+    if flags is None:
+        flags = _op_arrays(
+            trace.instructions, (_CONTROL_LUT, _UNCOND_LUT, _CALL_LUT, _RET_LUT)
+        )
+        tables[key] = flags
+    return flags
 
 
 def compile_trace(trace, conservative: bool) -> TraceTable:
@@ -460,6 +499,208 @@ def compile_trace(trace, conservative: bool) -> TraceTable:
     tables[key] = table
     stats["tables_compiled"] += 1
     return table
+
+
+# -- fetch-plan memo ----------------------------------------------------------
+
+
+def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
+    """The fetch-plan memo of *fetch* at plan width *width*, as closures.
+
+    Returns ``(memo, build, train, install, remove, tally)``:
+
+    * ``memo`` maps a fetch address to its packet record ``(stall,
+      addrs, count, next, d_lookups, d_hits, d_acc, d_miss)``; a caller
+      that replays a hit adds its four statistic deltas itself.
+    * ``build(address)`` plans one packet live and returns its record,
+      memoising it when reusable.
+    * ``train(address, taken, target, is_unc, is_call, is_ret)`` is
+      ``btb.update`` plus invalidation of the plans that read the slot.
+    * ``install()`` / ``remove()`` put the dependency-recording
+      ``btb.predict`` / ``cache.access`` / ``cache.fill`` wrappers on the
+      unit and take them off again.
+    * ``tally(fetches)`` adds the plan counters of *fetches* planned
+      fetches to :data:`stats`.
+
+    With *memoize* false (a unit whose plans depend on a direction
+    predictor or return stack) ``memo`` stays empty, every fetch builds,
+    and ``train`` is ``btb.update`` itself.  Closures rather than an
+    object: the replay loops read them through closure cells.
+    """
+    btb = fetch.btb
+    cache = fetch.cache
+    bstats = btb.stats
+    cstats = cache.stats
+    memo: dict[int, tuple] = {}
+    btb_rev: dict[int, set[int]] = {}  # BTB slot -> memoized fetch addrs
+    cache_rev: dict[int, set[int]] = {}  # cache set -> memoized fetch addrs
+    dep_slots: set[int] = set()
+    dep_sets: set[int] = set()
+    filled = False
+    n_builds = 0
+    n_invalidated = 0
+
+    interleave = btb.interleave
+    epb = btb.entries_per_bank
+    banks = btb._banks
+    num_sets = cache.num_sets
+    tags = cache._tags
+    plan_fn = fetch.plan
+    checker = fetch.checker
+    btb_update = btb.update
+    real_predict = btb.predict
+    real_access = cache.access
+    real_fill = cache.fill
+    orig_slot_predictor = fetch._slot_predictor
+
+    def rec_predict(address):
+        dep_slots.add(
+            (address % interleave) * epb + (address // interleave) % epb
+        )
+        return real_predict(address)
+
+    def rec_access(block):
+        dep_sets.add(block % num_sets)
+        return real_access(block)
+
+    def rec_fill(block):
+        nonlocal filled, n_invalidated
+        filled = True
+        s = block % num_sets
+        if tags[s] != block:
+            deps = cache_rev.pop(s, None)
+            if deps:
+                for a in deps:
+                    if memo.pop(a, None) is not None:
+                        n_invalidated += 1
+        real_fill(block)
+
+    def build(address):
+        """Plan one packet live, memoize it if reusable, return the record
+        ``(stall, addrs, count, next, d_lookups, d_hits, d_acc, d_miss)``.
+
+        Matches ``FetchUnit.fetch_cycle`` exactly: a stall plan delivers
+        nothing (and is never memoized — the miss fill it triggered
+        changes its own outcome); the packet checker, when attached, runs
+        once per distinct packet here instead of once per cycle.  A plan
+        that filled the cache (prefetch/successor miss), or any plan of a
+        unit that plans live, is planned again next time rather than
+        memoized.
+        """
+        nonlocal filled, n_builds
+        n_builds += 1
+        dep_slots.clear()
+        dep_sets.clear()
+        filled = False
+        lk0 = bstats.lookups
+        ht0 = bstats.hits
+        ac0 = cstats.accesses
+        ms0 = cstats.misses
+        plan = plan_fn(address, width)
+        stall = plan.stall_cycles
+        if stall > 0:
+            # Never memoized (the miss fill changes its own outcome), but
+            # the real stat deltas still matter to the tape recorder.
+            return (
+                stall,
+                None,
+                0,
+                -1,
+                bstats.lookups - lk0,
+                bstats.hits - ht0,
+                cstats.accesses - ac0,
+                cstats.misses - ms0,
+            )
+        if checker is not None:
+            checker.check_plan(fetch, address, plan, width)
+        addrs = plan.addresses
+        rec = (
+            0,
+            addrs,
+            len(addrs),
+            plan.next_address,
+            bstats.lookups - lk0,
+            bstats.hits - ht0,
+            cstats.accesses - ac0,
+            cstats.misses - ms0,
+        )
+        if memoize and not filled:
+            memo[address] = rec
+            for s in dep_slots:
+                members = btb_rev.get(s)
+                if members is None:
+                    btb_rev[s] = {address}
+                else:
+                    members.add(address)
+            for s in dep_sets:
+                members = cache_rev.get(s)
+                if members is None:
+                    cache_rev[s] = {address}
+                else:
+                    members.add(address)
+        return rec
+
+    def train(address, taken, target, is_unc, is_c, is_r):
+        """``fetch.train`` with BTB-slot dependency invalidation.
+
+        A memoized plan only depends on the slot's *planning-effective*
+        state — ``(tag, target)`` when the entry predicts taken, the
+        absent/not-taken class otherwise — so counter re-trains inside
+        one class invalidate nothing.
+        """
+        nonlocal n_invalidated
+        bank = address % interleave
+        index = (address // interleave) % epb
+        entry = banks[bank][index]
+        tag = entry.tag
+        if tag >= 0 and (
+            entry.is_unconditional or entry.counter.state >= WEAK_TAKEN
+        ):
+            before = (tag, entry.target)
+        else:
+            before = None
+        btb_update(
+            address,
+            taken,
+            target,
+            is_unconditional=is_unc,
+            is_call=is_c,
+            is_return=is_r,
+        )
+        tag = entry.tag
+        if tag >= 0 and (
+            entry.is_unconditional or entry.counter.state >= WEAK_TAKEN
+        ):
+            after = (tag, entry.target)
+        else:
+            after = None
+        if before != after:
+            deps = btb_rev.pop(bank * epb + index, None)
+            if deps:
+                for a in deps:
+                    if memo.pop(a, None) is not None:
+                        n_invalidated += 1
+
+    def install():
+        btb.predict = rec_predict  # type: ignore[method-assign]
+        cache.access = rec_access  # type: ignore[method-assign]
+        cache.fill = rec_fill  # type: ignore[method-assign]
+        fetch._slot_predictor = rec_predict
+
+    def remove():
+        del btb.predict  # type: ignore[method-assign]
+        del cache.access  # type: ignore[method-assign]
+        del cache.fill  # type: ignore[method-assign]
+        fetch._slot_predictor = orig_slot_predictor
+
+    def tally(fetches):
+        stats["plans_compiled"] += n_builds
+        stats["plan_replays"] += fetches - n_builds
+        stats["plan_invalidations"] += n_invalidated
+
+    if not memoize:
+        train = btb_update  # no memo to invalidate
+    return memo, build, train, install, remove, tally
 
 
 # -- compiled run -----------------------------------------------------------
@@ -567,10 +808,8 @@ def run_compiled(sim):
     retired = core_stats.retired
     wf_stalls = core_stats.window_full_stalls
     spec_stalls = core_stats.speculation_stalls
-    btb = fetch.btb
-    cache = fetch.cache
-    bstats = btb.stats
-    cstats = cache.stats
+    bstats = fetch.btb.stats
+    cstats = fetch.cache.stats
     # Replay-path statistic deltas accumulate here; build-path deltas land
     # in the live stat objects (the plan runs against the real BTB/cache).
     # Current totals are always `object + r*`.
@@ -594,158 +833,9 @@ def run_compiled(sim):
     memoize = direction is None and fetch.return_stack is None
     direction_update = direction.update if direction is not None else None
     instrs = trace.instructions
-    memo: dict[int, tuple] = {}
-    btb_rev: dict[int, set[int]] = {}  # BTB slot -> memoized fetch addrs
-    cache_rev: dict[int, set[int]] = {}  # cache set -> memoized fetch addrs
-    dep_slots: set[int] = set()
-    dep_sets: set[int] = set()
-    filled = False
-    n_builds = 0
-    n_invalidated = 0
-
-    interleave = btb.interleave
-    epb = btb.entries_per_bank
-    banks = btb._banks
-    num_sets = cache.num_sets
-    tags = cache._tags
-    plan_fn = fetch.plan
-    checker = fetch.checker
-    btb_update = btb.update
-    real_predict = btb.predict
-    real_access = cache.access
-    real_fill = cache.fill
-    orig_slot_predictor = fetch._slot_predictor
-
-    def rec_predict(address):
-        dep_slots.add(
-            (address % interleave) * epb + (address // interleave) % epb
-        )
-        return real_predict(address)
-
-    def rec_access(block):
-        dep_sets.add(block % num_sets)
-        return real_access(block)
-
-    def rec_fill(block):
-        nonlocal filled, n_invalidated
-        filled = True
-        s = block % num_sets
-        if tags[s] != block:
-            deps = cache_rev.pop(s, None)
-            if deps:
-                for a in deps:
-                    if memo.pop(a, None) is not None:
-                        n_invalidated += 1
-        real_fill(block)
-
-    def build(address):
-        """Plan one packet live, memoize it if reusable, return the record
-        ``(stall, addrs, count, next, d_lookups, d_hits, d_acc, d_miss)``.
-
-        Matches ``FetchUnit.fetch_cycle`` exactly: a stall plan delivers
-        nothing (and is never memoized — the miss fill it triggered
-        changes its own outcome); the packet checker, when attached, runs
-        once per distinct packet here instead of once per cycle.  A plan
-        that filled the cache (prefetch/successor miss), or any plan of a
-        unit that plans live, is planned again next time rather than
-        memoized.
-        """
-        nonlocal filled, n_builds
-        n_builds += 1
-        dep_slots.clear()
-        dep_sets.clear()
-        filled = False
-        lk0 = bstats.lookups
-        ht0 = bstats.hits
-        ac0 = cstats.accesses
-        ms0 = cstats.misses
-        plan = plan_fn(address, issue_rate)
-        stall = plan.stall_cycles
-        if stall > 0:
-            # Never memoized (the miss fill changes its own outcome), but
-            # the real stat deltas still matter to the tape recorder.
-            return (
-                stall,
-                None,
-                0,
-                -1,
-                bstats.lookups - lk0,
-                bstats.hits - ht0,
-                cstats.accesses - ac0,
-                cstats.misses - ms0,
-            )
-        if checker is not None:
-            checker.check_plan(fetch, address, plan, issue_rate)
-        addrs = plan.addresses
-        rec = (
-            0,
-            addrs,
-            len(addrs),
-            plan.next_address,
-            bstats.lookups - lk0,
-            bstats.hits - ht0,
-            cstats.accesses - ac0,
-            cstats.misses - ms0,
-        )
-        if memoize and not filled:
-            memo[address] = rec
-            for s in dep_slots:
-                members = btb_rev.get(s)
-                if members is None:
-                    btb_rev[s] = {address}
-                else:
-                    members.add(address)
-            for s in dep_sets:
-                members = cache_rev.get(s)
-                if members is None:
-                    cache_rev[s] = {address}
-                else:
-                    members.add(address)
-        return rec
-
-    def train(address, taken, target, is_unc, is_c, is_r):
-        """``fetch.train`` with BTB-slot dependency invalidation.
-
-        A memoized plan only depends on the slot's *planning-effective*
-        state — ``(tag, target)`` when the entry predicts taken, the
-        absent/not-taken class otherwise — so counter re-trains inside
-        one class invalidate nothing.
-        """
-        nonlocal n_invalidated
-        bank = address % interleave
-        index = (address // interleave) % epb
-        entry = banks[bank][index]
-        tag = entry.tag
-        if tag >= 0 and (
-            entry.is_unconditional or entry.counter.state >= WEAK_TAKEN
-        ):
-            before = (tag, entry.target)
-        else:
-            before = None
-        btb_update(
-            address,
-            taken,
-            target,
-            is_unconditional=is_unc,
-            is_call=is_c,
-            is_return=is_r,
-        )
-        tag = entry.tag
-        if tag >= 0 and (
-            entry.is_unconditional or entry.counter.state >= WEAK_TAKEN
-        ):
-            after = (tag, entry.target)
-        else:
-            after = None
-        if before != after:
-            deps = btb_rev.pop(bank * epb + index, None)
-            if deps:
-                for a in deps:
-                    if memo.pop(a, None) is not None:
-                        n_invalidated += 1
-
-    if not memoize:
-        train = btb_update  # no memo to invalidate
+    memo, build, train, install, remove, tally = plan_memo(
+        fetch, issue_rate, memoize
+    )
 
     # -- main loop ----------------------------------------------------------
     cycle = 0
@@ -770,10 +860,7 @@ def run_compiled(sim):
 
     wrapped = live and memoize
     if wrapped:
-        btb.predict = rec_predict  # type: ignore[method-assign]
-        cache.access = rec_access  # type: ignore[method-assign]
-        cache.fill = rec_fill  # type: ignore[method-assign]
-        fetch._slot_predictor = rec_predict
+        install()
     try:
         while retired < total:
             if cycle > max_cycles:
@@ -1177,10 +1264,7 @@ def run_compiled(sim):
                     cycle = target
     finally:
         if wrapped:
-            del btb.predict  # type: ignore[method-assign]
-            del cache.access  # type: ignore[method-assign]
-            del cache.fill  # type: ignore[method-assign]
-            fetch._slot_predictor = orig_slot_predictor
+            remove()
 
     # -- write the authoritative locals back into the live objects ----------
     if not live:
@@ -1203,9 +1287,7 @@ def run_compiled(sim):
     core_stats.speculation_stalls = spec_stalls
     sim.wrong_path_cycles += wp_cycles
     if live:
-        stats["plans_compiled"] += n_builds
-        stats["plan_replays"] += (fs_cycles - fs_cycles_start) - n_builds
-        stats["plan_invalidations"] += n_invalidated
+        tally(fs_cycles - fs_cycles_start)
         if tape_rec is not None:
             tables[tape_key] = (tape_rec, _end_state(fetch))
             # Tapes are per (config, unit state, prewarm) and a sweep

@@ -315,6 +315,50 @@ class TestPadding:
         with pytest.raises(ValueError):
             pad_all(workload.program, 0)
 
+    #: ``(nops inserted, SHA-256 prefix of Program.image())`` of padded
+    #: programs as built before padding planned first: the plan-then-build
+    #: split must lay out the very same code.
+    PADDED_IMAGES = {
+        ("compress", "pad_all", 4): (729, "f0abc376ccc7188b"),
+        ("compress", "pad_trace", 4): (24, "7a84a7485d228ca6"),
+        ("compress", "pad_all", 8): (2053, "87a87a3fa73cf78b"),
+        ("compress", "pad_trace", 8): (76, "e6b303ae68fda675"),
+        ("compress", "pad_all", 16): (4749, "ad8b6e7c32a39b74"),
+        ("compress", "pad_trace", 16): (196, "0875dc7a0972c0ff"),
+        ("espresso", "pad_all", 4): (2011, "4dd623ac25dee480"),
+        ("espresso", "pad_trace", 4): (72, "c4a85fc451a1524f"),
+        ("espresso", "pad_all", 8): (5099, "f6372030c7538634"),
+        ("espresso", "pad_trace", 8): (168, "8b0c3b90429a1979"),
+        ("espresso", "pad_all", 16): (12931, "85028d7bc1cf7f1f"),
+        ("espresso", "pad_trace", 16): (376, "129764f1b59f9352"),
+    }
+
+    @pytest.mark.parametrize("block_words", (4, 8, 16))
+    @pytest.mark.parametrize("name", ("compress", "espresso"))
+    def test_padded_program_matches_its_plan(self, name, block_words):
+        import hashlib
+
+        def nops(program):
+            return sum(1 for i in program.instructions if i.is_nop)
+
+        workload = load_workload(name)
+        original = workload.program
+        reordered = reorder_program(original, workload.behavior)
+        for variant, source, padded in (
+            ("pad_all", original, pad_all(original, block_words)),
+            ("pad_trace", reordered.program, pad_trace(reordered, block_words)),
+        ):
+            program = padded.program
+            assert padded.program is program  # built once, on first access
+            assert padded.nops_inserted == nops(program) - nops(source)
+            assert padded.nops_inserted == (
+                program.num_instructions - source.num_instructions
+            )
+            digest = hashlib.sha256(program.image()).hexdigest()[:16]
+            assert (padded.nops_inserted, digest) == self.PADDED_IMAGES[
+                name, variant, block_words
+            ]
+
 
 class TestScheduler:
     def test_preserves_instruction_multiset(self):

@@ -229,6 +229,27 @@ def _forbid_uncached_work(monkeypatch) -> None:
                 monkeypatch.setattr(module, name, forbidden)
 
 
+def test_table4_builds_no_padded_program(fresh_cache, monkeypatch):
+    """Table 4 reads only the padding plans' nop counts: no CFG clone, no
+    layout of a padded program."""
+    from repro.compiler import padding
+    from repro.program import program as program_module
+    from repro.program.program import Program
+
+    for benchmark in INTEGER_BENCHMARKS:
+        common._reorder_cached(benchmark)  # pad_trace's input, built first
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Table 4 built a padded program")
+
+    monkeypatch.setattr(Program, "from_order", forbidden)
+    monkeypatch.setattr(padding, "clone_cfg", forbidden)
+    monkeypatch.setattr(program_module, "clone_cfg", forbidden)
+    result = table4_nop_padding.run(TINY)
+    assert [row[0] for row in result.rows] == list(INTEGER_BENCHMARKS)
+    assert all(value > 0 for row in result.rows for value in row[1:])
+
+
 class TestTableCaching:
     """Tables 2-4 read every measured cell through the result cache."""
 

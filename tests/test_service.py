@@ -70,10 +70,12 @@ def _clean_slate(tmp_path, monkeypatch):
 
 
 @contextlib.contextmanager
-def service(processes=0, max_queue=8, config=None, start_method=None):
+def service(
+    processes=0, max_queue=8, config=None, start_method=None, run_job=_run_job
+):
     """A live server on an ephemeral port; drains on exit."""
     pool = WorkerPool(
-        _run_job,
+        run_job,
         processes=processes,
         config=config or FAST,
         requested_start_method=start_method,
@@ -197,7 +199,19 @@ def test_batch_endpoint_mixed_outcomes():
 def test_identical_concurrent_requests_cost_one_simulation():
     spec = dict(JOB, scheme="banked_sequential", seed=3)
     results = []
-    with service(max_queue=16) as (server, scheduler, pool):
+    # The job stays in flight until all five submissions are admitted, so
+    # none of them can arrive after it finished (and count as a memo hit).
+    gate = threading.Event()
+
+    def gated_run_job(job):
+        assert gate.wait(60), "submissions were never all admitted"
+        return _run_job(job)
+
+    with service(max_queue=16, run_job=gated_run_job) as (
+        server,
+        scheduler,
+        pool,
+    ):
 
         def one() -> None:
             with ServiceClient(port=server.port) as client:
@@ -206,6 +220,16 @@ def test_identical_concurrent_requests_cost_one_simulation():
         threads = [threading.Thread(target=one) for _ in range(5)]
         for thread in threads:
             thread.start()
+        counters = scheduler.registry.counters
+        deadline = time.monotonic() + 30
+        while (
+            counters.get("service.jobs_admitted", 0)
+            + counters.get("service.jobs_coalesced", 0)
+            < 5
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        gate.set()
         for thread in threads:
             thread.join(60)
         with ServiceClient(port=server.port) as client:
