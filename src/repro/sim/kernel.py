@@ -63,7 +63,11 @@ and then replays the dynamic trace as plain array lookups:
   :func:`_tape_key` alone decides eligibility: no packet checker,
   zeroed fetch/BTB/cache counters, an empty cache, and predictor /
   return stack state made only of plain values (it joins the key, as
-  does the wrong-path mode).
+  does the wrong-path mode).  Tapes live in memory, on their trace's
+  tables, and only the :data:`TAPE_LIMIT` most recently recorded are
+  kept process-wide: a rerun follows its recording closely, and a cold
+  paper report records a tape per cell and replays none, so an
+  unbounded store would only hold tapes nobody replays.
 
 The replay loop then mirrors ``Simulator.run_reference()`` — same phase
 order, same warmup-snapshot placement — and jumps over cycles that
@@ -92,7 +96,9 @@ format or replay-semantics change.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from array import array
+from collections import deque
 
 from repro import knobs
 from repro.branch.btb import BTBEntry
@@ -117,6 +123,7 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "KERNEL_TABLE_VERSION",
+    "TAPE_LIMIT",
     "TraceTable",
     "compile_trace",
     "decline_reason",
@@ -162,6 +169,7 @@ def reset_stats() -> None:
         plan_invalidations=0,
         tapes_recorded=0,
         tape_replays=0,
+        tapes_evicted=0,
     )
 
 
@@ -196,7 +204,45 @@ def decline_reason(sim) -> str | None:
     return None
 
 
-# -- fetch-outcome tape eligibility and unit state ---------------------------
+# -- fetch-outcome tape eligibility, bound and unit state --------------------
+
+#: Fetch-outcome tapes held at once, process-wide (see the module
+#: docstring).
+TAPE_LIMIT = 8
+
+
+class _TraceTables(dict):
+    """``DynamicTrace._kernel_tables``: a dict the tape index can refer
+    to weakly, so it never keeps a dead trace's tapes alive."""
+
+    __slots__ = ("__weakref__",)
+
+
+#: ``(weak reference to a trace's tables, tape key)`` per recorded tape,
+#: oldest first.  An entry whose trace died, or whose tape a staleness
+#: sweep dropped, ages out like any other.
+_tape_order: deque = deque()
+
+
+def _trace_tables(trace) -> _TraceTables:
+    tables = trace._kernel_tables
+    if tables is None:
+        tables = trace._kernel_tables = _TraceTables()
+    return tables
+
+
+def _hold_tape(tables: _TraceTables, key: tuple, tape: tuple) -> None:
+    """Store *tape* under *key* on its trace's *tables* and drop the
+    oldest tape process-wide once more than :data:`TAPE_LIMIT` are held."""
+    tables[key] = tape
+    stats["tapes_recorded"] += 1
+    _tape_order.append((weakref.ref(tables), key))
+    if len(_tape_order) > TAPE_LIMIT:
+        ref, old_key = _tape_order.popleft()
+        owner = ref()
+        if owner is not None and owner.pop(old_key, None) is not None:
+            stats["tapes_evicted"] += 1
+
 
 _PLAIN_TYPES = frozenset({int, bool, float, str, type(None)})
 
@@ -399,10 +445,7 @@ def train_flags(trace) -> list[bytes]:
     dependency tables of :func:`compile_trace`.  Cached on the trace
     beside them, under the same length-suffixed key scheme."""
     n = len(trace.instructions)
-    tables = trace._kernel_tables
-    if tables is None:
-        tables = {}
-        trace._kernel_tables = tables
+    tables = _trace_tables(trace)
     key = ("train_flags", n)
     flags = tables.get(key)
     if flags is None:
@@ -422,10 +465,7 @@ def compile_trace(trace, conservative: bool) -> TraceTable:
     """
     instrs = trace.instructions
     n = len(instrs)
-    tables = trace._kernel_tables
-    if tables is None:
-        tables = {}
-        trace._kernel_tables = tables
+    tables = _trace_tables(trace)
     key = (conservative, n)
     table = tables.get(key)
     if table is not None:
@@ -1289,13 +1329,7 @@ def run_compiled(sim):
     if live:
         tally(fs_cycles - fs_cycles_start)
         if tape_rec is not None:
-            tables[tape_key] = (tape_rec, _end_state(fetch))
-            # Tapes are per (config, unit state, prewarm) and a sweep
-            # visits many; cap the per-trace cache (oldest-inserted evicted
-            # first — the just-recorded tape is newest, tables rebuild).
-            while len(tables) > 32:
-                del tables[next(iter(tables))]
-            stats["tapes_recorded"] += 1
+            _hold_tape(tables, tape_key, (tape_rec, _end_state(fetch)))
     else:
         _install_end_state(fetch, end_state)
         sim._prewarm_pending = False  # the installed tags include it

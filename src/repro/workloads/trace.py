@@ -54,9 +54,10 @@ class DynamicTrace:
     _nop: list[bool] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # Compiled-kernel tables (repro.sim.kernel) cached per trace, keyed
-    # by (memory-ordering mode, length); the length in the key doubles
-    # as the staleness check, mirroring ``_arrays_stale``.
+    # Compiled-kernel tables (repro.sim.kernel) cached per trace: trace
+    # tables, training flags and fetch-outcome tapes, each keyed by a
+    # tuple ending in the length, which doubles as the staleness check,
+    # mirroring ``_arrays_stale``.
     _kernel_tables: dict | None = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -664,3 +664,70 @@ def test_wrong_path_replay_leaves_the_unit_as_the_recorded_run(predictor):
     assert {sim.wrong_path_cycles for sim in sims} == {sims[2].wrong_path_cycles}
     assert _unit_state(units[1]) == _unit_state(units[0])
     assert _unit_state(units[1]) == _unit_state(units[2])
+
+
+# -- the process-wide tape bound ----------------------------------------------
+
+
+def _short_trace(benchmark: str = "li"):
+    workload = load_workload(benchmark)
+    return generate_trace(workload.program, workload.behavior, 1_500, seed=0)
+
+
+def _held_tapes(trace) -> int:
+    return sum(1 for key in trace._kernel_tables or () if key[0] == "tape")
+
+
+def test_recording_tapes_never_evicts_the_trace_tables():
+    """Forty tapes on one trace (forty machine configs) compile its trace
+    table once: the bound drops tapes, never the tables beside them."""
+    machine = get_machine("PI4")
+    trace = _short_trace()
+    before = dict(sim_kernel.stats)
+    for i in range(40):
+        config = dataclasses.replace(machine, icache_miss_latency=10 + i)
+        sim = Simulator(config, trace, "sequential", warmup=300)
+        sim.run()
+        assert sim.kernel_mode == "record"
+    assert sim_kernel.stats["tables_compiled"] == before["tables_compiled"] + 1
+    assert _held_tapes(trace) == sim_kernel.TAPE_LIMIT
+
+
+def test_tape_bound_keeps_the_most_recent_tapes():
+    """After N + k recordings exactly N tapes are held, the k oldest were
+    evicted, and an evicted cell's rerun records again with the same
+    statistics, while a held one replays."""
+    limit, extra = sim_kernel.TAPE_LIMIT, 3
+    machine = get_machine("PI4")
+    traces = [_short_trace() for _ in range(limit + extra)]
+    before = dict(sim_kernel.stats)
+    first = [
+        Simulator(machine, trace, "collapsing_buffer", warmup=300).run()
+        for trace in traces
+    ]
+    recorded = sim_kernel.stats["tapes_recorded"] - before["tapes_recorded"]
+    assert recorded == limit + extra
+    assert sim_kernel.stats["tapes_evicted"] - before["tapes_evicted"] >= extra
+    assert [_held_tapes(trace) for trace in traces] == [0] * extra + [1] * limit
+    for index in (0, limit + extra - 1):
+        sim = Simulator(machine, traces[index], "collapsing_buffer", warmup=300)
+        stats = sim.run()
+        assert sim.kernel_mode == ("record" if index < extra else "replay")
+        _assert_stats_equal(stats, first[index], f"rerun of cell {index}")
+
+
+def test_tape_index_keeps_no_trace_alive():
+    """A dead trace's tables, tapes included, die with it.  (A slotted
+    ``DynamicTrace`` takes no weak reference on Python 3.10, so the
+    probe watches its tables, which only the trace holds strongly.)"""
+    import gc
+    import weakref
+
+    trace = _short_trace()
+    sim = Simulator(get_machine("PI4"), trace, "sequential", warmup=300)
+    sim.run()
+    assert sim.kernel_mode == "record"
+    tables = weakref.ref(trace._kernel_tables)
+    del trace, sim
+    gc.collect()
+    assert tables() is None

@@ -1,6 +1,7 @@
 """Tests for the experiment harness (scaled-down configurations)."""
 
 import functools
+import gc
 
 import pytest
 
@@ -23,7 +24,9 @@ from repro.metrics.branches import (
     taken_branch_stats,
 )
 from repro.sim import cache as result_cache
+from repro.sim import kernel as sim_kernel
 from repro.workloads.profiles import INTEGER_BENCHMARKS
+from repro.workloads.trace import DynamicTrace
 
 #: Small config so experiment tests stay fast.
 FAST = ExperimentConfig(
@@ -248,6 +251,26 @@ def test_table4_builds_no_padded_program(fresh_cache, monkeypatch):
     result = table4_nop_padding.run(TINY)
     assert [row[0] for row in result.rows] == list(INTEGER_BENCHMARKS)
     assert all(value > 0 for row in result.rows for value in row[1:])
+
+
+def test_cold_report_holds_at_most_the_tape_bound(fresh_cache):
+    """A cold report records a fetch-outcome tape per simulated cell and
+    replays none; the kernel keeps at most ``TAPE_LIMIT`` of them on all
+    live traces together, ``variant_trace``'s cache included.  Counted,
+    not timed, so the guard holds on every Python."""
+    _clear_memos()
+    before = sim_kernel.stats["tapes_recorded"]
+    run_experiments(["fig03", "fig09"], TINY)
+    recorded = sim_kernel.stats["tapes_recorded"] - before
+    assert recorded > sim_kernel.TAPE_LIMIT
+    held = sum(
+        1
+        for obj in gc.get_objects()
+        if isinstance(obj, DynamicTrace)
+        for key in obj._kernel_tables or ()
+        if key[0] == "tape"
+    )
+    assert held <= sim_kernel.TAPE_LIMIT
 
 
 class TestTableCaching:
