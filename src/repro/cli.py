@@ -1,134 +1,137 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
-
-* ``list`` — benchmarks, machine models, fetch schemes.
-* ``simulate BENCH MACHINE SCHEME`` — one full IPC simulation;
-  ``--telemetry [DIR]`` runs instrumented and prints the slot
-  attribution and phase timings (writing JSONL + manifest to ``DIR``).
-* ``eir BENCH MACHINE`` — fetch-only alignment efficiency of all schemes.
-* ``stats BENCH MACHINE`` — telemetry breakdown: where every fetch slot
-  went, per scheme, with an EIR-gap decomposition against ``perfect``.
-* ``characterize [BENCH ...]`` — workload characterisation table.
-* ``experiment NAME [NAME ...]`` — regenerate paper tables/figures.
-* ``ablate run|list|report`` — the beyond-paper ablations on the
-  declarative study engine (:mod:`repro.study`): expand a named preset
-  or JSON :class:`StudySpec` into baseline/one-factor-off/pairwise runs,
-  execute them under the supervised sweep engine (``--resume`` replays
-  the journal), and emit importance/interaction/Pareto reports plus the
-  preset's ablation table.
-* ``sweep`` — batch-simulate a grid of configurations (``--jobs N``)
-  under the supervised engine: ``--timeout``/``--retries`` set the
-  recovery policy, ``--journal DIR`` records completions and
-  ``--resume DIR`` skips work already journalled there;
-  ``--sanitize`` runs every job under the pipeline sanitizer,
-  ``--telemetry [DIR]`` with slot attribution, ``--no-kernel``
-  runs the reference loop.
-* ``bench`` — single-simulation throughput, reference loop vs compiled
-  kernel (cold table build and warm tape replay); ``--update PATH``
-  refreshes ``BENCH_sim_throughput.json``, ``--floor N`` gates CI.
-* ``check`` — lint a benchmark x machine x scheme matrix with the
-  ``repro.check`` verifiers (exit 1 on any violation).
-* ``lint`` — static analysis of the codebase itself with the
-  ``repro.analysis`` analyzers (knob registry, concurrency, fault
-  sites, error codes; exit 1 on any non-baselined finding).
-* ``serve`` — start the simulation service (HTTP/JSON job server over
-  the supervised worker engine; see ``docs/service.md``).
-* ``balance`` — spawn N ``serve`` replicas and front them with the
-  fault-tolerant cluster balancer (consistent-hash routing, health
-  gating, budgeted failover; see ``docs/service.md``).
-* ``loadgen`` — benchmark a running service and write
-  ``BENCH_service_throughput.json``; ``--cluster`` adds the
-  zero-lost-requests bit-identity gauntlet against a balancer.
-* ``trace`` — inspect spans recorded with ``REPRO_TRACE=1`` (or the
-  ``--trace DIR`` flag on ``sweep``/``serve``): list traces, render one
-  as a tree with a critical-path table, export Chrome/Perfetto JSON.
-* ``report`` — every paper artifact, in order.
+``python -m repro -h`` lists the commands and ``python -m repro
+<command> -h`` one command's flags, including every benchmark, machine,
+scheme and experiment name it accepts.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
+from pathlib import Path
 
+from repro.check.api import DEFAULT_CHECK_LENGTH
 from repro.experiments.common import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.report import EXPERIMENTS, run_experiments
 from repro.fetch.factory import ALL_SCHEMES, HARDWARE_SCHEMES
-from repro.machines.presets import MACHINES, get_machine
+from repro.machines.presets import MACHINES, MACHINES_BY_NAME, get_machine
 from repro.sim.eir import measure_eir
-from repro.sim.runner import run_workload
-from repro.workloads.analysis import characterization_table
+from repro.sim.runner import DEFAULT_TRACE_LENGTH, DEFAULT_WARMUP
+from repro.workloads.analysis import CHARACTERIZE_LENGTH, characterization_table
 from repro.workloads.profiles import ALL_BENCHMARKS
 from repro.workloads.suite import load_workload
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import TEST_INPUT_SEED, generate_trace
+
+#: Trace length behind ``repro pipetrace``: only ``--cycles`` cycles
+#: are rendered, so a short trace covers them.
+PIPETRACE_LENGTH = 4_000
+
+#: What each benchmark/machine/scheme argument accepts.
+_NAMES = {
+    "benchmark": ALL_BENCHMARKS,
+    "machine": tuple(MACHINES_BY_NAME),
+    "scheme": ALL_SCHEMES,
+}
+
+_OUTCOMES = ("ok", "retried", "timeout", "crashed", "skipped")
 
 
-def _cmd_list(_args: argparse.Namespace) -> int:
-    print("benchmarks:")
-    for name in ALL_BENCHMARKS:
-        print(f"  {name} ({load_workload(name).workload_class})")
-    print("\nmachines:")
-    for machine in MACHINES:
-        print(
-            f"  {machine.name}: issue {machine.issue_rate}, "
-            f"window {machine.window_size}, "
-            f"{machine.icache_bytes // 1024}KB I-cache / "
-            f"{machine.icache_block_bytes}B blocks"
-        )
-    print("\nfetch schemes:")
-    for scheme in ALL_SCHEMES:
-        marker = "" if scheme in HARDWARE_SCHEMES + ("perfect",) else "  [extension]"
-        print(f"  {scheme}{marker}")
-    print("\nexperiments:", ", ".join(EXPERIMENTS))
-    from repro.study.presets import PRESETS
-
-    print("ablate presets:", ", ".join(PRESETS))
-    return 0
+def _trace(args: argparse.Namespace):
+    """The dynamic trace a trace-shape verb asked for."""
+    workload = load_workload(args.benchmark)
+    return generate_trace(
+        workload.program, workload.behavior, args.length, seed=args.seed
+    )
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    machine = get_machine(args.machine)
-    if args.telemetry is None:
-        stats = run_workload(
-            args.benchmark,
-            machine,
-            args.scheme,
-            max_instructions=args.length,
-            seed=args.seed,
-            kernel=False if args.no_kernel else None,
-        )
-        for key, value in stats.as_dict().items():
-            print(f"{key:20s} {value}")
-        return 0
-
-    # Instrumented run: build the simulator directly so the full
-    # TelemetryReport (phase timers, counters) is available, not just
-    # the slot_* keys that survive in SimStats.extra.
-    import time
-
-    from repro.sim import cache as result_cache
-    from repro.sim.runner import DEFAULT_WARMUP
-    from repro.sim.simulator import Simulator
+def _write_records(
+    command: str,
+    records: list[dict],
+    *,
+    directory: str | None = None,
+    jsonl: Path | str | None = None,
+    csv: Path | str | None = None,
+    manifest: Path | str | None = None,
+    arguments: dict,
+    machines,
+    seed: int,
+    timings: dict[str, float],
+    cache_stats: dict,
+    outcomes: list[dict] | None = None,
+) -> list[Path]:
+    """Write *records* as JSONL and/or CSV and the run manifest; returns
+    the paths written, in that order.  A telemetry *directory* gets
+    ``telemetry.jsonl`` and ``manifest.json``."""
     from repro.telemetry import (
-        CAUSES,
         build_manifest,
         config_fingerprint,
+        to_csv,
         to_jsonl,
         write_manifest,
     )
 
-    workload = load_workload(args.benchmark)
-    trace = generate_trace(
-        workload.program, workload.behavior, args.length, seed=args.seed
+    if directory:
+        jsonl = Path(directory) / "telemetry.jsonl"
+        manifest = Path(directory) / "manifest.json"
+    written = []
+    if jsonl:
+        written.append(to_jsonl(records, jsonl))
+    if csv:
+        written.append(to_csv(records, csv))
+    if manifest:
+        document = build_manifest(
+            command=command,
+            arguments=arguments,
+            configs={m.name: config_fingerprint(m) for m in machines},
+            seeds={"trace": seed},
+            timings=timings,
+            results=records,
+            cache_stats=cache_stats,
+            outcomes=outcomes,
+        )
+        written.append(write_manifest(manifest, document))
+    return written
+
+
+def _print_outcomes(counts: dict[str, int], *notes: str) -> None:
+    """The ``job outcomes:`` line of a supervised sweep or study."""
+    summary = ", ".join(
+        f"{counts[status]} {status}" for status in _OUTCOMES if counts.get(status)
     )
+    print(f"job outcomes: {summary or 'none'}" + "".join(notes))
+
+
+def _supervisor_config(args: argparse.Namespace):
+    from repro.sim.batch import SupervisorConfig
+
+    return SupervisorConfig(
+        timeout=args.timeout, max_attempts=max(1, args.retries + 1)
+    )
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.sim import cache as result_cache
+    from repro.sim.simulator import Simulator
+    from repro.telemetry import CAUSES
+
+    machine = get_machine(args.machine)
     sim = Simulator(
-        machine, trace, args.scheme, warmup=DEFAULT_WARMUP, telemetry=True
+        machine,
+        _trace(args),
+        args.scheme,
+        warmup=DEFAULT_WARMUP,
+        telemetry=True if args.telemetry is not None else None,
+        kernel=False if args.no_kernel else None,
     )
     start = time.perf_counter()
     stats = sim.run()
     wall = time.perf_counter() - start
     for key, value in stats.as_dict().items():
         print(f"{key:20s} {value}")
+    if args.telemetry is None:
+        return 0
 
     report = sim.telemetry_report
     assert report is not None
@@ -145,36 +148,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"  {name:20s} {seconds:8.4f}")
 
     if args.telemetry:  # a directory was given
-        from pathlib import Path
-
-        out = Path(args.telemetry)
-        record = stats.as_dict()
-        jsonl_path = to_jsonl([record], out / "telemetry.jsonl")
-        manifest = build_manifest(
-            command="simulate",
+        jsonl_path, manifest_path = _write_records(
+            "simulate",
+            [stats.as_dict()],
+            directory=args.telemetry,
             arguments={
                 "benchmark": args.benchmark,
                 "machine": machine.name,
                 "scheme": args.scheme,
                 "length": args.length,
             },
-            configs={machine.name: config_fingerprint(machine)},
-            seeds={"trace": args.seed},
+            machines=[machine],
+            seed=args.seed,
             timings={"wall": wall, **report.phase_seconds},
-            results=[record],
             cache_stats=result_cache.stats.as_dict(),
         )
-        manifest_path = write_manifest(out / "manifest.json", manifest)
         print(f"\nwrote {jsonl_path} and {manifest_path}")
     return 0
 
 
 def _cmd_eir(args: argparse.Namespace) -> int:
-    workload = load_workload(args.benchmark)
     machine = get_machine(args.machine)
-    trace = generate_trace(
-        workload.program, workload.behavior, args.length, seed=args.seed
-    )
+    trace = _trace(args)
     perfect = measure_eir(trace, machine, "perfect").eir
     print(f"{args.benchmark} on {machine.name}: EIR(perfect) = {perfect:.2f}")
     for scheme in HARDWARE_SCHEMES:
@@ -186,21 +181,12 @@ def _cmd_eir(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Telemetry breakdown: where every fetch slot went, per scheme."""
     import json
-    import time
 
     from repro.experiments.common import telemetry_sim_stats
     from repro.metrics.chart import BarGroup, bar_chart, tornado_chart
     from repro.metrics.summary import format_table
     from repro.sim import cache as result_cache
-    from repro.telemetry import (
-        CAUSES,
-        build_manifest,
-        check_conservation,
-        config_fingerprint,
-        to_csv,
-        to_jsonl,
-        write_manifest,
-    )
+    from repro.telemetry import CAUSES, check_conservation
 
     machine = get_machine(args.machine)
     schemes = list(args.schemes or HARDWARE_SCHEMES + ("perfect",))
@@ -328,28 +314,26 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             )
         )
 
-    records = [results[scheme].as_dict() for scheme in schemes]
-    if args.export_jsonl:
-        print(f"wrote {to_jsonl(records, args.export_jsonl)}")
-    if args.export_csv:
-        print(f"wrote {to_csv(records, args.export_csv)}")
-    if args.manifest:
-        manifest = build_manifest(
-            command="stats",
-            arguments={
-                "benchmark": args.benchmark,
-                "machine": machine.name,
-                "schemes": schemes,
-                "length": args.length,
-                "warmup": args.warmup,
-            },
-            configs={machine.name: config_fingerprint(machine)},
-            seeds={"trace": args.seed},
-            timings={"wall": wall},
-            results=records,
-            cache_stats=result_cache.stats.as_dict(),
-        )
-        print(f"wrote {write_manifest(args.manifest, manifest)}")
+    written = _write_records(
+        "stats",
+        [results[scheme].as_dict() for scheme in schemes],
+        jsonl=args.export_jsonl,
+        csv=args.export_csv,
+        manifest=args.manifest,
+        arguments={
+            "benchmark": args.benchmark,
+            "machine": machine.name,
+            "schemes": schemes,
+            "length": args.length,
+            "warmup": args.warmup,
+        },
+        machines=[machine],
+        seed=args.seed,
+        timings={"wall": wall},
+        cache_stats=result_cache.stats.as_dict(),
+    )
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 
@@ -361,19 +345,19 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _config_for(args: argparse.Namespace) -> ExperimentConfig:
-    scale = getattr(args, "scale", 1.0)
-    if scale == 1.0:
+    if args.scale == 1.0:
         return DEFAULT_CONFIG
     return ExperimentConfig(
-        trace_length=max(2000, int(DEFAULT_CONFIG.trace_length * scale)),
-        eir_length=max(2000, int(DEFAULT_CONFIG.eir_length * scale)),
-        stats_length=max(4000, int(DEFAULT_CONFIG.stats_length * scale)),
-        warmup=max(500, int(DEFAULT_CONFIG.warmup * scale)),
+        trace_length=max(2000, int(DEFAULT_CONFIG.trace_length * args.scale)),
+        eir_length=max(2000, int(DEFAULT_CONFIG.eir_length * args.scale)),
+        stats_length=max(4000, int(DEFAULT_CONFIG.stats_length * args.scale)),
+        warmup=max(500, int(DEFAULT_CONFIG.warmup * args.scale)),
     )
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    for result in run_experiments(args.names, _config_for(args)):
+    names = args.names or list(EXPERIMENTS)
+    for result in run_experiments(names, _config_for(args)):
         print(result.to_json() if args.json else result.as_text())
         if not args.json:
             print("=" * 72)
@@ -383,7 +367,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     """Declarative study engine: ``ablate run|list|report``."""
     import json
-    from pathlib import Path
 
     from repro import knobs
     from repro.check.errors import CheckFailure
@@ -448,17 +431,14 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else (
         Path(knobs.raw("REPRO_STUDY_DIR")) / spec.name
     )
-    from repro.sim.batch import BatchError, SupervisorConfig
+    from repro.sim.batch import BatchError
 
-    config = SupervisorConfig(
-        timeout=args.timeout, max_attempts=max(1, args.retries + 1)
-    )
     try:
         outcome = run_study(
             spec,
             out_dir,
             processes=args.jobs,
-            config=config,
+            config=_supervisor_config(args),
             resume=args.resume,
         )
     except CheckFailure as exc:
@@ -477,21 +457,12 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         return 1
 
     report = outcome.report
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    counts = outcome.manifest["outcomes"]
     print(
         f"study {spec.name} (spec {spec.digest}): "
         f"{len(outcome.expansion.runs)} unique runs, "
         f"{outcome.manifest['jobs']} jobs"
     )
-    summary = ", ".join(
-        f"{counts[status]} {status}"
-        for status in ("ok", "retried", "timeout", "crashed", "skipped")
-        if counts.get(status)
-    )
-    print(f"job outcomes: {summary or 'none'}")
+    _print_outcomes(outcome.manifest["outcomes"])
     print()
     print(study_analysis.render_tornado(report).rstrip("\n"))
     frontier = report["pareto"]["frontier"]
@@ -515,7 +486,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = check_matrix(
         benchmarks=args.benchmarks or None,
         machines=args.machines or None,
-        schemes=args.schemes or None,
         length=args.length,
         seed=args.seed,
         fetch=not args.no_fetch,
@@ -531,8 +501,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
+    import json
 
     from repro.analysis import Baseline, run_lint
 
@@ -552,7 +521,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"wrote {count} suppression(s) to {written}")
         return 0
     if args.json:
-        print(_json.dumps(report.as_dict(), indent=2))
+        print(json.dumps(report.as_dict(), indent=2))
     else:
         print(report.render())
     return 0 if report.ok else 1
@@ -563,7 +532,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.sim.batch import (
         BatchError,
-        SupervisorConfig,
         SweepJournal,
         run_batch_report,
         suite_jobs,
@@ -573,8 +541,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Env (not a flag threaded through SimJob) so worker processes
         # inherit it; the result-cache digest includes this knob.
         os.environ["REPRO_SANITIZE"] = "1"
-    if args.trace is not None:
-        _activate_tracing(args.trace)
     telemetry = args.telemetry is not None
     benchmarks = tuple(args.benchmarks or ALL_BENCHMARKS)
     machines = tuple(args.machines or [m.name for m in MACHINES])
@@ -591,14 +557,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     journal_dir = args.resume or args.journal
     journal = SweepJournal(journal_dir) if journal_dir else None
-    config = SupervisorConfig(
-        timeout=args.timeout, max_attempts=max(1, args.retries + 1)
-    )
     try:
         report = run_batch_report(
             jobs,
             processes=args.jobs,
-            config=config,
+            config=_supervisor_config(args),
             journal=journal,
             resume=args.resume is not None,
         )
@@ -638,17 +601,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"({report.instructions_per_second:,.0f} simulated instructions/s, "
         f"{report.processes} process(es))"
     )
-    counts = report.outcome_counts
     extra_attempts = sum(len(o.failures) for o in report.outcomes)
-    summary = ", ".join(
-        f"{counts[status]} {status}"
-        for status in ("ok", "retried", "timeout", "crashed", "skipped")
-        if counts.get(status)
-    )
-    print(
-        f"job outcomes: {summary or 'none'}"
-        + (f" ({extra_attempts} failed attempt(s) retried)" if extra_attempts else "")
-        + (" — degraded to serial execution" if report.degraded_serial else "")
+    _print_outcomes(
+        report.outcome_counts,
+        f" ({extra_attempts} failed attempt(s) retried)" if extra_attempts else "",
+        " — degraded to serial execution" if report.degraded_serial else "",
     )
     cache = report.cache_stats
     print(
@@ -663,21 +620,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             else ""
         )
     )
-    if telemetry and args.telemetry:  # a directory was given
-        from pathlib import Path
-
-        from repro.telemetry import (
-            build_manifest,
-            config_fingerprint,
-            to_jsonl,
-            write_manifest,
-        )
-
-        out = Path(args.telemetry)
-        records = [stats.as_dict() for stats in report.results]
-        jsonl_path = to_jsonl(records, out / "telemetry.jsonl")
-        manifest = build_manifest(
-            command="sweep",
+    if args.telemetry:  # a directory was given
+        jsonl_path, manifest_path = _write_records(
+            "sweep",
+            [stats.as_dict() for stats in report.results],
+            directory=args.telemetry,
             arguments={
                 "benchmarks": list(benchmarks),
                 "machines": list(machines),
@@ -689,17 +636,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "retries": args.retries,
                 "resume": bool(args.resume),
             },
-            configs={
-                name: config_fingerprint(get_machine(name))
-                for name in machines
-            },
-            seeds={"trace": args.seed},
+            machines=[get_machine(name) for name in machines],
+            seed=args.seed,
             timings={"wall": report.wall_seconds},
-            results=records,
             cache_stats=cache,
             outcomes=[outcome.as_dict() for outcome in report.outcomes],
         )
-        manifest_path = write_manifest(out / "manifest.json", manifest)
         print(f"wrote {jsonl_path} and {manifest_path}")
     return 0
 
@@ -775,29 +717,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_pipetrace(args: argparse.Namespace) -> int:
     from repro.sim.pipetrace import trace_pipeline
 
-    workload = load_workload(args.benchmark)
-    trace = generate_trace(
-        workload.program, workload.behavior, args.length, seed=args.seed
-    )
     log = trace_pipeline(
-        get_machine(args.machine), trace, args.scheme, max_cycles=args.cycles
+        get_machine(args.machine), _trace(args), args.scheme, max_cycles=args.cycles
     )
     print(log.render(limit=args.cycles))
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    for result in run_experiments(config=_config_for(args)):
-        print(result.as_text())
-        print("=" * 72)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import serve
 
-    if args.trace is not None:
-        _activate_tracing(args.trace)
     return serve(
         host=args.host,
         port=args.port,
@@ -806,7 +735,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_timeout=args.timeout,
         retries=args.retries,
         drain_timeout=args.drain_timeout,
-        start_method=args.start_method,
         quiet=args.quiet,
         name=args.name,
     )
@@ -815,8 +743,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_balance(args: argparse.Namespace) -> int:
     from repro.service.cluster import run_cluster
 
-    if args.trace is not None:
-        _activate_tracing(args.trace)
     return run_cluster(
         replicas=args.replicas,
         host=args.host,
@@ -831,10 +757,11 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.service.loadgen import run_loadgen
 
-    output = args.output
-    if args.cluster and output == "BENCH_service_throughput.json":
-        # Don't clobber the single-replica artifact by default.
-        output = "BENCH_cluster_throughput.json"
+    output = args.output or (
+        "BENCH_cluster_throughput.json"
+        if args.cluster
+        else "BENCH_service_throughput.json"
+    )
     report = run_loadgen(
         host=args.host,
         port=args.port,
@@ -851,7 +778,6 @@ def _activate_tracing(trace_dir: str) -> None:
     environment so worker processes inherit it — both knobs are
     cache-exempt, so traced results stay bit-identical."""
     import os
-    from pathlib import Path
 
     from repro.telemetry import trace as tracing
 
@@ -864,7 +790,6 @@ def _activate_tracing(trace_dir: str) -> None:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.telemetry import timeline
     from repro.telemetry import trace as tracing
@@ -906,6 +831,187 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- shared argument groups ----------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _one_of(names):
+    """Type of one value of a ``nargs="*"`` positional naming *names*.
+    Not ``choices=``: before Python 3.12 argparse checks an empty list
+    against the choices and rejects it."""
+
+    def check(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} "
+                f"(choose from {', '.join(map(repr, names))})"
+            )
+        return text
+
+    return check
+
+
+def _names(parser, *kinds: str, lists: bool = False) -> None:
+    """Benchmark/machine/scheme positionals (or, with *lists*, the
+    ``--benchmarks``-style lists), validated against their registries."""
+    for kind in kinds:
+        if lists:
+            parser.add_argument(f"--{kind}s", nargs="*", choices=_NAMES[kind])
+        else:
+            parser.add_argument(kind, choices=_NAMES[kind])
+
+
+def _trace_shape(
+    parser, length: int, *, warmup: bool = False, seed: bool = True
+) -> None:
+    """The generated trace: ``--length``, ``--warmup`` and ``--seed``."""
+    parser.add_argument(
+        "--length",
+        type=_positive_int,
+        default=length,
+        help="dynamic instructions to generate (default: %(default)s)",
+    )
+    if warmup:
+        parser.add_argument(
+            "--warmup",
+            type=int,
+            default=DEFAULT_WARMUP,
+            help="leading instructions left out of the statistics "
+            "(default: %(default)s)",
+        )
+    if seed:
+        parser.add_argument(
+            "--seed",
+            type=int,
+            default=TEST_INPUT_SEED,
+            help="behaviour seed of the trace's input (default: %(default)s)",
+        )
+
+
+def _engine(parser) -> None:
+    """``--no-kernel`` and ``--telemetry [DIR]`` of a simulation."""
+    parser.add_argument(
+        "--no-kernel",
+        action="store_true",
+        help=(
+            "run the reference loop instead of the compiled "
+            "kernel (bit-identical statistics either way)"
+        ),
+    )
+    parser.add_argument(
+        "--telemetry",
+        nargs="?",
+        const="",
+        default=None,
+        metavar="DIR",
+        help=(
+            "run instrumented (slot attribution; simulate also prints "
+            "phase timings); with DIR, write telemetry.jsonl + "
+            "manifest.json there"
+        ),
+    )
+
+
+def _supervision(parser) -> None:
+    """How supervised jobs run: ``--jobs``, ``--timeout``, ``--retries``."""
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes (default: CPU count; 1 = serial)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=(
+            "per-job wall-clock timeout; a stuck job is terminated "
+            "and retried (default: none)"
+        ),
+    )
+    parser.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help=(
+            "retries per job after a crash/timeout/exception, with "
+            "exponential backoff (default: 2)"
+        ),
+    )
+
+
+def _tracing(parser) -> None:
+    parser.add_argument(
+        "--trace",
+        nargs="?",
+        const="",
+        default=None,
+        metavar="DIR",
+        help=(
+            "trace every job or request (REPRO_TRACE=1); with DIR, spill "
+            "spans there for 'repro trace' (REPRO_TRACE_DIR)"
+        ),
+    )
+
+
+def _address(parser, port: int) -> None:
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=port)
+
+
+def _service(parser, port: int, workers: int | None) -> None:
+    """What ``serve`` and ``balance`` share: the address, each server's
+    workers, admission bound and job timeout, tracing and the banner."""
+    _address(parser, port)
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=workers,
+        help="worker processes per server (0 = in-process serial; default: "
+        + ("CPU-based)" if workers is None else "%(default)s)"),
+    )
+    parser.add_argument(
+        "--max-queue",
+        type=int,
+        default=64,
+        help="unfinished jobs a server admits before answering 429",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-job timeout; timed-out jobs are retried (default: none)",
+    )
+    _tracing(parser)
+    parser.add_argument(
+        "--quiet", action="store_true", help="suppress startup banner"
+    )
+
+
+def _scale(parser) -> None:
+    parser.add_argument(
+        "--scale",
+        type=float,
+        default=1.0,
+        help="multiply the default trace lengths (default: %(default)s)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -916,59 +1022,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list benchmarks, machines, schemes").set_defaults(
-        func=_cmd_list
-    )
+    def verb(name: str, handler, summary: str):
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(func=handler)
+        return command
 
-    simulate = sub.add_parser("simulate", help="run one IPC simulation")
-    simulate.add_argument("benchmark")
-    simulate.add_argument("machine")
-    simulate.add_argument("scheme")
-    simulate.add_argument("--length", type=int, default=20_000)
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help=(
-            "run the reference loop instead of the compiled "
-            "kernel (bit-identical statistics either way)"
-        ),
-    )
-    simulate.add_argument(
-        "--telemetry",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help=(
-            "run instrumented: print slot attribution and phase timings; "
-            "with DIR, also write telemetry.jsonl + manifest.json there"
-        ),
-    )
-    simulate.set_defaults(func=_cmd_simulate)
+    simulate = verb("simulate", _cmd_simulate, "run one IPC simulation")
+    _names(simulate, "benchmark", "machine", "scheme")
+    _trace_shape(simulate, DEFAULT_TRACE_LENGTH)
+    _engine(simulate)
 
-    eir = sub.add_parser("eir", help="fetch-only alignment efficiency")
-    eir.add_argument("benchmark")
-    eir.add_argument("machine")
-    eir.add_argument("--length", type=int, default=30_000)
-    eir.add_argument("--seed", type=int, default=0)
-    eir.set_defaults(func=_cmd_eir)
+    eir = verb("eir", _cmd_eir, "fetch-only alignment efficiency")
+    _names(eir, "benchmark", "machine")
+    _trace_shape(eir, DEFAULT_CONFIG.eir_length)
 
-    stats = sub.add_parser(
+    stats = verb(
         "stats",
-        help="telemetry slot-attribution breakdown across fetch schemes",
+        _cmd_stats,
+        "telemetry slot-attribution breakdown across fetch schemes",
     )
-    stats.add_argument("benchmark")
-    stats.add_argument("machine")
-    stats.add_argument(
-        "--schemes",
-        nargs="*",
-        metavar="SCHEME",
-        help="schemes to break down (default: hardware schemes + perfect)",
-    )
-    stats.add_argument("--length", type=int, default=20_000)
-    stats.add_argument("--warmup", type=int, default=4_000)
-    stats.add_argument("--seed", type=int, default=0)
+    _names(stats, "benchmark", "machine")
+    _names(stats, "scheme", lists=True)
+    _trace_shape(stats, DEFAULT_TRACE_LENGTH, warmup=True)
     stats.add_argument("--json", action="store_true")
     stats.add_argument(
         "--export-jsonl", metavar="PATH", help="write per-scheme records"
@@ -979,32 +1054,37 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--manifest", metavar="PATH", help="write a run-provenance manifest"
     )
-    stats.set_defaults(func=_cmd_stats)
 
-    characterize = sub.add_parser(
-        "characterize", help="workload characterisation table"
+    characterize = verb(
+        "characterize", _cmd_characterize, "workload characterisation table"
     )
-    characterize.add_argument("benchmarks", nargs="*")
-    characterize.add_argument("--length", type=int, default=40_000)
-    characterize.set_defaults(func=_cmd_characterize)
+    characterize.add_argument(
+        "benchmarks",
+        nargs="*",
+        type=_one_of(ALL_BENCHMARKS),
+        help="default: all of " + ", ".join(ALL_BENCHMARKS),
+    )
+    _trace_shape(characterize, CHARACTERIZE_LENGTH, seed=False)
 
-    experiment = sub.add_parser(
-        "experiment", help="regenerate paper tables/figures"
+    experiment = verb(
+        "experiment", _cmd_experiment, "regenerate paper tables/figures"
     )
-    experiment.add_argument("names", nargs="+", choices=list(EXPERIMENTS))
+    experiment.add_argument(
+        "names",
+        nargs="*",
+        type=_one_of(EXPERIMENTS),
+        help="default: all, in paper order: " + ", ".join(EXPERIMENTS),
+    )
     experiment.add_argument("--json", action="store_true")
-    experiment.add_argument("--scale", type=float, default=1.0)
-    experiment.set_defaults(func=_cmd_experiment)
+    _scale(experiment)
 
-    ablate = sub.add_parser(
+    ablate = verb(
         "ablate",
-        help="declarative ablation studies (expand/execute/analyse)",
+        _cmd_ablate,
+        "declarative ablation studies (expand/execute/analyse)",
     )
     ablate_sub = ablate.add_subparsers(dest="action", required=True)
-    ablate_list = ablate_sub.add_parser(
-        "list", help="list the named study presets"
-    )
-    ablate_list.set_defaults(func=_cmd_ablate)
+    ablate_sub.add_parser("list", help="list the named study presets")
     ablate_run = ablate_sub.add_parser(
         "run", help="expand and execute a study, writing its reports"
     )
@@ -1025,82 +1105,20 @@ def build_parser() -> argparse.ArgumentParser:
             "(bit-identical results) and journal new completions there"
         ),
     )
-    ablate_run.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: CPU count; 1 = serial)",
-    )
-    ablate_run.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock timeout (default: none)",
-    )
-    ablate_run.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retries per job after a crash/timeout (default: 2)",
-    )
-    ablate_run.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="scale a preset's trace lengths (presets only)",
-    )
-    ablate_run.add_argument(
-        "--json",
-        action="store_true",
-        help="print report.json to stdout instead of the summary",
-    )
-    ablate_run.set_defaults(func=_cmd_ablate)
+    _supervision(ablate_run)
+    _scale(ablate_run)
     ablate_report = ablate_sub.add_parser(
         "report", help="re-render a finished study from its report.json"
     )
     ablate_report.add_argument("dir", help="study output directory")
     ablate_report.add_argument("--json", action="store_true")
-    ablate_report.set_defaults(func=_cmd_ablate)
 
-    sweep = sub.add_parser(
-        "sweep", help="batch-simulate a benchmark x machine x scheme grid"
+    sweep = verb(
+        "sweep", _cmd_sweep, "batch-simulate a benchmark x machine x scheme grid"
     )
-    sweep.add_argument("--benchmarks", nargs="*", metavar="BENCH")
-    sweep.add_argument("--machines", nargs="*", metavar="MACHINE")
-    sweep.add_argument("--schemes", nargs="*", metavar="SCHEME")
-    sweep.add_argument("--length", type=int, default=20_000)
-    sweep.add_argument("--warmup", type=int, default=4_000)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes (default: CPU count; 1 = serial)",
-    )
-    sweep.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-job wall-clock timeout; a stuck worker is terminated "
-            "and the job retried (default: none)"
-        ),
-    )
-    sweep.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "retries per job after a crash/timeout/exception, with "
-            "exponential backoff (default: 2)"
-        ),
-    )
+    _names(sweep, "benchmark", "machine", "scheme", lists=True)
+    _trace_shape(sweep, DEFAULT_TRACE_LENGTH, warmup=True)
+    _supervision(sweep)
     journal_flags = sweep.add_mutually_exclusive_group()
     journal_flags.add_argument(
         "--journal",
@@ -1123,44 +1141,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run every simulation under the pipeline sanitizer",
     )
-    sweep.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help="run the reference loop for every job",
-    )
-    sweep.add_argument(
-        "--telemetry",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help=(
-            "run every job instrumented (slot attribution in results); "
-            "with DIR, write telemetry.jsonl + manifest.json there"
-        ),
-    )
-    sweep.add_argument(
-        "--trace",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help=(
-            "trace the sweep (REPRO_TRACE=1); with DIR, spill spans "
-            "there for 'repro trace' (REPRO_TRACE_DIR)"
-        ),
-    )
-    sweep.set_defaults(func=_cmd_sweep)
+    _engine(sweep)
+    _tracing(sweep)
 
-    check = sub.add_parser(
-        "check",
-        help="lint programs, configs, traces and fetch packets",
+    # The grid is not validated here: check reports unknown names as
+    # A001-A003 findings.
+    check = verb(
+        "check", _cmd_check, "lint programs, configs, traces and fetch packets"
     )
     check.add_argument("--benchmarks", nargs="*", metavar="BENCH")
     check.add_argument("--machines", nargs="*", metavar="MACHINE")
-    check.add_argument("--schemes", nargs="*", metavar="SCHEME")
-    check.add_argument("--length", type=int, default=4_000)
-    check.add_argument("--seed", type=int, default=0)
+    _trace_shape(check, DEFAULT_CHECK_LENGTH)
     check.add_argument(
         "--no-fetch",
         action="store_true",
@@ -1173,11 +1164,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="VARIANT",
         help="program variants to lint (orig reordered pad_all pad_trace)",
     )
-    check.set_defaults(func=_cmd_check)
 
-    lint = sub.add_parser(
-        "lint",
-        help="static analysis of the codebase (repro.analysis)",
+    lint = verb(
+        "lint", _cmd_lint, "static analysis of the codebase (repro.analysis)"
     )
     lint.add_argument(
         "--root",
@@ -1199,18 +1188,16 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept all current findings into the baseline file",
     )
-    lint.set_defaults(func=_cmd_lint)
 
-    bench = sub.add_parser(
+    bench = verb(
         "bench",
-        help="single-simulation throughput: reference loop vs compiled kernel",
+        _cmd_bench,
+        "single-simulation throughput: reference loop vs compiled kernel",
     )
     bench.add_argument("--benchmark", default="espresso")
     bench.add_argument("--machine", default="PI8")
     bench.add_argument("--scheme", default="interleaved_sequential")
-    bench.add_argument("--length", type=int, default=20_000)
-    bench.add_argument("--warmup", type=int, default=4_000)
-    bench.add_argument("--seed", type=int, default=0)
+    _trace_shape(bench, DEFAULT_TRACE_LENGTH, warmup=True)
     bench.add_argument(
         "--repeats", type=int, default=3, help="best-of-N timing (default 3)"
     )
@@ -1235,65 +1222,27 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="INSN_PER_SEC",
         help="exit 1 if warm-kernel (or reference-only) throughput is lower",
     )
-    bench.set_defaults(func=_cmd_bench)
 
-    pipetrace = sub.add_parser(
-        "pipetrace", help="cycle-by-cycle pipeline trace"
+    pipetrace = verb(
+        "pipetrace", _cmd_pipetrace, "cycle-by-cycle pipeline trace"
     )
-    pipetrace.add_argument("benchmark")
-    pipetrace.add_argument("machine")
-    pipetrace.add_argument("scheme")
+    _names(pipetrace, "benchmark", "machine", "scheme")
     pipetrace.add_argument("--cycles", type=int, default=40)
-    pipetrace.add_argument("--length", type=int, default=4000)
-    pipetrace.add_argument("--seed", type=int, default=0)
-    pipetrace.set_defaults(func=_cmd_pipetrace)
+    _trace_shape(pipetrace, PIPETRACE_LENGTH)
 
-    serve = sub.add_parser(
-        "serve", help="start the HTTP/JSON simulation service"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8000)
+    serve = verb("serve", _cmd_serve, "start the HTTP/JSON simulation service")
+    _service(serve, port=8000, workers=None)
     serve.add_argument(
-        "--workers",
+        "--retries",
         type=int,
-        default=None,
-        help="worker processes (0 = in-process serial; default: cpu-based)",
+        default=2,
+        help="retries per job after a crash or timeout (default: 2)",
     )
-    serve.add_argument(
-        "--max-queue",
-        type=int,
-        default=64,
-        help="max unfinished jobs before 429 (admission control)",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-job timeout in seconds (timed-out jobs are retried)",
-    )
-    serve.add_argument("--retries", type=int, default=2)
     serve.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
         help="seconds to wait for in-flight jobs on SIGTERM",
-    )
-    serve.add_argument(
-        "--start-method",
-        choices=["fork", "spawn", "forkserver"],
-        default=None,
-        help="multiprocessing start method for workers",
-    )
-    serve.add_argument(
-        "--trace",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help=(
-            "trace every request (REPRO_TRACE=1); with DIR, spill spans "
-            "there for 'repro trace' (REPRO_TRACE_DIR)"
-        ),
     )
     serve.add_argument(
         "--name",
@@ -1303,70 +1252,32 @@ def build_parser() -> argparse.ArgumentParser:
             "cluster balancer can route polls to the owning replica)"
         ),
     )
-    serve.add_argument(
-        "--quiet", action="store_true", help="suppress startup banner"
-    )
-    serve.set_defaults(func=_cmd_serve)
 
-    balance = sub.add_parser(
-        "balance",
-        help="front a fleet of serve replicas with a balancer",
+    balance = verb(
+        "balance", _cmd_balance, "front a fleet of serve replicas with a balancer"
     )
-    balance.add_argument("--host", default="127.0.0.1")
-    balance.add_argument(
-        "--port", type=int, default=8100, help="balancer listening port"
-    )
+    _service(balance, port=8100, workers=1)
     balance.add_argument(
         "--replicas",
         type=int,
         default=3,
         help="number of serve replicas to spawn and supervise",
     )
-    balance.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes per replica (0 = in-process serial)",
-    )
-    balance.add_argument(
-        "--max-queue",
-        type=int,
-        default=64,
-        help="per-replica admission bound (429 beyond it)",
-    )
-    balance.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-job timeout passed to every replica",
-    )
-    balance.add_argument(
-        "--trace",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="DIR",
-        help=(
-            "trace every request (REPRO_TRACE=1); with DIR, spill spans "
-            "there for 'repro trace' (REPRO_TRACE_DIR)"
-        ),
-    )
-    balance.add_argument(
-        "--quiet", action="store_true", help="suppress startup banner"
-    )
-    balance.set_defaults(func=_cmd_balance)
 
-    loadgen = sub.add_parser(
-        "loadgen", help="benchmark a running simulation service"
+    loadgen = verb(
+        "loadgen", _cmd_loadgen, "benchmark a running simulation service"
     )
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=8000)
+    _address(loadgen, 8000)
     loadgen.add_argument("--clients", type=int, default=8)
     loadgen.add_argument("--duration", type=float, default=5.0)
     loadgen.add_argument(
         "--output",
-        default="BENCH_service_throughput.json",
-        help="report path ('-' to skip writing)",
+        default=None,
+        help=(
+            "report path ('-' to skip writing; default: "
+            "BENCH_service_throughput.json, or BENCH_cluster_throughput.json "
+            "with --cluster)"
+        ),
     )
     loadgen.add_argument(
         "--strict",
@@ -1378,15 +1289,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "cluster gauntlet: verify every result bit-for-bit against "
-            "an in-process reference and require zero failed requests "
-            "(writes BENCH_cluster_throughput.json by default)"
+            "an in-process reference and require zero failed requests"
         ),
     )
-    loadgen.set_defaults(func=_cmd_loadgen)
 
-    trace = sub.add_parser(
-        "trace",
-        help="inspect recorded trace spans (timeline, critical path)",
+    trace = verb(
+        "trace", _cmd_trace, "inspect recorded trace spans (timeline, critical path)"
     )
     trace.add_argument(
         "trace_id",
@@ -1417,16 +1325,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT.json",
         help="also export the trace as a Chrome/Perfetto trace-event file",
     )
-    trace.set_defaults(func=_cmd_trace)
-
-    report = sub.add_parser("report", help="all paper artifacts")
-    report.add_argument("--scale", type=float, default=1.0)
-    report.set_defaults(func=_cmd_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "trace", None) is not None:  # sweep, serve, balance
+        _activate_tracing(args.trace)
     return args.func(args)
 
 

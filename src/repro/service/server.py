@@ -529,7 +529,6 @@ def serve(
     job_timeout: float | None = None,
     retries: int = 2,
     drain_timeout: float = 30.0,
-    start_method: str | None = None,
     quiet: bool = False,
     name: str = "",
 ) -> int:
@@ -548,7 +547,6 @@ def serve(
             timeout=job_timeout,
             max_attempts=max(1, retries + 1),
         ),
-        requested_start_method=start_method,
     )
     scheduler = JobScheduler(pool, max_queue=max_queue, name=name)
     server = ServiceServer(scheduler, host=host, port=port)

@@ -74,9 +74,13 @@ class WorkloadCharacter:
         ]
 
 
+#: Dynamic trace length of one characterisation (``repro characterize``).
+CHARACTERIZE_LENGTH = 40_000
+
+
 def characterize(
     workload: Workload,
-    trace_length: int = 40_000,
+    trace_length: int = CHARACTERIZE_LENGTH,
     seed: int = TEST_INPUT_SEED,
     block_sizes: tuple[int, ...] = (4, 8, 16),
 ) -> WorkloadCharacter:

@@ -894,6 +894,26 @@ class TestLintCli:
         assert main(["lint", "--root", str(root)]) == 0
         assert "1 baselined" in capsys.readouterr().out
 
+    def test_baseline_path_outside_the_root(self, tmp_path, capsys):
+        root = seed(
+            tmp_path,
+            {
+                "src/pkg/extra.py": """
+                    from pkg import knobs
+
+                    def hidden():
+                        return knobs.raw("REPRO_OTHER")
+                """
+            },
+        )
+        elsewhere = str(tmp_path / "elsewhere.json")
+        argv = ["lint", "--root", str(root), "--baseline", elsewhere]
+        assert main(argv + ["--write-baseline"]) == 0
+        assert not (root / "lint_baseline.json").exists()
+        assert main(argv) == 0
+        assert "1 baselined" in capsys.readouterr().out
+        assert main(["lint", "--root", str(root)]) == 1
+
     def test_bad_baseline_exits_two(self, tmp_path, capsys):
         root = seed(tmp_path)
         (root / "lint_baseline.json").write_text("{\"version\": 99}")

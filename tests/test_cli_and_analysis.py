@@ -1,8 +1,15 @@
 """Tests for the CLI and workload characterisation."""
 
+import argparse
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.report import EXPERIMENTS
+from repro.sim.runner import run_workload
 from repro.workloads import load_workload
 from repro.workloads.analysis import (
     WorkloadCharacter,
@@ -46,13 +53,31 @@ class TestAnalysis:
         assert len(character.summary_row()) == len(WorkloadCharacter.headers())
 
 
+@pytest.fixture
+def cache_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    return tmp_path
+
+
+def _stats_lines(out):
+    """The ``key value`` block ``simulate`` prints first."""
+    block = out.split("\n\n")[0]
+    return dict(line.split(None, 1) for line in block.splitlines())
+
+
 class TestCLI:
-    def test_list(self, capsys):
-        assert main(["list"]) == 0
+    def test_usage_errors_list_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "nosuch", "PI4", "sequential"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nosuch'" in err
+        assert all(name in err for name in ("compress", "li", "tomcatv"))
+        with pytest.raises(SystemExit):
+            main(["simulate", "-h"])
         out = capsys.readouterr().out
-        assert "compress" in out
-        assert "PI12" in out
-        assert "collapsing_buffer" in out
+        assert "PI12" in out and "collapsing_buffer" in out
 
     def test_simulate(self, capsys):
         code = main(
@@ -78,3 +103,209 @@ class TestCLI:
     def test_experiment_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    def test_extension_machine_is_a_valid_name(self):
+        args = build_parser().parse_args(["simulate", "li", "PI16", "sequential"])
+        assert args.machine == "PI16"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "nosuch", "PI4", "sequential"], "compress"),
+            (["simulate", "li", "PI99", "sequential"], "PI12"),
+            (["simulate", "li", "PI4", "nosuch"], "collapsing_buffer"),
+            (["simulate", "li", "PI4", "sequential", "--length", "-5"],
+             "positive integer"),
+            (["eir", "nosuch", "PI4"], "compress"),
+            (["eir", "li", "PI99"], "PI12"),
+            (["eir", "li", "PI4", "--length", "-5"], "positive integer"),
+            (["stats", "nosuch", "PI4"], "compress"),
+            (["stats", "li", "PI99"], "PI12"),
+            (["stats", "li", "PI4", "--schemes", "nosuch"], "perfect"),
+            (["stats", "li", "PI4", "--length", "0"], "positive integer"),
+            (["sweep", "--benchmarks", "nosuch"], "compress"),
+            (["sweep", "--machines", "PI99"], "PI12"),
+            (["sweep", "--schemes", "nosuch"], "collapsing_buffer"),
+            (["sweep", "--length", "-5"], "positive integer"),
+            (["characterize", "nosuch"], "compress"),
+            (["experiment", "fig99"], "table4"),
+        ],
+    )
+    def test_bad_names_and_lengths_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "positive integer" in err
+        assert message in err
+
+    def test_experiment_without_names_runs_every_artifact(
+        self, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+
+        calls = []
+        monkeypatch.setattr(
+            cli, "run_experiments", lambda names, config: calls.append(names) or []
+        )
+        assert main(["experiment", "--scale", "0.5"]) == 0
+        assert calls == [list(EXPERIMENTS)]
+
+    def test_simulate_telemetry_prints_the_same_statistics(self, capsys):
+        argv = ["simulate", "li", "PI4", "collapsing_buffer", "--length", "3000"]
+        assert main(argv) == 0
+        plain = _stats_lines(capsys.readouterr().out)
+        assert main(argv + ["--telemetry"]) == 0
+        out = capsys.readouterr().out
+        assert "slot attribution" in out
+        observed = _stats_lines(out)
+        assert {key: observed[key] for key in plain} == plain
+        assert any(key.startswith("slot_") for key in observed)
+
+    def test_simulate_seed_selects_the_input(self, capsys):
+        argv = ["simulate", "li", "PI4", "sequential", "--length", "3000"]
+        assert main(argv + ["--seed", "3"]) == 0
+        printed = _stats_lines(capsys.readouterr().out)
+        stats = run_workload("li", "PI4", "sequential", 3000, seed=3)
+        assert printed["cycles"] == str(stats.cycles)
+        assert stats.cycles != run_workload("li", "PI4", "sequential", 3000).cycles
+
+    @pytest.mark.parametrize(
+        "flag, length", [("--sanitize", 2410), ("--no-kernel", 2420)]
+    )
+    def test_sweep_engine_flags_keep_the_grid(
+        self, flag, length, cache_env, monkeypatch, capsys
+    ):
+        # --sanitize sets REPRO_SANITIZE for the workers; undo it after.
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        argv = [
+            "sweep", "--benchmarks", "ora", "--machines", "PI4",
+            "--schemes", "sequential", "--length", str(length),
+            "--warmup", "400", "--jobs", "1", flag,
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "1 miss(es)" in out
+        (row,) = [line for line in out.splitlines() if line.startswith("ora")]
+        stats = run_workload("ora", "PI4", "sequential", length, warmup=400)
+        assert row.split()[-1] == f"{stats.ipc:.2f}"
+
+    def test_check_variants_widen_the_matrix(self, capsys):
+        argv = [
+            "check", "--benchmarks", "compress", "--machines", "PI4",
+            "--length", "1000", "--no-fetch",
+        ]
+
+        def checks(out):
+            return int(re.search(r"(\d+) checks: 0 error", out).group(1))
+
+        assert main(argv) == 0
+        orig = checks(capsys.readouterr().out)
+        assert main(argv + ["--variants", "orig", "reordered"]) == 0
+        assert checks(capsys.readouterr().out) > orig
+
+    def test_trace_top_limits_the_critical_path(self, tmp_path, capsys):
+        from tests.test_trace import TestTimeline
+
+        spans = TestTimeline().synthetic()
+        (tmp_path / "spans-1.jsonl").write_text(
+            "".join(json.dumps(span.as_dict()) + "\n" for span in spans)
+        )
+        trace_id = "a" * 32
+        assert main(["trace", "--dir", str(tmp_path), trace_id]) == 0
+        full = capsys.readouterr().out
+        assert main(["trace", "--dir", str(tmp_path), trace_id, "--top", "1"]) == 0
+        top = capsys.readouterr().out
+        assert len(top.splitlines()) == len(full.splitlines()) - 2
+
+    @pytest.mark.parametrize(
+        "argv, output",
+        [
+            ([], "BENCH_service_throughput.json"),
+            (["--cluster"], "BENCH_cluster_throughput.json"),
+            (["--cluster", "--output", "BENCH_service_throughput.json"],
+             "BENCH_service_throughput.json"),
+            (["--output", "-"], None),
+        ],
+    )
+    def test_loadgen_output(self, argv, output, monkeypatch):
+        import repro.service.loadgen as loadgen
+
+        received = {}
+
+        def fake(**kwargs):
+            received.update(kwargs)
+            return {"passed": True}
+
+        monkeypatch.setattr(loadgen, "run_loadgen", fake)
+        assert main(["loadgen"] + argv) == 0
+        assert received["output"] == output
+
+
+# -- every documented command line parses ------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+DOCUMENTED = [
+    REPO / ".github/workflows/ci.yml",
+    REPO / "README.md",
+    REPO / "EXPERIMENTS.md",
+    REPO / ".claude/skills/verify/SKILL.md",
+    *sorted((REPO / "docs").glob("*.md")),
+]
+COMMAND = re.compile(r"python -m repro\b([^`|<>;&#)]*)")
+
+
+def _logical_lines(text):
+    """Lines with their continuations joined: a trailing backslash, a
+    YAML folded block's ``--flag`` lines, and prose that breaks a
+    command right after ``python -m repro``."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if lines and (
+            lines[-1].endswith("\\")
+            or lines[-1].endswith("python -m repro")
+            or (line.startswith("--") and "python -m repro" in lines[-1])
+        ):
+            lines[-1] = lines[-1].rstrip("\\") + " " + line
+        else:
+            lines.append(line)
+    return lines
+
+
+def _documented_commands():
+    for path in DOCUMENTED:
+        if not path.exists():
+            continue
+        for line in _logical_lines(path.read_text()):
+            for match in COMMAND.finditer(line):
+                words = match.group(1).split()
+                # Shell variables ($GRID, $tables) hide their flags.
+                if words and not any("$" in word for word in words):
+                    yield path.relative_to(REPO), words
+
+
+def test_documented_commands_name_real_verbs_and_flags():
+    def subcommands(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        return {}
+
+    checked, problems = 0, []
+    for path, words in _documented_commands():
+        parser, rest = build_parser(), words
+        while rest and rest[0] in subcommands(parser):
+            parser, rest = subcommands(parser)[rest[0]], rest[1:]
+        if parser.prog == "repro":
+            problems.append(f"{path}: unknown verb in {' '.join(words)!r}")
+            continue
+        declared = {
+            option for action in parser._actions for option in action.option_strings
+        }
+        for word in rest:
+            if word.startswith("--") and word.split("=")[0] not in declared:
+                problems.append(f"{path}: {parser.prog} has no {word}")
+        checked += 1
+    assert problems == []
+    assert checked > 50
