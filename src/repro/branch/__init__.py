@@ -2,7 +2,6 @@
 
 from repro.branch.btb import (
     BranchTargetBuffer,
-    BTBEntry,
     BTBPrediction,
     BTBStats,
 )
@@ -24,7 +23,6 @@ from repro.branch.predictors import (
 
 __all__ = [
     "AlwaysTaken",
-    "BTBEntry",
     "BTBPrediction",
     "BTBStats",
     "BranchTargetBuffer",

@@ -15,28 +15,14 @@ hit always predicts taken regardless of the counter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.branch.counters import WEAK_TAKEN, TwoBitCounter
+from repro.branch.counters import STRONG_NOT_TAKEN, STRONG_TAKEN, WEAK_TAKEN
 
-
-@dataclass(slots=True)
-class BTBEntry:
-    """One BTB entry: tag, cached target, 2-bit counter, type flags."""
-
-    tag: int = -1
-    target: int = -1
-    counter: TwoBitCounter = field(default_factory=TwoBitCounter)
-    is_unconditional: bool = False
-    is_call: bool = False
-    is_return: bool = False
-    #: Memoized hit prediction; entry state only changes in
-    #: :meth:`BranchTargetBuffer.update`, which clears it.
-    cached: "BTBPrediction | None" = None
-
-    @property
-    def valid(self) -> bool:
-        return self.tag >= 0
+#: Type-flag bits of a BTB slot (:attr:`BranchTargetBuffer.flags`).
+UNCONDITIONAL = 1
+CALL = 2
+RETURN = 4
 
 
 @dataclass(slots=True)
@@ -76,7 +62,17 @@ class BTBStats:
 
 
 class BranchTargetBuffer:
-    """Direct-mapped, bank-interleaved BTB with 2-bit counters."""
+    """Direct-mapped, bank-interleaved BTB with 2-bit counters.
+
+    The table is stored as parallel lists of length *num_entries*, one
+    element per slot: ``tags`` (-1 when invalid), ``targets``, 2-bit
+    counter ``states``, type ``flags`` (:data:`UNCONDITIONAL`,
+    :data:`CALL`, :data:`RETURN`) and ``predictions``, a memo of each
+    slot's hit prediction that :meth:`update` and :meth:`flush` clear.
+    Bank *b* owns slots ``b * entries_per_bank`` onwards (see
+    :meth:`slot`).  The lists are only ever modified in place, so a
+    reference taken once stays current.
+    """
 
     def __init__(self, num_entries: int = 1024, interleave: int = 4) -> None:
         if num_entries <= 0 or interleave <= 0:
@@ -86,20 +82,22 @@ class BranchTargetBuffer:
         self.num_entries = num_entries
         self.interleave = interleave
         self.entries_per_bank = num_entries // interleave
-        self._banks: list[list[BTBEntry]] = [
-            [BTBEntry() for _ in range(self.entries_per_bank)]
-            for _ in range(interleave)
-        ]
+        self.tags = [-1] * num_entries
+        self.targets = [-1] * num_entries
+        self.states = [WEAK_TAKEN] * num_entries
+        self.flags = [0] * num_entries
+        self.predictions: list[BTBPrediction | None] = [None] * num_entries
         self.stats = BTBStats()
 
     # -- address mapping -----------------------------------------------------
 
-    def _locate(self, address: int) -> BTBEntry:
-        """Entry slot for *address*: bank = slot within block, direct-mapped
+    def slot(self, address: int) -> int:
+        """Slot of *address*: bank = slot within block, direct-mapped
         within the bank."""
-        bank = address % self.interleave
-        index = (address // self.interleave) % self.entries_per_bank
-        return self._banks[bank][index]
+        epb = self.entries_per_bank
+        return (address % self.interleave) * epb + (
+            address // self.interleave
+        ) % epb
 
     # -- prediction ------------------------------------------------------------
 
@@ -107,26 +105,26 @@ class BranchTargetBuffer:
         """Predict the instruction at *address* (one bank lookup)."""
         stats = self.stats
         stats.lookups += 1
-        # _locate() inlined: this is called for every planned fetch slot.
+        # slot() inlined: this is called for every planned fetch slot.
         interleave = self.interleave
-        entry = self._banks[address % interleave][
-            (address // interleave) % self.entries_per_bank
-        ]
-        # Addresses are non-negative, so an invalid entry (tag -1) can
+        epb = self.entries_per_bank
+        slot = (address % interleave) * epb + (address // interleave) % epb
+        # Addresses are non-negative, so an invalid slot (tag -1) can
         # never equal one — the tag comparison covers the valid check.
-        if entry.tag != address:
+        if self.tags[slot] != address:
             return _MISS
         stats.hits += 1
-        prediction = entry.cached
+        prediction = self.predictions[slot]
         if prediction is None:
-            unconditional = entry.is_unconditional
-            prediction = entry.cached = BTBPrediction(
+            flags = self.flags[slot]
+            unconditional = flags & UNCONDITIONAL != 0
+            prediction = self.predictions[slot] = BTBPrediction(
                 hit=True,
-                taken=unconditional or entry.counter.state >= WEAK_TAKEN,
-                target=entry.target,
+                taken=unconditional or self.states[slot] >= WEAK_TAKEN,
+                target=self.targets[slot],
                 is_conditional=not unconditional,
-                is_call=entry.is_call,
-                is_return=entry.is_return,
+                is_call=flags & CALL != 0,
+                is_return=flags & RETURN != 0,
             )
         return prediction
 
@@ -152,32 +150,42 @@ class BranchTargetBuffer:
         """Train the BTB with a resolved branch.
 
         Entries are allocated on taken branches; a not-taken branch only
-        trains an already-present entry (standard BTB fill policy).
+        trains an already-present entry (standard BTB fill policy).  The
+        counter saturates as :class:`~repro.branch.counters.TwoBitCounter`
+        does; a fresh allocation starts strongly taken (weakly taken,
+        trained once on the taken outcome).
         """
         self.stats.updates += 1
-        entry = self._locate(address)
-        entry.cached = None
-        if entry.valid and entry.tag == address:
-            entry.counter.update(taken)
+        slot = self.slot(address)
+        self.predictions[slot] = None
+        flags = (
+            (UNCONDITIONAL if is_unconditional else 0)
+            | (CALL if is_call else 0)
+            | (RETURN if is_return else 0)
+        )
+        if self.tags[slot] == address:
+            state = self.states[slot]
             if taken:
-                entry.target = target
-            entry.is_unconditional = is_unconditional
-            entry.is_call = is_call
-            entry.is_return = is_return
+                if state < STRONG_TAKEN:
+                    self.states[slot] = state + 1
+                self.targets[slot] = target
+            elif state > STRONG_NOT_TAKEN:
+                self.states[slot] = state - 1
+            self.flags[slot] = flags
             return
         if taken:
             # Allocate (direct-mapped: unconditionally replace).
-            entry.tag = address
-            entry.target = target
-            entry.counter = TwoBitCounter()
-            entry.counter.update(True)
-            entry.is_unconditional = is_unconditional
-            entry.is_call = is_call
-            entry.is_return = is_return
+            self.tags[slot] = address
+            self.targets[slot] = target
+            self.states[slot] = STRONG_TAKEN
+            self.flags[slot] = flags
             self.stats.allocations += 1
 
     def flush(self) -> None:
         """Invalidate all entries (statistics preserved)."""
-        for bank in self._banks:
-            for i in range(len(bank)):
-                bank[i] = BTBEntry()
+        n = self.num_entries
+        self.tags[:] = [-1] * n
+        self.targets[:] = [-1] * n
+        self.states[:] = [WEAK_TAKEN] * n
+        self.flags[:] = [0] * n
+        self.predictions[:] = [None] * n

@@ -16,7 +16,7 @@ proportionally for higher-fidelity runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from repro import faults, knobs
 from repro.compiler import PaddingResult, pad_all, pad_trace, reorder_program
@@ -154,7 +154,25 @@ def variant_trace(
 # -- cached simulations ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _memo_per_sanitize(fn):
+    """Memoise *fn* per process like ``lru_cache``, with the current
+    ``REPRO_SANITIZE`` value in the key: a sanitized call after a plain
+    call of the same cell simulates again, under the sanitizer.
+    ``cache_clear()`` and ``__wrapped__`` work as on ``lru_cache``."""
+
+    @lru_cache(maxsize=None)
+    def keyed(sanitize, *args, **kwargs):
+        return fn(*args, **kwargs)
+
+    @wraps(fn)
+    def memoised(*args, **kwargs):
+        return keyed(knobs.enabled("REPRO_SANITIZE"), *args, **kwargs)
+
+    memoised.cache_clear = keyed.cache_clear  # type: ignore[attr-defined]
+    return memoised
+
+
+@_memo_per_sanitize
 def sim_stats(
     benchmark: str,
     machine_name: str,
@@ -169,14 +187,14 @@ def sim_stats(
 ) -> SimStats:
     """Run (and memoise) one full IPC simulation.
 
-    Memoised twice: per process via ``lru_cache``, and across processes
-    via the persistent disk cache (:mod:`repro.sim.cache`) — batch
-    workers, repeated experiment invocations and CI runs share results.
+    Memoised twice: per process (:func:`_memo_per_sanitize`), and
+    across processes via the persistent disk cache
+    (:mod:`repro.sim.cache`) — batch workers, repeated experiment
+    invocations and CI runs share results.
 
     ``REPRO_SANITIZE=1`` makes the simulation run under the pipeline
-    sanitizer (:mod:`repro.check.sanitizer`); the disk-cache key is
-    salted with that knob, but the in-process ``lru_cache`` is not —
-    flip the environment before the first call, not between calls.
+    sanitizer (:mod:`repro.check.sanitizer`); both memos key on that
+    knob's value, so it may be flipped between calls.
 
     *kernel* is forwarded to :class:`Simulator` (``None`` defers to the
     ``REPRO_KERNEL`` knob).  It joins the disk-cache key even though the
@@ -185,7 +203,7 @@ def sim_stats(
     while either path is under suspicion.
     """
     # Chaos site: lets the harness prove a transient failure here is
-    # retried (lru_cache does not memoise the raised exception).
+    # retried (the memo does not keep a raised exception).
     faults.maybe_fail("sim.stats")
     key = (
         benchmark,
@@ -212,7 +230,7 @@ def sim_stats(
     return result_cache.get_or_compute("sim_stats", key, compute)
 
 
-@lru_cache(maxsize=None)
+@_memo_per_sanitize
 def telemetry_sim_stats(
     benchmark: str,
     machine_name: str,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
+from repro.isa.opcodes import CONTROL_OPS, OpClass
 from repro.workloads.trace import DynamicTrace
 
 
@@ -34,18 +36,27 @@ def taken_branch_stats(trace: DynamicTrace, block_words: int) -> TakenBranchStat
     """Measure taken-branch statistics of *trace* at the given block size."""
     if block_words <= 0:
         raise ValueError("block_words must be positive")
-    total = intra = work = 0
-    instructions = trace.instructions
-    for index, instr in enumerate(instructions):
-        if not instr.is_control:
-            if not instr.is_nop:
-                work += 1
-            continue
-        next_address = trace.next_address(index)
-        if next_address >= 0 and next_address != instr.address + 1:
-            total += 1
-            if instr.address // block_words == next_address // block_words:
-                intra += 1
+    # Local lists rather than the trace's cached arrays: a statistics
+    # trace is read once per block size, and caching five arrays on
+    # every such trace would keep them for the life of the process.
+    instrs = trace.instructions
+    ops = [i.op for i in instrs]
+    addresses = [i.address for i in instrs]
+    successors = addresses[1:]
+    successors.append(-1)
+    control = list(map(CONTROL_OPS.__contains__, ops))
+    # Taken control transfers: a successor that is not the next word.
+    taken = [
+        c and s >= 0 and s != a + 1
+        for c, a, s in zip(control, addresses, successors)
+    ]
+    total = taken.count(True)
+    intra = sum(
+        a // block_words == s // block_words
+        for a, s in zip(compress(addresses, taken), compress(successors, taken))
+    )
+    # A nop is never a control transfer, so the two counts are disjoint.
+    work = len(ops) - control.count(True) - ops.count(OpClass.NOP)
     return TakenBranchStats(
         total_taken=total, intra_block=intra, work_instructions=work
     )

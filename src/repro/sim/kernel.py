@@ -14,8 +14,9 @@ and then replays the dynamic trace as plain array lookups:
   the dependency of instruction *i* on source register *r* is the last
   writer of *r* before *i*, live iff that writer has not yet written
   back.  The same argument precomputes the conservative memory-ordering
-  edge (last store before each load/store).  Built with numpy when
-  available, plain ``bytes``/``list`` batch ops otherwise.
+  edge (last store before each load/store).  The op-derived arrays
+  are one ``bytes.translate`` each over the trace's ops lowered to
+  ``bytes``.
 
 * **Fetch outcome table** (built lazily during the run): with the BTB
   as the only predictor, fetch plans are pure functions of (fetch
@@ -58,8 +59,9 @@ and then replays the dynamic trace as plain array lookups:
   later runs from the same starting state replay the tape with *zero*
   predictor object work: no plan builds, no memo lookups, no BTB
   training, no I-cache prewarm.  A replay installs the recorded end
-  state (BTB entries and counters, cache tags, predictor and return
-  stack attributes), so the unit ends as a live run leaves it.
+  state (the BTB's slot arrays with its prediction memo cleared, cache
+  tags, predictor and return stack attributes), so the unit ends as a
+  live run leaves it.
   :func:`_tape_key` alone decides eligibility: no packet checker,
   zeroed fetch/BTB/cache counters, an empty cache, and predictor /
   return stack state made only of plain values (it joins the key, as
@@ -101,8 +103,8 @@ from array import array
 from collections import deque
 
 from repro import knobs
-from repro.branch.btb import BTBEntry
-from repro.branch.counters import WEAK_TAKEN, TwoBitCounter
+from repro.branch.btb import UNCONDITIONAL
+from repro.branch.counters import WEAK_TAKEN
 from repro.fetch.banked import BankedSequentialFetch
 from repro.fetch.collapsing import CollapsingBufferFetch
 from repro.fetch.interleaved import InterleavedSequentialFetch
@@ -115,11 +117,6 @@ from repro.isa.opcodes import (
     UNIT_FOR_OP,
     OpClass,
 )
-
-try:  # pragma: no cover - exercised via either branch in CI images
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "KERNEL_TABLE_VERSION",
@@ -313,30 +310,19 @@ def _tape_key(sim) -> tuple | None:
 
 
 def _end_state(fetch) -> tuple:
-    """What a run leaves in *fetch* beyond its counted statistics: valid
-    BTB entries, BTB update/allocation counts, cache tags, and predictor
-    and return stack attributes."""
+    """What a run leaves in *fetch* beyond its counted statistics: the
+    BTB's slot arrays and update/allocation counts, cache tags, and
+    predictor and return stack attributes."""
     btb = fetch.btb
-    entries = tuple(
-        (
-            bank,
-            index,
-            e.tag,
-            e.target,
-            e.counter.state,
-            e.is_unconditional,
-            e.is_call,
-            e.is_return,
-        )
-        for bank, bank_entries in enumerate(btb._banks)
-        for index, e in enumerate(bank_entries)
-        if e.tag >= 0
-    )
     return (
-        entries,
+        # Arrays and bytes: no int object per slot or set.
+        array("q", btb.tags),
+        array("q", btb.targets),
+        bytes(btb.states),
+        bytes(btb.flags),
         btb.stats.updates,
         btb.stats.allocations,
-        array("q", fetch.cache._tags),  # no int object per set
+        array("q", fetch.cache._tags),
         _plain_state(fetch.direction_predictor),
         _plain_state(fetch.return_stack),
     )
@@ -345,13 +331,13 @@ def _end_state(fetch) -> tuple:
 def _install_end_state(fetch, end: tuple) -> None:
     """Leave *fetch* — in the starting state its tape was recorded from —
     as the recorded run left it (see :func:`_end_state`)."""
-    entries, updates, allocations, tags, predictor, stack = end
+    btb_tags, targets, states, flags, updates, allocations, tags, predictor, stack = end
     btb = fetch.btb
-    banks = btb._banks
-    for bank, index, tag, target, state, unc, call, ret in entries:
-        banks[bank][index] = BTBEntry(
-            tag, target, TwoBitCounter(state), unc, call, ret
-        )
+    btb.tags[:] = btb_tags
+    btb.targets[:] = targets
+    btb.states[:] = states
+    btb.flags[:] = flags
+    btb.predictions[:] = [None] * btb.num_entries
     btb.stats.updates = updates
     btb.stats.allocations = allocations
     fetch.cache._tags = list(tags)
@@ -367,16 +353,22 @@ def _install_end_state(fetch, end: tuple) -> None:
 
 # -- trace table ------------------------------------------------------------
 
-_NUM_OPS = len(OpClass)
-_LAT_LUT = [LATENCY_FOR_OP[op] for op in map(OpClass, range(_NUM_OPS))]
-_UNIT_LUT = [int(UNIT_FOR_OP[op]) for op in map(OpClass, range(_NUM_OPS))]
-_CONTROL_LUT = [1 if op in CONTROL_OPS else 0 for op in map(OpClass, range(_NUM_OPS))]
-_UNCOND_LUT = [
-    1 if op in UNCONDITIONAL_OPS else 0 for op in map(OpClass, range(_NUM_OPS))
-]
-_BRCOND_LUT = [1 if op is OpClass.BR_COND else 0 for op in map(OpClass, range(_NUM_OPS))]
-_CALL_LUT = [1 if op is OpClass.CALL else 0 for op in map(OpClass, range(_NUM_OPS))]
-_RET_LUT = [1 if op is OpClass.RET else 0 for op in map(OpClass, range(_NUM_OPS))]
+_OPS = list(map(OpClass, range(len(OpClass))))
+
+
+def _lut(byte_of) -> bytes:
+    """A 256-byte ``bytes.translate`` table: an op's value to
+    ``byte_of(op)``."""
+    return bytes(byte_of(op) for op in _OPS).ljust(256, b"\0")
+
+
+_LAT_LUT = _lut(LATENCY_FOR_OP.__getitem__)
+_UNIT_LUT = _lut(UNIT_FOR_OP.__getitem__)
+_CONTROL_LUT = _lut(lambda op: op in CONTROL_OPS)
+_UNCOND_LUT = _lut(lambda op: op in UNCONDITIONAL_OPS)
+_BRCOND_LUT = _lut(lambda op: op is OpClass.BR_COND)
+_CALL_LUT = _lut(lambda op: op is OpClass.CALL)
+_RET_LUT = _lut(lambda op: op is OpClass.RET)
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 
@@ -406,13 +398,11 @@ class TraceTable:
 
 
 def _op_arrays(instrs, luts) -> list[bytes]:
-    """One byte array per lookup table in *luts*, indexed by each
-    instruction's op — vectorized when numpy is there."""
-    if _np is not None:
-        ops = _np.fromiter((i.op for i in instrs), dtype=_np.intp, count=len(instrs))
-        return [_np.asarray(lut, dtype=_np.uint8).take(ops).tobytes() for lut in luts]
-    ops = [int(i.op) for i in instrs]
-    return [bytes(lut[o] for o in ops) for lut in luts]
+    """One byte array per 256-byte table in *luts*, indexed by each
+    instruction's op: the ops are lowered to ``bytes`` once, then
+    translated per table."""
+    ops = bytes([i.op for i in instrs])
+    return [ops.translate(lut) for lut in luts]
 
 
 def _categorical_arrays(table: TraceTable, instrs) -> None:
@@ -582,7 +572,10 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
 
     interleave = btb.interleave
     epb = btb.entries_per_bank
-    banks = btb._banks
+    btb_tags = btb.tags
+    btb_targets = btb.targets
+    btb_states = btb.states
+    btb_flags = btb.flags
     num_sets = cache.num_sets
     tags = cache._tags
     plan_fn = fetch.plan
@@ -689,14 +682,12 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
         one class invalidate nothing.
         """
         nonlocal n_invalidated
-        bank = address % interleave
-        index = (address // interleave) % epb
-        entry = banks[bank][index]
-        tag = entry.tag
+        slot = (address % interleave) * epb + (address // interleave) % epb
+        tag = btb_tags[slot]
         if tag >= 0 and (
-            entry.is_unconditional or entry.counter.state >= WEAK_TAKEN
+            btb_flags[slot] & UNCONDITIONAL or btb_states[slot] >= WEAK_TAKEN
         ):
-            before = (tag, entry.target)
+            before = (tag, btb_targets[slot])
         else:
             before = None
         btb_update(
@@ -707,15 +698,15 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
             is_call=is_c,
             is_return=is_r,
         )
-        tag = entry.tag
+        tag = btb_tags[slot]
         if tag >= 0 and (
-            entry.is_unconditional or entry.counter.state >= WEAK_TAKEN
+            btb_flags[slot] & UNCONDITIONAL or btb_states[slot] >= WEAK_TAKEN
         ):
-            after = (tag, entry.target)
+            after = (tag, btb_targets[slot])
         else:
             after = None
         if before != after:
-            deps = btb_rev.pop(bank * epb + index, None)
+            deps = btb_rev.pop(slot, None)
             if deps:
                 for a in deps:
                     if memo.pop(a, None) is not None:

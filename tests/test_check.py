@@ -480,6 +480,40 @@ class TestSanitizer:
         assert sanitize_enabled()
         assert _simulator().sanitizer is not None
 
+    @pytest.mark.parametrize("memo", ["sim_stats", "telemetry_sim_stats"])
+    def test_memo_keys_on_sanitize(self, memo, monkeypatch, tmp_path):
+        """A sanitized call after a plain call of the same cell simulates
+        again, under the sanitizer: the per-process memo keys on
+        REPRO_SANITIZE as the disk cache does."""
+        from repro.experiments import common
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        sanitized_runs = []
+        real_init = PipelineSanitizer.__init__
+
+        def counting_init(sanitizer, sim):
+            sanitized_runs.append(sim)
+            real_init(sanitizer, sim)
+
+        monkeypatch.setattr(PipelineSanitizer, "__init__", counting_init)
+        run = getattr(common, memo)
+        run.cache_clear()
+        cell = dict(length=2_000, warmup=400, seed=9)
+        try:
+            plain = run("espresso", "PI4", "sequential", **cell)
+            assert sanitized_runs == []
+            monkeypatch.setenv("REPRO_SANITIZE", "1")
+            sanitized = run("espresso", "PI4", "sequential", **cell)
+            assert len(sanitized_runs) == 1
+            assert sanitized == plain
+            assert run("espresso", "PI4", "sequential", **cell) is sanitized
+            monkeypatch.delenv("REPRO_SANITIZE")
+            assert run("espresso", "PI4", "sequential", **cell) is plain
+        finally:
+            run.cache_clear()
+
     @pytest.mark.parametrize("scheme", HARDWARE_SCHEMES)
     def test_sanitized_run_is_bit_identical(self, scheme):
         plain = _simulator(scheme=scheme).run()

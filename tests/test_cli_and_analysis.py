@@ -3,6 +3,8 @@
 import argparse
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -309,3 +311,22 @@ def test_documented_commands_name_real_verbs_and_flags():
         checked += 1
     assert problems == []
     assert checked > 50
+
+
+def test_cli_and_report_import_no_numpy():
+    """The package has no runtime dependency: importing the CLI and the
+    paper report loads no numpy."""
+    script = (
+        "import sys; sys.path.insert(0, 'src')\n"
+        "import repro.cli, repro.experiments.report\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -419,11 +419,8 @@ def test_predictors_no_longer_decline():
 
 def _unit_state(unit):
     """Everything a run leaves in a fetch unit, read from its objects."""
-    entries = [
-        (e.tag, e.target, e.counter.state, e.is_unconditional, e.is_call, e.is_return)
-        for bank in unit.btb._banks
-        for e in bank
-    ]
+    btb = unit.btb
+    entries = list(zip(btb.tags, btb.targets, btb.states, btb.flags))
     extensions = [
         None if obj is None else dict(vars(obj))
         for obj in (unit.direction_predictor, unit.return_stack)

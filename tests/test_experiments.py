@@ -1,6 +1,5 @@
 """Tests for the experiment harness (scaled-down configurations)."""
 
-import functools
 import gc
 
 import pytest
@@ -206,7 +205,7 @@ def cold_tables(tmp_path_factory):
 
 def _clear_memos() -> None:
     for value in vars(common).values():
-        if isinstance(value, functools._lru_cache_wrapper):
+        if callable(value) and hasattr(value, "cache_clear"):
             value.cache_clear()
 
 

@@ -1,6 +1,8 @@
 """Model-based (stateful) property tests: hardware structures checked
 against trivially-correct reference models."""
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,13 +11,16 @@ from repro.memory import InstructionCache
 
 
 class _ReferenceBTB:
-    """Dictionary reference for the direct-mapped interleaved BTB."""
+    """Dictionary reference for the direct-mapped interleaved BTB,
+    counting lookups, hits, updates and allocations as ``BTBStats``
+    does."""
 
     def __init__(self, entries: int, interleave: int) -> None:
         self.entries = entries
         self.interleave = interleave
         self.per_bank = entries // interleave
         self.slots: dict[tuple[int, int], dict] = {}
+        self.stats = {"lookups": 0, "hits": 0, "updates": 0, "allocations": 0}
 
     def _slot(self, address: int) -> tuple[int, int]:
         return (
@@ -23,9 +28,11 @@ class _ReferenceBTB:
             (address // self.interleave) % self.per_bank,
         )
 
-    def update(self, address, taken, target):
+    def update(self, address, taken, target, unconditional, call, ret):
+        self.stats["updates"] += 1
         slot = self._slot(address)
         entry = self.slots.get(slot)
+        flags = {"unconditional": unconditional, "call": call, "ret": ret}
         if entry is not None and entry["tag"] == address:
             entry["counter"] = (
                 min(3, entry["counter"] + 1)
@@ -34,44 +41,99 @@ class _ReferenceBTB:
             )
             if taken:
                 entry["target"] = target
+            entry.update(flags)
         elif taken:
-            self.slots[slot] = {"tag": address, "target": target, "counter": 3}
+            self.slots[slot] = {
+                "tag": address, "target": target, "counter": 3, **flags
+            }
+            self.stats["allocations"] += 1
 
     def predict(self, address):
+        """``(hit, taken, target, is_conditional, is_call, is_return)``."""
+        self.stats["lookups"] += 1
         entry = self.slots.get(self._slot(address))
         if entry is None or entry["tag"] != address:
-            return (False, False, -1)
-        return (True, entry["counter"] >= 2, entry["target"])
+            return (False, False, -1, False, False, False)
+        self.stats["hits"] += 1
+        return (
+            True,
+            entry["unconditional"] or entry["counter"] >= 2,
+            entry["target"],
+            not entry["unconditional"],
+            entry["call"],
+            entry["ret"],
+        )
+
+    def flush(self):
+        self.slots.clear()
 
 
 _btb_ops = st.lists(
     st.tuples(
-        st.booleans(),  # update (True) or predict (False)
-        st.integers(min_value=0, max_value=300),  # address
+        st.integers(min_value=0, max_value=19),  # 0 flush, 1-9 update, else predict
+        # 16 addresses over 8 slots: every slot has two aliases.
+        st.integers(min_value=0, max_value=15),  # address
         st.booleans(),  # taken
         st.integers(min_value=0, max_value=300),  # target
+        st.tuples(st.booleans(), st.booleans(), st.booleans()),  # type flags
     ),
+    min_size=50,  # long enough to predict, retrain and predict one slot
     max_size=200,
 )
 
 
+def _prediction(prediction):
+    return (
+        prediction.hit,
+        prediction.taken,
+        prediction.target,
+        prediction.is_conditional,
+        prediction.is_call,
+        prediction.is_return,
+    )
+
+
 class TestBTBAgainstReference:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(_btb_ops)
     def test_matches_reference(self, operations):
+        real = BranchTargetBuffer(num_entries=8, interleave=4)
+        reference = _ReferenceBTB(entries=8, interleave=4)
+        for op, address, taken, target, (unc, call, ret) in operations:
+            if op == 0:
+                real.flush()
+                reference.flush()
+            elif op < 10:
+                real.update(address, taken, target, unc, call, ret)
+                reference.update(address, taken, target, unc, call, ret)
+            else:
+                assert _prediction(real.predict(address)) == reference.predict(
+                    address
+                )
+            assert dataclasses.asdict(real.stats) == reference.stats
+
+    def test_update_on_an_aliasing_slot_refreshes_the_prediction(self):
+        """Addresses 5 and 37 share a slot of a 32-entry, 4-way BTB: a
+        prediction remembered for one never answers for the other, nor
+        outlives a counter or flag change."""
         real = BranchTargetBuffer(num_entries=32, interleave=4)
         reference = _ReferenceBTB(entries=32, interleave=4)
-        for is_update, address, taken, target in operations:
-            if is_update:
-                real.update(address, taken, target)
-                reference.update(address, taken, target)
-            else:
-                prediction = real.predict(address)
-                hit, taken_ref, target_ref = reference.predict(address)
-                assert prediction.hit == hit
-                assert prediction.taken == taken_ref
-                if prediction.taken:
-                    assert prediction.target == target_ref
+        steps = [
+            (5, True, 9, False, False, False),
+            (37, True, 20, False, True, False),  # evicts 5
+            (37, False, 0, False, False, False),  # 3 -> 2: still taken
+            (37, False, 0, False, False, False),  # 2 -> 1: not taken
+            (37, False, 0, True, False, True),  # unconditional return
+            (5, True, 11, False, False, False),  # evicts 37
+        ]
+        for step in steps:
+            real.update(*step)
+            reference.update(*step)
+            for address in (5, 37):
+                assert _prediction(real.predict(address)) == reference.predict(
+                    address
+                )
+        assert dataclasses.asdict(real.stats) == reference.stats
 
 
 class _ReferenceCache:
