@@ -651,9 +651,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.sim.bench import measure_throughput, record_section
 
-    if args.kernel and args.no_kernel:
-        print("--kernel and --no-kernel are mutually exclusive", file=sys.stderr)
-        return 2
     modes: tuple[str, ...] = ("interpreted", "kernel")
     if args.kernel:
         modes = ("kernel",)
@@ -1194,17 +1191,20 @@ def build_parser() -> argparse.ArgumentParser:
         _cmd_bench,
         "single-simulation throughput: reference loop vs compiled kernel",
     )
-    bench.add_argument("--benchmark", default="espresso")
-    bench.add_argument("--machine", default="PI8")
-    bench.add_argument("--scheme", default="interleaved_sequential")
+    bench.add_argument("--benchmark", default="espresso", choices=_NAMES["benchmark"])
+    bench.add_argument("--machine", default="PI8", choices=_NAMES["machine"])
+    bench.add_argument(
+        "--scheme", default="interleaved_sequential", choices=_NAMES["scheme"]
+    )
     _trace_shape(bench, DEFAULT_TRACE_LENGTH, warmup=True)
     bench.add_argument(
         "--repeats", type=int, default=3, help="best-of-N timing (default 3)"
     )
-    bench.add_argument(
+    engines = bench.add_mutually_exclusive_group()
+    engines.add_argument(
         "--kernel", action="store_true", help="measure only the compiled kernel"
     )
-    bench.add_argument(
+    engines.add_argument(
         "--no-kernel",
         action="store_true",
         help="measure only the reference loop",

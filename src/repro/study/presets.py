@@ -1,12 +1,16 @@
 """Named study presets: the registry of the beyond-paper ablations.
 
-Each ablation table is a :class:`~repro.study.spec.StudySpec` plus a
-renderer that turns the executed study back into its
+Each preset is declared once, in :data:`PRESETS`: its name, description,
+non-default spec fields, toggles, pairwise entries and table renderer.
+A renderer turns the executed study back into its
 :class:`~repro.experiments.common.ExperimentResult` (titles, headers,
 notes, cell values and row order locked by
-``tests/test_study.py::test_ablation_tables_golden``).
-``repro ablate run NAME`` prints that table under the study summary;
-:func:`run_preset_table` builds it in-process.
+``tests/test_study.py::test_ablation_tables_golden``).  Most tables
+have one of two shapes: :func:`_grid` (one toggle down × another
+across) or :func:`_loss` (baseline vs one toggled value, plus the loss
+in percent); ``btb-size``, ``recovery`` and ``issue-scaling`` render
+their own.  ``repro ablate run NAME`` prints that table under the
+study summary; :func:`run_preset_table` builds it in-process.
 
 Two ablation tables are not studies and live next to the artifact they
 explain: ``run_superblock`` (compiler metrics) in
@@ -61,19 +65,37 @@ class StudyPreset:
     table: Callable | None = None
 
 
-def _base(config: ExperimentConfig, name: str, **overrides) -> StudySpec:
-    """An IPC-only spec over the ablation benchmarks at *config*'s scale."""
-    fields = dict(
-        name=name,
-        benchmarks=ABLATION_BENCHMARKS,
-        length=config.trace_length,
-        eir_length=config.eir_length,
-        warmup=config.warmup,
-        seed=config.seed,
-        metrics=("ipc",),
-    )
-    fields.update(overrides)
-    return StudySpec(**fields)
+def _preset(
+    name: str,
+    description: str,
+    *toggles: Toggle,
+    pairwise: tuple = (),
+    table: Callable | None = None,
+    metrics: tuple = ("ipc",),
+    **fields,
+) -> StudyPreset:
+    """A preset over the ablation benchmarks at the config's scale.
+
+    *fields* are the spec's other non-default fields (``machine``,
+    ``scheme``); a preset computes IPC only unless *metrics* says
+    otherwise.
+    """
+
+    def build(config: ExperimentConfig) -> StudySpec:
+        return StudySpec(
+            name=name,
+            benchmarks=ABLATION_BENCHMARKS,
+            length=config.trace_length,
+            eir_length=config.eir_length,
+            warmup=config.warmup,
+            seed=config.seed,
+            metrics=metrics,
+            toggles=toggles,
+            pairwise=pairwise,
+            **fields,
+        )
+
+    return StudyPreset(name, description, build, table)
 
 
 def _values(spec: StudySpec, toggle_name: str) -> tuple:
@@ -89,186 +111,68 @@ def _ipc(metrics_by_run: dict, run_id: str) -> float:
     return metrics_by_run[run_id]["ipc"]
 
 
-# -- ablation tables ----------------------------------------------------------
+# -- table renderers ----------------------------------------------------------
 
 
-def _build_spec_depth(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "spec-depth",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        toggles=(
-            Toggle("machine", "machine", MACHINE_NAMES),
-            Toggle("depth", "speculation_depth", (1, 2, 4, 6, 8)),
-        ),
-        pairwise=(("machine", "depth"),),
-    )
+def _grid(
+    rows: str,
+    columns: str,
+    experiment: str,
+    title: str,
+    notes: str,
+    *,
+    corner: str = "machine",
+    column: str = "{}",
+    labels: dict | None = None,
+) -> Callable:
+    """Toggle *rows* down × toggle *columns* across, one pairwise cell
+    each.  *column* formats a column header from its value; *labels*
+    names a row by value (default: the value itself)."""
 
-
-def _table_spec_depth(
-    spec: StudySpec, expansion: Expansion, metrics: dict
-) -> ExperimentResult:
-    depths = _values(spec, "depth")
-    result = ExperimentResult(
-        experiment="ablation_spec_depth",
-        title="Ablation: IPC (collapsing buffer) vs speculation depth",
-        headers=["machine"] + [f"depth {d}" for d in depths],
-        notes=(
-            "Expected: IPC saturates near each machine's paper depth "
-            "(2 / 4 / 6); depth 1 starves every machine."
-        ),
-    )
-    for name in _values(spec, "machine"):
-        row: list = [name]
-        for depth in depths:
-            row.append(
-                _ipc(metrics, expansion.pair_id("machine", name, "depth", depth))
-            )
-        result.rows.append(row)
-    return result
-
-
-def _build_banks(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "banks",
-        machine="PI8",
-        scheme="banked_sequential",
-        toggles=(
-            Toggle(
-                "scheme", "scheme", ("banked_sequential", "collapsing_buffer")
-            ),
-            Toggle("banks", "num_banks", (2, 4, 8)),
-        ),
-        pairwise=(("scheme", "banks"),),
-    )
-
-
-def _table_banks(
-    spec: StudySpec, expansion: Expansion, metrics: dict
-) -> ExperimentResult:
-    bank_counts = _values(spec, "banks")
-    result = ExperimentResult(
-        experiment="ablation_banks",
-        title="Ablation: banked-sequential IPC vs cache bank count (PI8)",
-        headers=["scheme"] + [f"{b} banks" for b in bank_counts],
-        notes="Expected: IPC rises monotonically with bank count.",
-    )
-    for scheme in _values(spec, "scheme"):
-        row: list = [scheme]
-        for banks in bank_counts:
-            row.append(
-                _ipc(metrics, expansion.pair_id("scheme", scheme, "banks", banks))
-            )
-        result.rows.append(row)
-    return result
-
-
-def _build_predictors(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "predictors",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        toggles=(
-            Toggle("impl", "fetch_penalty", (2, 3)),
-            Toggle("predictor", "predictor", PREDICTOR_KINDS),
-        ),
-        pairwise=(("impl", "predictor"),),
-    )
-
-
-def _table_predictors(
-    spec: StudySpec, expansion: Expansion, metrics: dict
-) -> ExperimentResult:
-    kinds = _values(spec, "predictor")
-    result = ExperimentResult(
-        experiment="ablation_predictors",
-        title=(
-            "Ablation: collapsing-buffer IPC vs predictor "
-            "(PI8; crossbar p2 / shifter p3)"
-        ),
-        headers=["implementation"] + list(kinds),
-        notes=(
-            "Finding: the RAS fixes return mispredictions and lifts both "
-            "implementations; gshare *hurts* here — the synthetic branch "
-            "behaviour is per-branch bursty with no cross-branch "
-            "correlation, so global history only adds interference and "
-            "local 2-bit counters sit near the predictability ceiling.  "
-            "On these workloads no direction predictor rescues the "
-            "shifter's extra penalty cycle."
-        ),
-    )
-    for label, penalty in (("crossbar (p2)", 2), ("shifter (p3)", 3)):
-        row: list = [label]
-        for kind in kinds:
-            row.append(
-                _ipc(
-                    metrics,
-                    expansion.pair_id("impl", penalty, "predictor", kind),
+    def render(
+        spec: StudySpec, expansion: Expansion, metrics: dict
+    ) -> ExperimentResult:
+        across = _values(spec, columns)
+        result = ExperimentResult(
+            experiment=experiment,
+            title=title,
+            headers=[corner] + [column.format(value) for value in across],
+            notes=notes,
+        )
+        for down in _values(spec, rows):
+            row: list = [labels[down] if labels else down]
+            for value in across:
+                row.append(
+                    _ipc(metrics, expansion.pair_id(rows, down, columns, value))
                 )
+            result.rows.append(row)
+        return result
+
+    return render
+
+
+def _loss(
+    rows: str, toggle: str, experiment: str, title: str, headers: list, notes: str
+) -> Callable:
+    """Per *rows* value: baseline IPC, IPC with *toggle*'s one value, and
+    the loss in percent."""
+
+    def render(
+        spec: StudySpec, expansion: Expansion, metrics: dict
+    ) -> ExperimentResult:
+        (value,) = _values(spec, toggle)
+        result = ExperimentResult(
+            experiment=experiment, title=title, headers=list(headers), notes=notes
+        )
+        for down in _values(spec, rows):
+            base = _ipc(metrics, expansion.single_id(rows, down))
+            toggled = _ipc(metrics, expansion.pair_id(rows, down, toggle, value))
+            result.rows.append(
+                [down, base, toggled, 100.0 * (base - toggled) / base]
             )
-        result.rows.append(row)
-    return result
+        return result
 
-
-def _build_cold_start(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "cold-start",
-        machine="PI8",
-        scheme="sequential",
-        toggles=(
-            Toggle(
-                "scheme",
-                "scheme",
-                (
-                    "sequential",
-                    "interleaved_sequential",
-                    "banked_sequential",
-                    "collapsing_buffer",
-                ),
-            ),
-            Toggle("cold", "prewarm", (False,)),
-        ),
-        pairwise=(("scheme", "cold"),),
-    )
-
-
-def _table_cold_start(
-    spec: StudySpec, expansion: Expansion, metrics: dict
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="ablation_cold_start",
-        title="Ablation: steady-state vs cold-start IPC (PI8)",
-        headers=["scheme", "steady-state", "cold", "cold penalty %"],
-        notes=(
-            "Expected: everyone loses when cold; interleaved sequential "
-            "loses the least (its prefetch doubles as a cold-miss hider)."
-        ),
-    )
-    for scheme in _values(spec, "scheme"):
-        warm = _ipc(metrics, expansion.single_id("scheme", scheme))
-        cold = _ipc(
-            metrics, expansion.pair_id("scheme", scheme, "cold", False)
-        )
-        result.rows.append(
-            [scheme, warm, cold, 100.0 * (warm - cold) / warm]
-        )
-    return result
-
-
-def _build_btb_size(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "btb-size",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        toggles=(
-            Toggle("btb", "btb_entries", (256, 512, 1024, 2048, 4096)),
-        ),
-    )
+    return render
 
 
 def _table_btb_size(
@@ -286,189 +190,6 @@ def _table_btb_size(
         row.append(_ipc(metrics, expansion.single_id("btb", size)))
     result.rows.append(row)
     return result
-
-
-def _build_trace_cache(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "trace-cache",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        toggles=(
-            Toggle("machine", "machine", MACHINE_NAMES),
-            Toggle(
-                "scheme",
-                "scheme",
-                (
-                    "banked_sequential",
-                    "collapsing_buffer",
-                    "trace_cache",
-                    "perfect",
-                ),
-            ),
-        ),
-        pairwise=(("machine", "scheme"),),
-    )
-
-
-def _table_trace_cache(
-    spec: StudySpec, expansion: Expansion, metrics: dict
-) -> ExperimentResult:
-    schemes = _values(spec, "scheme")
-    result = ExperimentResult(
-        experiment="ablation_trace_cache",
-        title="Extension: trace cache vs the paper's schemes (integer subset)",
-        headers=["machine"] + list(schemes),
-        notes=(
-            "Expected: the trace cache is competitive with the collapsing "
-            "buffer — dynamic sequences subsume alignment."
-        ),
-    )
-    for name in _values(spec, "machine"):
-        row: list = [name]
-        for scheme in schemes:
-            row.append(
-                _ipc(
-                    metrics,
-                    expansion.pair_id("machine", name, "scheme", scheme),
-                )
-            )
-        result.rows.append(row)
-    return result
-
-
-def _build_memory_ordering(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "memory-ordering",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        toggles=(
-            Toggle("machine", "machine", MACHINE_NAMES),
-            Toggle("ordering", "memory_ordering", ("conservative",)),
-        ),
-        pairwise=(("machine", "ordering"),),
-    )
-
-
-def _table_memory_ordering(
-    spec: StudySpec, expansion: Expansion, metrics: dict
-) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="ablation_memory",
-        title="Ablation: memory-dependence policy (collapsing buffer)",
-        headers=["machine", "register-only", "conservative", "loss %"],
-        notes=(
-            "Conservative ordering serialises memory traffic through the "
-            "store stream; the gap bounds the value of disambiguation."
-        ),
-    )
-    for name in _values(spec, "machine"):
-        base = _ipc(metrics, expansion.single_id("machine", name))
-        ordered = _ipc(
-            metrics,
-            expansion.pair_id("machine", name, "ordering", "conservative"),
-        )
-        result.rows.append(
-            [name, base, ordered, 100.0 * (base - ordered) / base]
-        )
-    return result
-
-
-def _build_window_size(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "window-size",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        toggles=(
-            Toggle("machine", "machine", MACHINE_NAMES),
-            Toggle("window", "window_size", (12, 16, 24, 32, 48, 64)),
-        ),
-        pairwise=(("machine", "window"),),
-    )
-
-
-def _table_window_size(
-    spec: StudySpec, expansion: Expansion, metrics: dict
-) -> ExperimentResult:
-    sizes = _values(spec, "window")
-    result = ExperimentResult(
-        experiment="ablation_window",
-        title="Ablation: IPC (collapsing buffer) vs window size",
-        headers=["machine"] + [str(s) for s in sizes],
-        notes=(
-            "Expected: diminishing returns past each machine's paper "
-            "window (16 / 24 / 32) — fetch, not the window, binds."
-        ),
-    )
-    for name in _values(spec, "machine"):
-        row: list = [name]
-        for size in sizes:
-            row.append(
-                _ipc(
-                    metrics,
-                    expansion.pair_id("machine", name, "window", size),
-                )
-            )
-        result.rows.append(row)
-    return result
-
-
-def _build_fetch_queue(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "fetch-queue",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        toggles=(
-            Toggle("machine", "machine", MACHINE_NAMES),
-            Toggle("queue", "fetch_queue_groups", (1, 2, 4, 8)),
-        ),
-        pairwise=(("machine", "queue"),),
-    )
-
-
-def _table_fetch_queue(
-    spec: StudySpec, expansion: Expansion, metrics: dict
-) -> ExperimentResult:
-    depths = _values(spec, "queue")
-    result = ExperimentResult(
-        experiment="ablation_queue",
-        title="Ablation: IPC (collapsing buffer) vs fetch-queue depth",
-        headers=["machine"] + [f"{d} groups" for d in depths],
-        notes=(
-            "Expected: a small gain from depth 1 to 2 (fetch keeps "
-            "running while dispatch drains), then saturation — the queue "
-            "cannot manufacture bandwidth."
-        ),
-    )
-    for name in _values(spec, "machine"):
-        row: list = [name]
-        for depth in depths:
-            row.append(
-                _ipc(
-                    metrics,
-                    expansion.pair_id("machine", name, "queue", depth),
-                )
-            )
-        result.rows.append(row)
-    return result
-
-
-def _build_recovery(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "recovery",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        toggles=(
-            Toggle("machine", "machine", MACHINE_NAMES),
-            Toggle("scheme", "scheme", ("sequential", "collapsing_buffer")),
-            Toggle("retire", "recovery_at_retire", (True,)),
-        ),
-        pairwise=(("machine", "scheme"), ("machine", "scheme", "retire")),
-    )
 
 
 def _table_recovery(
@@ -496,25 +217,6 @@ def _table_recovery(
             )
         result.rows.append(row)
     return result
-
-
-def _build_issue_scaling(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "issue-scaling",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        metrics=("eir",),
-        toggles=(
-            Toggle("machine", "machine", (*MACHINE_NAMES, "PI16")),
-            Toggle(
-                "scheme",
-                "scheme",
-                ("sequential", "banked_sequential", "perfect"),
-            ),
-        ),
-        pairwise=(("machine", "scheme"),),
-    )
 
 
 def _table_issue_scaling(
@@ -557,131 +259,223 @@ def _table_issue_scaling(
     return result
 
 
-# -- presets without a table --------------------------------------------------
+# -- the registry -------------------------------------------------------------
 
-
-def _build_fig11_shifter(config: ExperimentConfig) -> StudySpec:
-    return _base(
-        config,
-        "fig11-shifter",
-        machine="PI8",
-        scheme="collapsing_buffer",
-        metrics=("ipc", "eir"),
-        toggles=(
-            Toggle("shifter", "fetch_penalty", (3,)),
-            Toggle("predictor", "predictor", ("btb+ras", "gshare+ras")),
-        ),
-        pairwise=(("shifter", "predictor"),),
-    )
-
-
-def _build_smoke(config: ExperimentConfig) -> StudySpec:
-    # Fixed tiny lengths regardless of scale: the CI chaos study must
-    # cost seconds, and its report must be byte-stable across machines.
-    return StudySpec(
-        name="smoke",
-        benchmarks=("compress",),
-        machine="PI4",
-        scheme="collapsing_buffer",
-        length=2_500,
-        eir_length=2_500,
-        warmup=400,
-        seed=config.seed,
-        metrics=("ipc", "eir"),
-        toggles=(
-            Toggle("btb", "btb_entries", (256,)),
-            Toggle("banks", "num_banks", (2,)),
-        ),
-        pairwise=(("btb", "banks"),),
-    )
-
+_MACHINE = Toggle("machine", "machine", MACHINE_NAMES)
 
 #: Every named preset, in ``repro ablate list`` order.
 PRESETS: dict[str, StudyPreset] = {
     preset.name: preset
     for preset in (
-        StudyPreset(
-            name="spec-depth",
-            description="IPC vs speculation depth across machines",
-            build=_build_spec_depth,
-            table=_table_spec_depth,
+        _preset(
+            "spec-depth",
+            "IPC vs speculation depth across machines",
+            _MACHINE,
+            Toggle("depth", "speculation_depth", (1, 2, 4, 6, 8)),
+            pairwise=(("machine", "depth"),),
+            table=_grid(
+                "machine",
+                "depth",
+                "ablation_spec_depth",
+                "Ablation: IPC (collapsing buffer) vs speculation depth",
+                "Expected: IPC saturates near each machine's paper depth "
+                "(2 / 4 / 6); depth 1 starves every machine.",
+                column="depth {}",
+            ),
         ),
-        StudyPreset(
-            name="banks",
-            description="banked-sequential IPC vs cache bank count (PI8)",
-            build=_build_banks,
-            table=_table_banks,
+        _preset(
+            "banks",
+            "banked-sequential IPC vs cache bank count (PI8)",
+            Toggle("scheme", "scheme", ("banked_sequential", "collapsing_buffer")),
+            Toggle("banks", "num_banks", (2, 4, 8)),
+            pairwise=(("scheme", "banks"),),
+            scheme="banked_sequential",
+            table=_grid(
+                "scheme",
+                "banks",
+                "ablation_banks",
+                "Ablation: banked-sequential IPC vs cache bank count (PI8)",
+                "Expected: IPC rises monotonically with bank count.",
+                corner="scheme",
+                column="{} banks",
+            ),
         ),
-        StudyPreset(
-            name="predictors",
-            description="collapsing-buffer IPC vs predictor (crossbar/shifter)",
-            build=_build_predictors,
-            table=_table_predictors,
+        _preset(
+            "predictors",
+            "collapsing-buffer IPC vs predictor (crossbar/shifter)",
+            Toggle("impl", "fetch_penalty", (2, 3)),
+            Toggle("predictor", "predictor", PREDICTOR_KINDS),
+            pairwise=(("impl", "predictor"),),
+            table=_grid(
+                "impl",
+                "predictor",
+                "ablation_predictors",
+                "Ablation: collapsing-buffer IPC vs predictor "
+                "(PI8; crossbar p2 / shifter p3)",
+                "Finding: the RAS fixes return mispredictions and lifts both "
+                "implementations; gshare *hurts* here — the synthetic branch "
+                "behaviour is per-branch bursty with no cross-branch "
+                "correlation, so global history only adds interference and "
+                "local 2-bit counters sit near the predictability ceiling.  "
+                "On these workloads no direction predictor rescues the "
+                "shifter's extra penalty cycle.",
+                corner="implementation",
+                labels={2: "crossbar (p2)", 3: "shifter (p3)"},
+            ),
         ),
-        StudyPreset(
-            name="cold-start",
-            description="steady-state vs cold-start IPC (PI8)",
-            build=_build_cold_start,
-            table=_table_cold_start,
+        _preset(
+            "cold-start",
+            "steady-state vs cold-start IPC (PI8)",
+            Toggle(
+                "scheme",
+                "scheme",
+                (
+                    "sequential",
+                    "interleaved_sequential",
+                    "banked_sequential",
+                    "collapsing_buffer",
+                ),
+            ),
+            Toggle("cold", "prewarm", (False,)),
+            pairwise=(("scheme", "cold"),),
+            scheme="sequential",
+            table=_loss(
+                "scheme",
+                "cold",
+                "ablation_cold_start",
+                "Ablation: steady-state vs cold-start IPC (PI8)",
+                ["scheme", "steady-state", "cold", "cold penalty %"],
+                "Expected: everyone loses when cold; interleaved sequential "
+                "loses the least (its prefetch doubles as a cold-miss hider).",
+            ),
         ),
-        StudyPreset(
-            name="btb-size",
-            description="IPC vs BTB capacity (collapsing buffer, PI8)",
-            build=_build_btb_size,
+        _preset(
+            "btb-size",
+            "IPC vs BTB capacity (collapsing buffer, PI8)",
+            Toggle("btb", "btb_entries", (256, 512, 1024, 2048, 4096)),
             table=_table_btb_size,
         ),
-        StudyPreset(
-            name="trace-cache",
-            description="trace cache vs the paper's schemes",
-            build=_build_trace_cache,
-            table=_table_trace_cache,
+        _preset(
+            "trace-cache",
+            "trace cache vs the paper's schemes",
+            _MACHINE,
+            Toggle(
+                "scheme",
+                "scheme",
+                ("banked_sequential", "collapsing_buffer", "trace_cache", "perfect"),
+            ),
+            pairwise=(("machine", "scheme"),),
+            table=_grid(
+                "machine",
+                "scheme",
+                "ablation_trace_cache",
+                "Extension: trace cache vs the paper's schemes (integer subset)",
+                "Expected: the trace cache is competitive with the collapsing "
+                "buffer — dynamic sequences subsume alignment.",
+            ),
         ),
-        StudyPreset(
-            name="memory-ordering",
-            description="register-only vs conservative memory ordering",
-            build=_build_memory_ordering,
-            table=_table_memory_ordering,
+        _preset(
+            "memory-ordering",
+            "register-only vs conservative memory ordering",
+            _MACHINE,
+            Toggle("ordering", "memory_ordering", ("conservative",)),
+            pairwise=(("machine", "ordering"),),
+            table=_loss(
+                "machine",
+                "ordering",
+                "ablation_memory",
+                "Ablation: memory-dependence policy (collapsing buffer)",
+                ["machine", "register-only", "conservative", "loss %"],
+                "Conservative ordering serialises memory traffic through the "
+                "store stream; the gap bounds the value of disambiguation.",
+            ),
         ),
-        StudyPreset(
-            name="window-size",
-            description="IPC vs scheduling-window size across machines",
-            build=_build_window_size,
-            table=_table_window_size,
+        _preset(
+            "window-size",
+            "IPC vs scheduling-window size across machines",
+            _MACHINE,
+            Toggle("window", "window_size", (12, 16, 24, 32, 48, 64)),
+            pairwise=(("machine", "window"),),
+            table=_grid(
+                "machine",
+                "window",
+                "ablation_window",
+                "Ablation: IPC (collapsing buffer) vs window size",
+                "Expected: diminishing returns past each machine's paper "
+                "window (16 / 24 / 32) — fetch, not the window, binds.",
+            ),
         ),
-        StudyPreset(
-            name="fetch-queue",
-            description="IPC vs fetch/decode queue depth across machines",
-            build=_build_fetch_queue,
-            table=_table_fetch_queue,
+        _preset(
+            "fetch-queue",
+            "IPC vs fetch/decode queue depth across machines",
+            _MACHINE,
+            Toggle("queue", "fetch_queue_groups", (1, 2, 4, 8)),
+            pairwise=(("machine", "queue"),),
+            table=_grid(
+                "machine",
+                "queue",
+                "ablation_queue",
+                "Ablation: IPC (collapsing buffer) vs fetch-queue depth",
+                "Expected: a small gain from depth 1 to 2 (fetch keeps "
+                "running while dispatch drains), then saturation — the queue "
+                "cannot manufacture bandwidth.",
+                column="{} groups",
+            ),
         ),
-        StudyPreset(
-            name="recovery",
-            description="misprediction recovery at resolution vs retirement",
-            build=_build_recovery,
+        _preset(
+            "recovery",
+            "misprediction recovery at resolution vs retirement",
+            _MACHINE,
+            Toggle("scheme", "scheme", ("sequential", "collapsing_buffer")),
+            Toggle("retire", "recovery_at_retire", (True,)),
+            pairwise=(("machine", "scheme"), ("machine", "scheme", "retire")),
             table=_table_recovery,
         ),
-        StudyPreset(
-            name="issue-scaling",
-            description="EIR/EIR(perfect) through a 16-issue machine",
-            build=_build_issue_scaling,
+        _preset(
+            "issue-scaling",
+            "EIR/EIR(perfect) through a 16-issue machine",
+            Toggle("machine", "machine", (*MACHINE_NAMES, "PI16")),
+            Toggle(
+                "scheme", "scheme", ("sequential", "banked_sequential", "perfect")
+            ),
+            pairwise=(("machine", "scheme"),),
+            metrics=("eir",),
             table=_table_issue_scaling,
         ),
-        StudyPreset(
-            name="fig11-shifter",
-            description=(
-                "worked example: does a better predictor rescue the "
-                "shifter collapsing buffer? (docs/studies.md)"
-            ),
-            build=_build_fig11_shifter,
+        _preset(
+            "fig11-shifter",
+            "worked example: does a better predictor rescue the "
+            "shifter collapsing buffer? (docs/studies.md)",
+            Toggle("shifter", "fetch_penalty", (3,)),
+            Toggle("predictor", "predictor", ("btb+ras", "gshare+ras")),
+            pairwise=(("shifter", "predictor"),),
+            metrics=("ipc", "eir"),
         ),
         StudyPreset(
-            name="smoke",
-            description="tiny 2-toggle study for the CI chaos gauntlet",
-            build=_build_smoke,
+            "smoke",
+            "tiny 2-toggle study for the CI chaos gauntlet",
+            # Fixed tiny lengths regardless of scale: the CI chaos study
+            # must cost seconds, and its report must be byte-stable
+            # across machines.
+            lambda config: StudySpec(
+                name="smoke",
+                benchmarks=("compress",),
+                machine="PI4",
+                scheme="collapsing_buffer",
+                length=2_500,
+                eir_length=2_500,
+                warmup=400,
+                seed=config.seed,
+                metrics=("ipc", "eir"),
+                toggles=(
+                    Toggle("btb", "btb_entries", (256,)),
+                    Toggle("banks", "num_banks", (2,)),
+                ),
+                pairwise=(("btb", "banks"),),
+            ),
         ),
     )
 }
-
 
 
 def metrics_from_report(report: dict) -> dict[str, dict]:

@@ -141,6 +141,30 @@ class TestCLI:
         assert "invalid choice" in err or "positive integer" in err
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--machine", "PI99"], "invalid choice: 'PI99'"),
+            (["--benchmark", "nosuch"], "invalid choice: 'nosuch'"),
+            (["--scheme", "nosuch"], "invalid choice: 'nosuch'"),
+            (["--kernel", "--no-kernel"], "not allowed with argument"),
+        ],
+    )
+    def test_bench_usage_errors_run_nothing(
+        self, argv, message, monkeypatch, capsys
+    ):
+        import repro.sim.bench as sim_bench
+
+        calls = []
+        monkeypatch.setattr(
+            sim_bench, "measure_throughput", lambda **kw: calls.append(kw)
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--repeats", "1", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+
     def test_experiment_without_names_runs_every_artifact(
         self, monkeypatch, capsys
     ):

@@ -176,9 +176,21 @@ def test_validation_failure_is_400_with_details():
 def test_batch_endpoint_mixed_outcomes():
     bad = dict(JOB, scheme="wat")
     other = dict(JOB, machine="PI8")
-    with service() as (server, scheduler, pool):
+    # JOB may already be in the in-process memo; the gate keeps its first
+    # submission in flight until the batch is admitted, so the duplicate
+    # cannot arrive after it finished (and read "memo").
+    gate = threading.Event()
+
+    def gated_run_job(job):
+        assert gate.wait(60), "the batch was never admitted"
+        return _run_job(job)
+
+    with service(run_job=gated_run_job) as (server, scheduler, pool):
         with ServiceClient(port=server.port) as client:
-            out = client.submit_batch([JOB, bad, other, JOB])
+            try:
+                out = client.submit_batch([JOB, bad, other, JOB])
+            finally:
+                gate.set()
             assert out["accepted"] == 3
             assert [item["accepted"] for item in out["jobs"]] == [
                 True,

@@ -619,6 +619,8 @@ PRESET_DIGESTS = {
     "memory-ordering": ("7127d3843896e3a6", "41fc93e439d85bc4"),
     "window-size": ("64033f1aecefb542", "f87da6cfee9d20ec"),
     "fetch-queue": ("6b75838649349034", "949c2cafda8a7a40"),
+    "recovery": ("cdbdfe48cc6826b8", "0e30aa32ff4b1618"),
+    "issue-scaling": ("9ca05d3a0d83bbad", "2658a813bed3e724"),
     "fig11-shifter": ("cd1fe40da1a64d8f", "e39f478c48db5bc4"),
     "smoke": ("d39898241d512f50", "9324c098fd4ec803"),
 }
@@ -630,6 +632,7 @@ def test_preset_digests_and_run_ids_locked():
     from repro.experiments.common import DEFAULT_CONFIG
     from repro.study.presets import PRESETS
 
+    assert set(PRESET_DIGESTS) == set(PRESETS), "every preset is locked"
     found = {}
     for name in PRESET_DIGESTS:
         spec = PRESETS[name].build(DEFAULT_CONFIG)
@@ -680,6 +683,28 @@ class TestAblateCli:
         assert main(["ablate", "report", str(out), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["study"] == "tiny-e2e"
+
+    def test_run_prints_the_preset_table(self, cache_env, tmp_path, capsys):
+        """``ablate run`` renders its table from ``report.json`` (through
+        ``metrics_from_report``); it must print what the in-process
+        ``run_preset_table`` builds at the same config."""
+        from repro.experiments.common import ExperimentConfig
+        from repro.study.presets import run_preset_table
+
+        code = main(
+            ["ablate", "run", "banks", "--scale", "0.01", "--jobs", "1",
+             "--out", str(tmp_path / "banks")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        # --scale 0.01 clamps every length to the CLI's floor.
+        config = ExperimentConfig(
+            trace_length=2_000, eir_length=2_000, stats_length=4_000,
+            warmup=500,
+        )
+        expected = run_preset_table("banks", config).as_text()
+        start = out.index(expected.splitlines()[0])
+        assert out[start:out.index("\n\nwrote ", start)] == expected
 
     def test_ablation_command_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
