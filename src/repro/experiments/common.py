@@ -6,7 +6,9 @@ memoised in the persistent result cache (:mod:`repro.sim.cache`):
 simulations per (benchmark, program variant, machine, scheme), and the
 trace statistics and nop expansions of Tables 2-4 per their full
 argument tuple, so a warm report reads cells instead of rebuilding
-workloads, traces or compiler passes.
+workloads, traces or compiler passes.  In process, only dynamic traces
+are memoised, and at most :data:`TRACE_LIMIT` of them, so a long-lived
+worker's memory stays bounded.
 
 Trace lengths default to laptop-friendly excerpts; set the environment
 variable ``REPRO_SCALE`` (e.g. ``REPRO_SCALE=4``) to lengthen every trace
@@ -16,7 +18,7 @@ proportionally for higher-fidelity runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from repro import faults, knobs
 from repro.compiler import PaddingResult, pad_all, pad_trace, reorder_program
@@ -98,10 +100,15 @@ class ExperimentResult:
         )
 
 
-# -- cached workload variants -------------------------------------------------
+# -- workload variants and the trace memo -----------------------------------
+
+#: Dynamic traces the in-process memo holds.  A cold quarter-scale
+#: report of all nine artifacts reads 117 distinct traces 720 times,
+#: and an LRU of 32 regenerates none (16 or 24 regenerate 24); a
+#: long-lived worker's one-off misses keep at most this many alive.
+TRACE_LIMIT = 32
 
 
-@lru_cache(maxsize=None)
 def variant_program(benchmark: str, variant: str, block_words: int = 4):
     """The (program, behaviour) pair for a benchmark code variant.
 
@@ -139,40 +146,41 @@ def _pad(benchmark: str, variant: str, block_words: int) -> PaddingResult:
     raise KeyError(f"not a padded variant: {variant!r}")
 
 
-@lru_cache(maxsize=None)
 def variant_trace(
-    benchmark: str,
-    variant: str,
-    length: int,
-    seed: int,
-    block_words: int = 4,
+    benchmark: str, variant: str, length: int, seed: int, block_words: int = 4
 ):
+    """The dynamic trace of a benchmark variant, from the process's one
+    per-request memo: the :data:`TRACE_LIMIT` most recently used traces.
+
+    Only pads depend on *block_words*, so an ``orig`` or ``reordered``
+    trace is keyed without it and every machine shares one copy (and
+    its kernel tables).
+    """
+    if variant not in ("pad_all", "pad_trace"):
+        block_words = 4
+    return _trace(benchmark, variant, length, seed, block_words)
+
+
+@lru_cache(maxsize=TRACE_LIMIT)
+def _trace(benchmark: str, variant: str, length: int, seed: int, block_words: int):
     program, behavior = variant_program(benchmark, variant, block_words)
     return generate_trace(program, behavior, length, seed=seed)
 
 
-# -- cached simulations ----------------------------------------------------------
+# -- cached measurements ---------------------------------------------------------
 
 
-def _memo_per_sanitize(fn):
-    """Memoise *fn* per process like ``lru_cache``, with the current
-    ``REPRO_SANITIZE`` value in the key: a sanitized call after a plain
-    call of the same cell simulates again, under the sanitizer.
-    ``cache_clear()`` and ``__wrapped__`` work as on ``lru_cache``."""
-
-    @lru_cache(maxsize=None)
-    def keyed(sanitize, *args, **kwargs):
-        return fn(*args, **kwargs)
-
-    @wraps(fn)
-    def memoised(*args, **kwargs):
-        return keyed(knobs.enabled("REPRO_SANITIZE"), *args, **kwargs)
-
-    memoised.cache_clear = keyed.cache_clear  # type: ignore[attr-defined]
-    return memoised
+def _simulate(cell: tuple, **options) -> SimStats:
+    """One full simulation of a :func:`sim_stats` cell; *options* go to
+    :class:`Simulator`."""
+    bench, machine_name, scheme, variant, length, warmup, seed, penalty, words = cell
+    machine = get_machine(machine_name)
+    if penalty is not None:
+        machine = machine.with_fetch_penalty(penalty)
+    trace = variant_trace(bench, variant, length, seed, words)
+    return Simulator(machine, trace, scheme, warmup=warmup, **options).run()
 
 
-@_memo_per_sanitize
 def sim_stats(
     benchmark: str,
     machine_name: str,
@@ -185,16 +193,16 @@ def sim_stats(
     block_words: int = 4,
     kernel: bool | None = None,
 ) -> SimStats:
-    """Run (and memoise) one full IPC simulation.
+    """Run (and cache) one full IPC simulation.
 
-    Memoised twice: per process (:func:`_memo_per_sanitize`), and
-    across processes via the persistent disk cache
-    (:mod:`repro.sim.cache`) — batch workers, repeated experiment
-    invocations and CI runs share results.
+    Results are reused only through the persistent disk cache
+    (:mod:`repro.sim.cache`), so batch workers, repeated experiment
+    invocations and CI runs share them; nothing is memoised in process
+    but the trace (:func:`variant_trace`).
 
     ``REPRO_SANITIZE=1`` makes the simulation run under the pipeline
-    sanitizer (:mod:`repro.check.sanitizer`); both memos key on that
-    knob's value, so it may be flipped between calls.
+    sanitizer (:mod:`repro.check.sanitizer`); the disk-cache key is
+    salted with that knob's value, so it may be flipped between calls.
 
     *kernel* is forwarded to :class:`Simulator` (``None`` defers to the
     ``REPRO_KERNEL`` knob).  It joins the disk-cache key even though the
@@ -202,10 +210,9 @@ def sim_stats(
     forced off never masks (or is masked by) one produced with it on
     while either path is under suspicion.
     """
-    # Chaos site: lets the harness prove a transient failure here is
-    # retried (the memo does not keep a raised exception).
+    # Chaos site: lets the harness prove a transient failure here is retried.
     faults.maybe_fail("sim.stats")
-    key = (
+    cell = (
         benchmark,
         machine_name,
         scheme,
@@ -215,22 +222,12 @@ def sim_stats(
         seed,
         fetch_penalty,
         block_words,
-        kernel,
+    )
+    return result_cache.get_or_compute(
+        "sim_stats", cell + (kernel,), lambda: _simulate(cell, kernel=kernel)
     )
 
-    def compute() -> SimStats:
-        machine = get_machine(machine_name)
-        if fetch_penalty is not None:
-            machine = machine.with_fetch_penalty(fetch_penalty)
-        trace = variant_trace(benchmark, variant, length, seed, block_words)
-        return Simulator(
-            machine, trace, scheme, warmup=warmup, kernel=kernel
-        ).run()
 
-    return result_cache.get_or_compute("sim_stats", key, compute)
-
-
-@_memo_per_sanitize
 def telemetry_sim_stats(
     benchmark: str,
     machine_name: str,
@@ -251,7 +248,7 @@ def telemetry_sim_stats(
     each other.  Wall-clock phase timings are *not* cached — a cache
     hit serves the attribution only.
     """
-    key = (
+    cell = (
         benchmark,
         machine_name,
         scheme,
@@ -262,19 +259,11 @@ def telemetry_sim_stats(
         fetch_penalty,
         block_words,
     )
-    def compute() -> SimStats:
-        machine = get_machine(machine_name)
-        if fetch_penalty is not None:
-            machine = machine.with_fetch_penalty(fetch_penalty)
-        trace = variant_trace(benchmark, variant, length, seed, block_words)
-        return Simulator(
-            machine, trace, scheme, warmup=warmup, telemetry=True
-        ).run()
-
-    return result_cache.get_or_compute("telemetry_stats", key, compute)
+    return result_cache.get_or_compute(
+        "telemetry_stats", cell, lambda: _simulate(cell, telemetry=True)
+    )
 
 
-@lru_cache(maxsize=None)
 def eir_stats(
     benchmark: str,
     machine_name: str,
@@ -283,7 +272,7 @@ def eir_stats(
     length: int = DEFAULT_CONFIG.eir_length,
     seed: int = DEFAULT_CONFIG.seed,
 ) -> EIRResult:
-    """Run (and memoise) one fetch-only EIR measurement.
+    """Run (and cache) one fetch-only EIR measurement.
 
     Disk-cached like :func:`sim_stats`.
     """

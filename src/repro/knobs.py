@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 #: Shared prefix of every environment knob.
 KNOB_PREFIX = "REPRO_"
@@ -283,6 +284,7 @@ def get_float(name: str) -> float:
         return float(declared.default)
 
 
+@lru_cache(maxsize=None)
 def salted_knobs() -> tuple[str, ...]:
     """Names of every knob declared ``salted``, in declaration order —
     the set :mod:`repro.sim.cache` folds into every key."""

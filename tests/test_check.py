@@ -483,9 +483,10 @@ class TestSanitizer:
     @pytest.mark.parametrize("memo", ["sim_stats", "telemetry_sim_stats"])
     def test_memo_keys_on_sanitize(self, memo, monkeypatch, tmp_path):
         """A sanitized call after a plain call of the same cell simulates
-        again, under the sanitizer: the per-process memo keys on
-        REPRO_SANITIZE as the disk cache does."""
+        again, under the sanitizer, and a repeat of either simulates
+        nothing: the result-cache key is salted with REPRO_SANITIZE."""
         from repro.experiments import common
+        from repro.sim import cache as result_cache
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_CACHE", raising=False)
@@ -499,20 +500,20 @@ class TestSanitizer:
 
         monkeypatch.setattr(PipelineSanitizer, "__init__", counting_init)
         run = getattr(common, memo)
-        run.cache_clear()
         cell = dict(length=2_000, warmup=400, seed=9)
-        try:
-            plain = run("espresso", "PI4", "sequential", **cell)
-            assert sanitized_runs == []
-            monkeypatch.setenv("REPRO_SANITIZE", "1")
-            sanitized = run("espresso", "PI4", "sequential", **cell)
-            assert len(sanitized_runs) == 1
-            assert sanitized == plain
-            assert run("espresso", "PI4", "sequential", **cell) is sanitized
-            monkeypatch.delenv("REPRO_SANITIZE")
-            assert run("espresso", "PI4", "sequential", **cell) is plain
-        finally:
-            run.cache_clear()
+        plain = run("espresso", "PI4", "sequential", **cell)
+        assert sanitized_runs == []
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sanitized = run("espresso", "PI4", "sequential", **cell)
+        assert len(sanitized_runs) == 1
+        assert sanitized == plain
+        before = result_cache.stats.snapshot()
+        assert run("espresso", "PI4", "sequential", **cell) == sanitized
+        monkeypatch.delenv("REPRO_SANITIZE")
+        assert run("espresso", "PI4", "sequential", **cell) == plain
+        assert len(sanitized_runs) == 1
+        delta = result_cache.stats.since(before)
+        assert (delta["hits"], delta["misses"]) == (2, 0)
 
     @pytest.mark.parametrize("scheme", HARDWARE_SCHEMES)
     def test_sanitized_run_is_bit_identical(self, scheme):

@@ -24,6 +24,7 @@ from repro.metrics.branches import (
 )
 from repro.sim import cache as result_cache
 from repro.sim import kernel as sim_kernel
+from repro.sim.batch import SimJob, _run_job
 from repro.workloads.profiles import INTEGER_BENCHMARKS
 from repro.workloads.trace import DynamicTrace
 
@@ -47,6 +48,15 @@ class TestCommon:
         a = variant_trace("li", "orig", 2000, 0)
         b = variant_trace("li", "orig", 2000, 0)
         assert a is b  # lru-cached
+        # Only pads depend on the block size: other variants share one
+        # trace across machines.
+        for variant in ("orig", "reordered"):
+            assert variant_trace("li", variant, 2000, 0, 8) is variant_trace(
+                "li", variant, 2000, 0, block_words=16
+            )
+        assert variant_trace("li", "pad_all", 2000, 0, 8) is not variant_trace(
+            "li", "pad_all", 2000, 0, 16
+        )
 
     def test_padded_variants_contain_nops(self):
         program, _ = variant_program("compress", "pad_all", 8)
@@ -204,9 +214,7 @@ def cold_tables(tmp_path_factory):
 
 
 def _clear_memos() -> None:
-    for value in vars(common).values():
-        if callable(value) and hasattr(value, "cache_clear"):
-            value.cache_clear()
+    common._trace.cache_clear()
 
 
 def _tables_json(config: ExperimentConfig) -> str:
@@ -270,6 +278,24 @@ def test_cold_report_holds_at_most_the_tape_bound(fresh_cache):
         if key[0] == "tape"
     )
     assert held <= sim_kernel.TAPE_LIMIT
+
+
+def test_worker_misses_hold_at_most_the_trace_bound(fresh_cache):
+    """A long-lived worker's one-off misses (a new seed each) keep at most
+    ``TRACE_LIMIT`` traces alive: the trace memo is bounded, and no
+    result memo holds a trace.  Counted, not measured as RSS."""
+    seeds = range(10_000, 10_000 + common.TRACE_LIMIT + 10)
+    for seed in seeds:
+        _run_job(
+            SimJob("espresso", "PI4", "sequential", length=600, warmup=100, seed=seed)
+        )
+    gc.collect()
+    held = sum(
+        1
+        for obj in gc.get_objects()
+        if isinstance(obj, DynamicTrace) and obj.seed in seeds
+    )
+    assert held <= common.TRACE_LIMIT
 
 
 class TestTableCaching:

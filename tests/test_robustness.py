@@ -7,6 +7,7 @@ results — the sweep journal and ``--resume``, and the hardened result
 cache (injected corruption, injected ``ENOSPC`` degrade-to-off).
 """
 
+import builtins
 import errno
 import json
 import multiprocessing
@@ -14,7 +15,6 @@ import os
 import tempfile
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -619,14 +619,14 @@ class TestCacheHardening:
     ):
         key = ("ora", "PI4", "sequential", 3000)
         cache.store("sim_stats", key, {"ipc": 3.4})
-        real_open = Path.open
+        real_open = builtins.open
 
-        def unreadable_open(self, mode="r", *args, **kwargs):
-            if "r" in mode and self.suffix == ".pkl":
+        def unreadable_open(file, mode="r", *args, **kwargs):
+            if "r" in mode and str(file).endswith(".pkl"):
                 raise OSError(errno.EROFS, "read-only file system")
-            return real_open(self, mode, *args, **kwargs)
+            return real_open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "open", unreadable_open)
+        monkeypatch.setattr(builtins, "open", unreadable_open)
         cache.reset_stats()
         assert cache.load("sim_stats", key) is None  # a miss, not a crash
         assert cache.stats.misses == 1
@@ -634,7 +634,7 @@ class TestCacheHardening:
         assert cache.stats.corrupt_dropped == 0  # the entry is not damaged
         assert not cache.cache_enabled()
         assert cache.get_or_compute("sim_stats", key, lambda: 9) == 9
-        monkeypatch.setattr(Path, "open", real_open)
+        monkeypatch.setattr(builtins, "open", real_open)
         cache.reset_runtime_disable()
         assert cache.load("sim_stats", key) == {"ipc": 3.4}  # never dropped
 

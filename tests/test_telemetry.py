@@ -155,12 +155,11 @@ def test_instrumented_counts_match_fast_loop():
 def test_extra_survives_the_result_cache():
     from repro.experiments.common import telemetry_sim_stats
 
-    run = telemetry_sim_stats.__wrapped__  # bypass the lru memo
     kwargs = dict(length=2_000, warmup=400)
-    first = run("espresso", "PI4", "sequential", **kwargs)
+    first = telemetry_sim_stats("espresso", "PI4", "sequential", **kwargs)
     assert first.slot_attribution()  # instrumented payload present
     assert result_cache.stats.stores == 1
-    second = run("espresso", "PI4", "sequential", **kwargs)
+    second = telemetry_sim_stats("espresso", "PI4", "sequential", **kwargs)
     assert result_cache.stats.hits == 1
     assert second.extra == first.extra
     assert second == first
