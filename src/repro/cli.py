@@ -60,6 +60,7 @@ def _write_records(
     timings: dict[str, float],
     cache_stats: dict,
     outcomes: list[dict] | None = None,
+    engine: str | None = None,
 ) -> list[Path]:
     """Write *records* as JSONL and/or CSV and the run manifest; returns
     the paths written, in that order.  A telemetry *directory* gets
@@ -90,6 +91,7 @@ def _write_records(
             results=records,
             cache_stats=cache_stats,
             outcomes=outcomes,
+            engine=engine,
         )
         written.append(write_manifest(manifest, document))
     return written
@@ -136,6 +138,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = sim.telemetry_report
     assert report is not None
     rates = report.rates()
+    print(f"\nengine: {report.engine}")
     print(f"\nslot attribution (of {report.issue_rate} slots/cycle):")
     for cause in CAUSES:
         slots = report.attribution.get(cause, 0)
@@ -162,6 +165,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             timings={"wall": wall, **report.phase_seconds},
             cache_stats=result_cache.stats.as_dict(),
+            engine=report.engine,
         )
         print(f"\nwrote {jsonl_path} and {manifest_path}")
     return 0

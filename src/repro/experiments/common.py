@@ -238,6 +238,7 @@ def telemetry_sim_stats(
     seed: int = DEFAULT_CONFIG.seed,
     fetch_penalty: int | None = None,
     block_words: int = 4,
+    kernel: bool | None = None,
 ) -> SimStats:
     """:func:`sim_stats` with telemetry on (slot attribution in ``extra``).
 
@@ -246,7 +247,8 @@ def telemetry_sim_stats(
     through the disk cache).  Cached under a separate kind
     (``telemetry_stats``) so plain and instrumented results never serve
     each other.  Wall-clock phase timings are *not* cached — a cache
-    hit serves the attribution only.
+    hit serves the attribution only.  *kernel* selects the engine and
+    joins the key, as in :func:`sim_stats`.
     """
     cell = (
         benchmark,
@@ -260,7 +262,9 @@ def telemetry_sim_stats(
         block_words,
     )
     return result_cache.get_or_compute(
-        "telemetry_stats", cell, lambda: _simulate(cell, telemetry=True)
+        "telemetry_stats",
+        cell + (kernel,),
+        lambda: _simulate(cell, telemetry=True, kernel=kernel),
     )
 
 

@@ -64,13 +64,14 @@ class SimJob:
     seed: int = 0
     fetch_penalty: int | None = None
     block_words: int = 4
-    #: Run with telemetry on the reference loop (slot attribution in
-    #: ``SimStats.extra``; cached under a separate result-cache kind).
+    #: Run with telemetry on (slot attribution in ``SimStats.extra``;
+    #: cached under a separate result-cache kind).
     telemetry: bool = False
     #: Compiled-kernel selection (:mod:`repro.sim.kernel`): ``None``
     #: defers to the ``REPRO_KERNEL`` knob, ``False`` runs the
     #: reference loop (``sweep --no-kernel``).  Joins the persistent
-    #: cache key via :func:`repro.experiments.common.sim_stats`.
+    #: cache key via :func:`repro.experiments.common.sim_stats` (or
+    #: ``telemetry_sim_stats``).
     kernel: bool | None = None
 
 
@@ -121,16 +122,10 @@ def _run_job(job: SimJob) -> SimStats:
         seed=job.seed,
         fetch_penalty=job.fetch_penalty,
         block_words=job.block_words,
+        kernel=job.kernel,
     )
-    if job.telemetry:
-        # Telemetry runs never use the kernel (it declines them all), so
-        # the flag stays out of their cache key.
-        return telemetry_sim_stats(
-            job.benchmark, job.machine, job.scheme, **kwargs
-        )
-    return sim_stats(
-        job.benchmark, job.machine, job.scheme, kernel=job.kernel, **kwargs
-    )
+    simulate = telemetry_sim_stats if job.telemetry else sim_stats
+    return simulate(job.benchmark, job.machine, job.scheme, **kwargs)
 
 
 def run_batch(

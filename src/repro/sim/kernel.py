@@ -54,8 +54,9 @@ and then replays the dynamic trace as plain array lookups:
   a pure function of (trace, config, the fetch unit's starting state,
   prewarm) — no RNG, no wall clock — so the first run records every
   fetch invocation's resolved outcome (position, stall, delivered
-  count, mispredict flag, cumulative BTB/cache stat deltas), one entry
-  per wrong-path cycle (position -1), plus the unit's end state, and
+  count, mispredict flag, cumulative BTB/cache stat deltas, the cause
+  of a short delivery), one entry per wrong-path cycle (position -1),
+  plus the unit's end state, and
   later runs from the same starting state replay the tape with *zero*
   predictor object work: no plan builds, no memo lookups, no BTB
   training, no I-cache prewarm.  A replay installs the recorded end
@@ -83,12 +84,24 @@ producing bit-identical
 :class:`~repro.sim.stats.SimStats` (``tests/test_equivalence.py`` is the
 oracle).
 
+A telemetry run stays in the kernel, which charges its slot ledger
+(``sim.slot_ledger``) in every mode with the one rule of
+:mod:`repro.telemetry.attribution`.  A cycle that fetched is charged by
+the cause its plan record or tape entry carries; a gated cycle by
+:func:`~repro.telemetry.attribution.gate_cause` over the flat state the
+loop holds (queue length, window/ROB occupancy, the queue head against
+the speculation depth, ``waiting``, ``fetch_blocked_until`` and the
+cause that last set it); an event-skipped span in bulk, split at
+``fetch_blocked_until``.  With telemetry off the loop pays one ``None``
+test per iterated cycle.
+
 The kernel *declines* configurations it cannot reproduce exactly —
-sanitize/telemetry instrumentation, schemes with mutable planning state
-(the trace cache) — and ``Simulator.run()`` runs the reference loop
-for them instead (see :func:`decline_reason`).  ``REPRO_KERNEL=0``
-disables it globally; the fault site ``sim.kernel`` degrades to the
-reference loop under chaos testing.
+the sanitizer's per-cycle checks of the reference loop's objects,
+schemes with mutable planning state (the trace cache) — and
+``Simulator.run()`` runs the reference loop for them instead (see
+:func:`decline_reason`).  ``REPRO_KERNEL=0`` disables it globally; the
+fault site ``sim.kernel`` degrades to the reference loop under chaos
+testing.
 
 ``KERNEL_TABLE_VERSION`` is salted into persistent result-cache keys
 (:mod:`repro.sim.cache`) so cached statistics never outlive a table
@@ -101,6 +114,7 @@ import dataclasses
 import weakref
 from array import array
 from collections import deque
+from time import perf_counter
 
 from repro import knobs
 from repro.branch.btb import UNCONDITIONAL
@@ -116,6 +130,13 @@ from repro.isa.opcodes import (
     UNCONDITIONAL_OPS,
     UNIT_FOR_OP,
     OpClass,
+)
+from repro.telemetry.attribution import (
+    ICACHE_MISS,
+    MISPREDICT_RESOLVE,
+    break_cause,
+    fetch_cause,
+    gate_cause,
 )
 
 __all__ = [
@@ -182,15 +203,14 @@ def kernel_enabled() -> bool:
 def decline_reason(sim) -> str | None:
     """Why the kernel cannot run *sim* exactly, or ``None`` if it can.
 
-    Mirrored in docs/performance.md: instrumented modes (sanitize,
-    telemetry) need per-cycle hooks; non-vetted schemes (trace cache)
-    keep planning state outside the (BTB, cache-tags) dependency model
-    and outside the tape's end state.  Direction predictors, return
-    stacks and wrong-path fetch are not a reason.  A declined run
-    executes :meth:`~repro.sim.simulator.Simulator.run_reference`.
+    Mirrored in docs/performance.md: the sanitizer checks the reference
+    loop's objects every cycle; non-vetted schemes (trace cache) keep
+    planning state outside the (BTB, cache-tags) dependency model and
+    outside the tape's end state.  Telemetry, direction predictors,
+    return stacks and wrong-path fetch are not a reason: the kernel
+    keeps the slot ledger itself.  A declined run executes
+    :meth:`~repro.sim.simulator.Simulator.run_reference`.
     """
-    if sim.telemetry is not None:
-        return "telemetry"
     if sim.sanitizer is not None:
         return "sanitize"
     fetch = sim.fetch_unit
@@ -540,8 +560,10 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
     Returns ``(memo, build, train, install, remove, tally)``:
 
     * ``memo`` maps a fetch address to its packet record ``(stall,
-      addrs, count, next, d_lookups, d_hits, d_acc, d_miss)``; a caller
-      that replays a hit adds its four statistic deltas itself.
+      addrs, count, next, d_lookups, d_hits, d_acc, d_miss, cause)``; a
+      caller that replays a hit adds its four statistic deltas itself.
+      ``cause`` is the slot-attribution cause index of a short delivery
+      (:func:`repro.telemetry.attribution.break_cause`).
     * ``build(address)`` plans one packet live and returns its record,
       memoising it when reusable.
     * ``train(address, taken, target, is_unc, is_call, is_ret)`` is
@@ -610,7 +632,8 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
 
     def build(address):
         """Plan one packet live, memoize it if reusable, return the record
-        ``(stall, addrs, count, next, d_lookups, d_hits, d_acc, d_miss)``.
+        ``(stall, addrs, count, next, d_lookups, d_hits, d_acc, d_miss,
+        cause)``.
 
         Matches ``FetchUnit.fetch_cycle`` exactly: a stall plan delivers
         nothing (and is never memoized — the miss fill it triggered
@@ -643,6 +666,7 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
                 bstats.hits - ht0,
                 cstats.accesses - ac0,
                 cstats.misses - ms0,
+                ICACHE_MISS,
             )
         if checker is not None:
             checker.check_plan(fetch, address, plan, width)
@@ -656,6 +680,7 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
             bstats.hits - ht0,
             cstats.accesses - ac0,
             cstats.misses - ms0,
+            break_cause(plan.break_reason),
         )
         if memoize and not filled:
             memo[address] = rec
@@ -743,6 +768,12 @@ def run_compiled(sim):
     Caller (``Simulator.run``) guarantees :func:`decline_reason` is
     ``None``.  Bit-identical to the reference loop by construction;
     every phase below cites the invariant it replicates.
+
+    A telemetry run's slot ledger (``sim.slot_ledger``) is charged
+    here, with the rule of :mod:`repro.telemetry.attribution`: each
+    iterated cycle after its fetch phase, each event-skipped span in
+    bulk.  The run's registry gets two phase timers: ``compile_trace``
+    and the loop under its kernel mode.
     """
     from repro.sim.simulator import SimulationDeadlock
 
@@ -752,14 +783,17 @@ def run_compiled(sim):
     trace = sim.trace
     total = len(trace.instructions)
     conservative = config.memory_ordering == "conservative"
+    compile_start = perf_counter()
     table = compile_trace(trace, conservative)
+    compile_end = perf_counter()
     tables = trace._kernel_tables
 
     # -- fetch-outcome tape (see the module docstring) ------------------------
     # The first run from an eligible starting state records each fetch's
     # (position, stall, delivered count, mispredict flag, cumulative
-    # BTB/cache stat deltas) and the unit's end state; later runs from the
-    # same state replay it, then install that end state.
+    # BTB/cache stat deltas, short-delivery cause) and the unit's end
+    # state; later runs from the same state replay it, then install that
+    # end state.
     tape_key = _tape_key(sim)
     recorded = tables.get(tape_key) if tape_key is not None else None
     live = recorded is None
@@ -884,6 +918,12 @@ def run_compiled(sim):
     predict_slot = fetch.predict_slot
     snapshot = sim._snapshot
     snapshot_taken = snapshot is not None
+    # Telemetry: the slot ledger (``None`` when off), the fetches it has
+    # charged, and the cause of the last fetch block — set wherever
+    # ``fetch_blocked_until`` is (a branch restart or a miss stall).
+    ledger = sim.slot_ledger
+    ledger_fetches = fs_cycles
+    blocked_cause = MISPREDICT_RESOLVE
     memo_get = memo.get
     # ``ready`` keeps one identity for the whole run (cleared/overwritten
     # in place) so its bound append survives hoisting.
@@ -918,6 +958,8 @@ def run_compiled(sim):
                     "window_full_stalls": wf_stalls,
                 }
                 snapshot_taken = True
+                if ledger is not None:
+                    ledger.restart()
 
             # retire (== ExecutionCore.do_retire; the first not-done
             # entry is located with a C-level byte scan)
@@ -931,6 +973,7 @@ def run_compiled(sim):
                 if recovery_at_retire and retired <= flagged_index < r:
                     waiting = False
                     wp_addr = -1
+                    blocked_cause = MISPREDICT_RESOLVE
                     restart = cycle + fetch_penalty
                     if restart > fetch_blocked_until:
                         fetch_blocked_until = restart
@@ -987,6 +1030,7 @@ def run_compiled(sim):
                     if j == flagged_index and not recovery_at_retire:
                         waiting = False
                         wp_addr = -1
+                        blocked_cause = MISPREDICT_RESOLVE
                         restart = cycle + fetch_penalty
                         if restart > fetch_blocked_until:
                             fetch_blocked_until = restart
@@ -1097,6 +1141,7 @@ def run_compiled(sim):
                     stall = entry[1]
                     if stall:
                         fetch_blocked_until = cycle + stall
+                        blocked_cause = ICACHE_MISS
                         fs_stall += stall
                     else:
                         matched = entry[2]
@@ -1123,6 +1168,7 @@ def run_compiled(sim):
                     stall = rec[0]
                     if stall:
                         fetch_blocked_until = cycle + stall
+                        blocked_cause = ICACHE_MISS
                         fs_stall += stall
                         if tape_rec is not None:
                             tape_rec.append((
@@ -1134,6 +1180,7 @@ def run_compiled(sim):
                                 bstats.hits - ht0_run + rht,
                                 cstats.accesses - ac0_run + rac,
                                 cstats.misses - ms0_run + rms,
+                                ICACHE_MISS,
                             ))
                     else:
                         plan_addrs = rec[1]
@@ -1190,6 +1237,7 @@ def run_compiled(sim):
                                 bstats.hits - ht0_run + rht,
                                 cstats.accesses - ac0_run + rac,
                                 cstats.misses - ms0_run + rms,
+                                rec[8],
                             ))
                         position += matched
             elif wp_addr >= 0:
@@ -1220,6 +1268,36 @@ def run_compiled(sim):
                     tape_i += 1
                     last_e = entry
                     wp_addr = entry[1]
+
+            # slot ledger (telemetry only): the cycle's fetch by its
+            # record's cause, else the gate that held fetch
+            if ledger is not None:
+                if fs_cycles != ledger_fetches:
+                    ledger_fetches = fs_cycles
+                    # ``waiting`` was clear before this fetch: it is now
+                    # set exactly when the fetch mispredicted.
+                    ledger.fetched(
+                        0 if stall else matched,
+                        fetch_cause(stall, waiting, (rec if live else entry)[8]),
+                    )
+                else:
+                    queued = position - dispatch_head
+                    ledger.charge(
+                        0,
+                        gate_cause(
+                            queued + issue_rate > queue_capacity,
+                            occupied >= window_size
+                            or dispatch_head - retired >= rob_capacity
+                            or (
+                                queued > 0
+                                and brcond_[dispatch_head]
+                                and unresolved >= speculation_depth
+                            ),
+                            waiting,
+                            cycle < fetch_blocked_until,
+                            blocked_cause,
+                        )[1],
+                    )
 
             cycle += 1
 
@@ -1287,6 +1365,38 @@ def run_compiled(sim):
                             "window_full_stalls": wf_stalls,
                         }
                         snapshot_taken = True
+                        if ledger is not None:
+                            ledger.restart()
+                    if ledger is not None:
+                        # Charge the span in bulk: its gate state holds
+                        # throughout except the penalty, which ends at
+                        # ``fetch_blocked_until``.  That need not bound
+                        # the skip: not once the trace is fully fetched,
+                        # nor while a full queue (ranked first) holds
+                        # fetch.  A full queue is backpressure exactly
+                        # when dispatch is blocked (an empty queue is
+                        # never full).
+                        queue_full = (
+                            position - dispatch_head + issue_rate
+                            > queue_capacity
+                        )
+                        split = min(max(fetch_blocked_until, cycle), target)
+                        for penalty, cycles in (
+                            (True, split - cycle),
+                            (False, target - split),
+                        ):
+                            if cycles:
+                                ledger.charge(
+                                    0,
+                                    gate_cause(
+                                        queue_full,
+                                        blocked != 0,
+                                        waiting,
+                                        penalty,
+                                        blocked_cause,
+                                    )[1],
+                                    cycles,
+                                )
                     skipped = target - cycle
                     if blocked == 1:
                         wf_stalls += skipped
@@ -1341,4 +1451,7 @@ def run_compiled(sim):
             if d >= 0:
                 fwriter[d] = i
     sim._snapshot = snapshot
+    if ledger is not None:
+        sim.telemetry.add_time("compile_trace", compile_end - compile_start)
+        sim.telemetry.add_time(sim.kernel_mode, perf_counter() - compile_end)
     return sim._collect_stats(cycle)

@@ -9,7 +9,9 @@ visible instruction by instruction).
 The tracer is an observer of :meth:`Simulator.run_reference`, the
 simulator's per-cycle reference loop: it records each cycle's facts and
 charges its slots with the same rule as telemetry's ledger
-(:meth:`repro.telemetry.attribution.SlotObserver.classify`), so traced
+(:func:`repro.telemetry.attribution.gate_cause` and
+:func:`~repro.telemetry.attribution.fetch_cause`, read through
+:meth:`~repro.telemetry.attribution.SlotObserver.classify`), so traced
 and simulated runs agree cycle for cycle by construction.
 """
 
@@ -121,7 +123,7 @@ class _Recorder(SlotObserver):
             events.mispredict = result.mispredict
             events.attribution["delivered"] = delivered
         if delivered < self.issue_rate:
-            events.attribution[cause] = self.issue_rate - delivered
+            events.attribution[CAUSES[cause]] = self.issue_rate - delivered
         self.log.events.append(events)
         if len(self.log.events) >= self.max_cycles:
             raise _Stop

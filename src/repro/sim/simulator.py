@@ -23,20 +23,21 @@ Two engines produce bit-identical statistics:
   engine of every run the kernel declines, and the one loop per-cycle
   consumers observe.
 
-:meth:`~Simulator.run_reference` hands each cycle's facts to one
-internal observer.  Two exist: telemetry's slot ledger (the opt-in
-``telemetry`` flag or ``REPRO_TELEMETRY=1``), which fills
-``SimStats.extra`` with ``slot_*`` attribution counters and leaves a
+A telemetry run (the opt-in ``telemetry`` flag or ``REPRO_TELEMETRY=1``)
+hands whichever engine runs a slot ledger
+(:class:`~repro.telemetry.attribution.SlotAttribution`): the kernel
+charges it itself, and :meth:`~Simulator.run_reference` feeds it through
+its one internal observer.  The run fills ``SimStats.extra`` with
+``slot_*`` attribution counters and leaves a
 :class:`~repro.telemetry.core.TelemetryReport` on
-``Simulator.telemetry_report``, and the pipetrace recorder
-(:mod:`repro.sim.pipetrace`).
+``Simulator.telemetry_report``.  The reference loop's other observer is
+the pipetrace recorder (:mod:`repro.sim.pipetrace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable
 
 from repro import faults
 from repro.check.sanitizer import PipelineSanitizer, sanitize_enabled
@@ -111,10 +112,10 @@ class Simulator:
         :class:`~repro.check.errors.CheckFailure` on the first violated
         invariant.
 
-        *telemetry* opts into slot-level stall attribution and phase
-        timers, observed on :meth:`run_reference`; ``None`` defers to the
-        ``REPRO_TELEMETRY`` environment knob.  The counted statistics
-        stay identical to the kernel's; ``SimStats.extra`` gains the
+        *telemetry* opts into slot-level stall attribution and the
+        engine's phase timers, kept by whichever engine runs; ``None``
+        defers to the ``REPRO_TELEMETRY`` environment knob.  The counted
+        statistics stay identical; ``SimStats.extra`` gains the
         ``slot_*`` attribution, and :attr:`telemetry_report` carries the
         full record after :meth:`run`.
 
@@ -143,10 +144,13 @@ class Simulator:
         self.sanitizer = PipelineSanitizer(self) if sanitize else None
         if telemetry is None:
             telemetry = telemetry_enabled()
-        #: Metrics registry of a telemetry run; ``None`` leaves the
-        #: kernel and the reference loop unobserved.
+        #: Metrics registry and slot ledger of a telemetry run; ``None``
+        #: leaves the kernel and the reference loop unobserved.
         self.telemetry: MetricsRegistry | None = (
             MetricsRegistry() if telemetry else None
+        )
+        self.slot_ledger: SlotAttribution | None = (
+            SlotAttribution(config.issue_rate) if telemetry else None
         )
         #: Filled by :meth:`run` when telemetry is on.
         self.telemetry_report: TelemetryReport | None = None
@@ -213,8 +217,9 @@ class Simulator:
     def _run(self) -> SimStats:
         """The untraced run body: the compiled kernel when it can
         reproduce this configuration, else :meth:`run_reference` (observed
-        by the slot ledger when telemetry is on: same counted statistics,
-        plus slot attribution in ``stats.extra``).
+        by the slot ledger when telemetry is on).  Either engine keeps
+        the ledger of a telemetry run: same counted statistics, plus
+        slot attribution in ``stats.extra``.
         """
         # Chaos site (per run, never per cycle): a no-op unless the
         # deterministic fault harness is armed via REPRO_FAULTS.
@@ -238,17 +243,24 @@ class Simulator:
             if reason is None:
                 self.kernel_used = True
                 if not tracing.tracing_enabled():
-                    return compiled_kernel.run_compiled(self)
-                with tracing.span("sim.kernel") as sp:
                     stats = compiled_kernel.run_compiled(self)
-                    sp.set(**{"kernel.mode": self.kernel_mode or "compile"})
+                else:
+                    with tracing.span("sim.kernel") as sp:
+                        stats = compiled_kernel.run_compiled(self)
+                        sp.set(**{"kernel.mode": self.kernel_mode or "compile"})
+                if self.telemetry is None:
                     return stats
+                return self._report(stats, f"kernel.{self.kernel_mode}")
             self.kernel_decline_reason = reason
         else:
             self.kernel_decline_reason = "disabled"
-        if self.telemetry is not None:
-            return self._run_telemetry()
-        return self.run_reference()
+        if self.telemetry is None:
+            return self.run_reference()
+        self._observer = _SlotLedger(self)
+        start = perf_counter()
+        stats = self.run_reference()
+        self.telemetry.add_time("reference", perf_counter() - start)
+        return self._report(stats, f"reference:{self.kernel_decline_reason}")
 
     def run_reference(self) -> SimStats:
         """Naive per-cycle loop: the specification, and the engine of
@@ -406,47 +418,31 @@ class Simulator:
             dispatched += 1
         return dispatched
 
-    def _run_telemetry(self) -> SimStats:
-        """:meth:`run_reference` observed by a :class:`_SlotLedger`, with
-        wall-clock timers shadowing each phase's bound methods for the
-        run (instance attributes over the class methods, deleted in the
-        ``finally``), so only telemetry runs pay the indirection."""
+    def _report(self, stats: SimStats, engine: str) -> SimStats:
+        """File a telemetry run's ledger: ``slot_*`` counters in
+        ``stats.extra``, the registry's fetch counters and delivery
+        histogram, and :attr:`telemetry_report`."""
         registry = self.telemetry
-        assert registry is not None
-        core, fetch = self.core, self.fetch_unit
-        timed = (
-            (core, "do_retire", "retire"),
-            (core, "do_writeback", "writeback"),
-            (core, "do_fire", "fire"),
-            (self, "_dispatch", "dispatch"),
-            (fetch, "fetch_cycle", "fetch"),
-            (fetch, "wrong_path_cycle", "fetch"),
-            (fetch.cache, "access", "icache_lookup"),
-        )
-        clocks = {phase: [0.0] for _, _, phase in timed}
-        for owner, name, phase in timed:
-            setattr(owner, name, _timed(getattr(owner, name), clocks[phase]))
-        ledger = self._observer = _SlotLedger(self, registry)
-        try:
-            stats = self.run_reference()
-        finally:
-            self._observer = None
-            for owner, name, _ in timed:
-                delattr(owner, name)  # restore the unwrapped class method
-        for phase, (seconds,) in clocks.items():
-            registry.add_time(phase, seconds)
-
-        measured = ledger.attribution.counts
+        ledger = self.slot_ledger
+        assert registry is not None and ledger is not None
+        measured = ledger.counts
         stats.extra.update(
             {f"slot_{cause}": count for cause, count in measured.items()}
         )
         stats.extra["issue_rate"] = ledger.issue_rate
+        fetches = sum(ledger.deliveries)
+        if fetches:
+            registry.inc("fetch_cycles", fetches)
+        for delivered, times in enumerate(ledger.deliveries):
+            if delivered and times:
+                registry.observe("delivered_per_fetch", delivered, times)
         if self.wrong_path_cycles:
             registry.inc("wrong_path_cycles", self.wrong_path_cycles)
         self.telemetry_report = TelemetryReport(
             attribution=measured,
             cycles=stats.cycles,
             issue_rate=ledger.issue_rate,
+            engine=engine,
             phase_seconds=dict(registry.timers),
             counters=dict(registry.counters),
             histograms={
@@ -496,37 +492,23 @@ class Simulator:
         )
 
 
-def _timed(method: Callable, clock: list[float]) -> Callable:
-    """*method*, adding its wall-clock seconds to ``clock[0]``."""
-
-    def timed(*args):
-        start = perf_counter()
-        result = method(*args)
-        clock[0] += perf_counter() - start
-        return result
-
-    return timed
-
-
 class _SlotLedger(SlotObserver):
-    """Telemetry's observer of :meth:`Simulator.run_reference`: the slot
-    ledger, fetch-cycle count and delivered-per-fetch histogram."""
+    """Telemetry's observer of :meth:`Simulator.run_reference`: charges
+    the simulator's slot ledger, measuring from the warmup snapshot on."""
 
-    def __init__(self, sim: Simulator, registry: MetricsRegistry) -> None:
+    def __init__(self, sim: Simulator) -> None:
         super().__init__(sim)
-        self.registry = registry
-        self.attribution = SlotAttribution(self.issue_rate)
+        self.ledger = sim.slot_ledger
         self.warm = False
 
     def on_cycle(self, cycle, restarted, result, queue, waiting, blocked_until, *_):
         if not self.warm and self.sim._snapshot is not None:
-            self.warm = True  # measure from the warmup snapshot on
-            self.attribution = SlotAttribution(self.issue_rate)
+            self.warm = True
+            self.ledger.restart()
         _, delivered, cause = self.classify(
             cycle, restarted, result, queue, waiting, blocked_until
         )
-        self.attribution.charge(delivered, cause)
         if result is not None:
-            self.registry.inc("fetch_cycles")
-            if delivered:
-                self.registry.observe("delivered_per_fetch", delivered)
+            self.ledger.fetched(delivered, cause)
+        else:
+            self.ledger.charge(0, cause)

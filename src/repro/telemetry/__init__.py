@@ -8,6 +8,7 @@ Cooperating pieces:
 * :mod:`repro.telemetry.attribution` — the slot-conservation ledger:
   every cycle each of the machine's ``issue_rate`` slots is charged to
   exactly one cause, so losses sum to ``cycles * issue_rate`` exactly.
+  It also holds the one charging rule every engine calls.
 * :mod:`repro.telemetry.trace` — distributed tracing: spans with W3C
   trace-context propagation across every process boundary, a bounded
   in-process flight recorder with crash-safe spill files, and Chrome
@@ -21,10 +22,11 @@ Cooperating pieces:
   Prometheus text exposition renderer behind ``/metrics?format=prom``.
 
 Telemetry is strictly opt-in: ``Simulator(..., telemetry=True)`` (or
-``REPRO_TELEMETRY=1`` through the runners) runs the per-cycle reference
-loop under a slot-ledger observer; with it off the compiled kernel (or
-the plain reference loop) runs untouched and ``SimStats`` stays
-bit-identical.  Tracing
+``REPRO_TELEMETRY=1`` through the runners) hands the run a slot ledger,
+which the compiled kernel charges itself (a run the kernel declines
+feeds it through the reference loop's observer).  With it off the
+kernel's only cost is one ``None`` test per iterated cycle — nothing
+measurable — and ``SimStats`` stays bit-identical.  Tracing
 follows the same discipline — ``REPRO_TRACE=0`` (the default) makes
 every span call a shared no-op singleton.  See ``docs/observability.md``.
 """

@@ -5,11 +5,13 @@ cardinality, no export protocol — because its job is to give a
 telemetry run and the CLI somewhere cheap to record events.
 :class:`NullRegistry` is the off-switch: every method is a no-op, so
 library code can unconditionally call ``registry.inc(...)`` without
-branching.  The simulator goes one step further: only a telemetry run
-attaches its slot-ledger observer and phase timers to the reference
-loop, so the kernel and the plain reference loop carry zero telemetry
-cost when it is off (the
-guarantee ``tests/test_telemetry.py`` locks in).
+branching.  The simulator goes one step further: a telemetry run hands
+its engine a slot ledger, and the engines only look at it behind one
+guard — a ``None`` test per iterated kernel cycle, or the reference
+loop's observer test — so with telemetry off they charge nothing and
+``SimStats`` stays bit-identical (the guarantee
+``tests/test_telemetry.py`` locks in; ``benchmarks/test_perf.py`` and
+the benchmark's ``sim_kernel`` workload hold the kernel's speed).
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ class Histogram:
     minimum: float = float("inf")
     maximum: float = float("-inf")
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record *value*, observed *times* times."""
+        self.count += times
+        self.total += value * times
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
@@ -77,11 +80,11 @@ class MetricsRegistry:
     def inc(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, times: int = 1) -> None:
         histogram = self.histograms.get(name)
         if histogram is None:
             histogram = self.histograms[name] = Histogram()
-        histogram.observe(value)
+        histogram.observe(value, times)
 
     def add_time(self, name: str, seconds: float) -> None:
         self.timers[name] = self.timers.get(name, 0.0) + seconds
@@ -116,7 +119,7 @@ class NullRegistry(MetricsRegistry):
     def inc(self, name: str, amount: int = 1) -> None:
         pass
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, times: int = 1) -> None:
         pass
 
     def add_time(self, name: str, seconds: float) -> None:
@@ -140,7 +143,11 @@ class TelemetryReport:
     attribution: dict[str, int]
     cycles: int
     issue_rate: int
-    #: Accumulated wall-clock seconds per pipeline phase.
+    #: Which engine ran: ``kernel.<mode>`` (``record``, ``replay`` or
+    #: ``compile``) or ``reference:<decline reason>``.
+    engine: str = ""
+    #: Wall-clock seconds per engine phase: ``compile_trace`` and the
+    #: kernel mode, or ``reference`` for a declined run.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
     histograms: dict[str, dict] = field(default_factory=dict)
@@ -163,6 +170,7 @@ class TelemetryReport:
             "attribution": dict(self.attribution),
             "cycles": self.cycles,
             "issue_rate": self.issue_rate,
+            "engine": self.engine,
             "phase_seconds": {
                 name: round(seconds, 6)
                 for name, seconds in self.phase_seconds.items()

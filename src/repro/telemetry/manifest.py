@@ -4,9 +4,9 @@ A manifest answers "what exactly produced these numbers?" months later:
 the command and its arguments, a digest of the simulator sources (the
 same one that keys the persistent result cache, so a manifest can be
 matched to the cache generation that served it), the machine-config
-fingerprints, every ``REPRO_*`` environment knob, the host, and the
-wall-clock phase timings.  ``runner``/``batch``/``sweep`` fill in their
-own ``results`` payloads.
+fingerprints, every ``REPRO_*`` environment knob, the host, the
+wall-clock phase timings and, for one simulation, the engine that ran.
+``runner``/``batch``/``sweep`` fill in their own ``results`` payloads.
 """
 
 from __future__ import annotations
@@ -55,13 +55,16 @@ def build_manifest(
     results: dict | list | None = None,
     cache_stats: dict[str, int] | None = None,
     outcomes: list[dict] | None = None,
+    engine: str | None = None,
 ) -> dict:
-    """Assemble the manifest document (pure data, JSON-serialisable)."""
+    """Assemble the manifest document (pure data, JSON-serialisable).
+    *engine* (one simulation's ``TelemetryReport.engine``) adds an
+    ``engine`` entry."""
     # Imported lazily: the cache module lives in repro.sim, which in
     # turn imports the telemetry package for the simulator hooks.
     from repro.sim.cache import source_version
 
-    return {
+    document = {
         "manifest_version": MANIFEST_VERSION,
         "created_unix": round(time.time(), 3),
         "created_utc": time.strftime(
@@ -88,6 +91,9 @@ def build_manifest(
         "job_outcomes": outcomes or [],
         "results": results if results is not None else {},
     }
+    if engine is not None:
+        document["engine"] = engine
+    return document
 
 
 def write_manifest(path: str | Path, manifest: dict) -> Path:

@@ -13,7 +13,10 @@ kernel records its fetch-outcome tape, or a declined run executes),
 a second ``run()`` (a kernel replays the tape) and ``run_reference()``.
 They must agree on every counted statistic, the warmup snapshot,
 ``wrong_path_cycles`` and the state each run leaves in its fetch unit
-(``kernel._end_state``).
+(``kernel._end_state``).  A seeded subset of the cases runs again with
+telemetry on: the kernel's slot ledger, fetch-cycle count and
+delivered-per-fetch histogram, recorded and then replayed, must equal
+those the reference loop's observer charges.
 
 Fetch-only EIR gets the same treatment: 60 seeded cases compare
 ``measure_eir`` on the kernel's plan memo with live planning, and a few
@@ -172,6 +175,81 @@ def test_engines_agree_with_reference(case: Case):
     expected = _outcome(reference, reference.run_reference())
     labels = ("counted stats", "snapshot", "wrong_path_cycles", "end state")
     for attempt, outcome in enumerate(runs):
+        for label, got, want in zip(labels, outcome, expected):
+            assert got == want, f"run {attempt + 1} {label} differs: {case}"
+
+
+# -- telemetry: the kernel's slot ledger against the reference observer -------
+
+#: Cases rerun with telemetry on (a seeded subset of the 200).
+TELEMETRY_CASES = sorted(random.Random(SEED + 2).sample(range(CASES), 32))
+
+
+def _telemetry(sim: Simulator, stats) -> tuple:
+    report = sim.telemetry_report
+    return (
+        *_outcome(sim, stats),
+        stats.extra,
+        report.counters,
+        report.histograms,
+    )
+
+
+def test_telemetry_cases_cover_the_knobs():
+    """The subset exercises every scheme the kernel runs, predictors and
+    return stacks, wrong-path fetch, ``warmup=0``, prewarm off and
+    recovery at retire."""
+    cases = [_cases()[i] for i in TELEMETRY_CASES]
+    assert set(ALL_SCHEMES) - {"trace_cache"} <= {c.scheme for c in cases}
+    assert set(PREDICTORS) == {c.predictor for c in cases}
+    assert any(c.wrong_path for c in cases)
+    assert any(c.warmup == 0 for c in cases)
+    assert any(not c.prewarm for c in cases)
+    assert any(c.machine.recovery_at_retire for c in cases)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(case, id=f"{i:03d}-{str(case).split()[0]}")
+        for i, case in enumerate(_cases())
+        if i in TELEMETRY_CASES
+    ],
+)
+def test_kernel_ledger_agrees_with_reference(case: Case):
+    workload = load_workload(case.benchmark)
+    trace = generate_trace(
+        workload.program, workload.behavior, case.length, seed=case.trace_seed
+    )
+
+    def simulator(kernel):
+        return Simulator(
+            case.machine,
+            trace,
+            _unit(case, trace),
+            warmup=case.warmup,
+            prewarm_cache=case.prewarm,
+            wrong_path_fetch=case.wrong_path,
+            telemetry=True,
+            kernel=kernel,
+        )
+
+    reference = simulator(False)
+    expected = _telemetry(reference, reference.run())
+    labels = (
+        "counted stats",
+        "snapshot",
+        "wrong_path_cycles",
+        "end state",
+        "ledger",
+        "counters",
+        "histograms",
+    )
+    for attempt in range(2):
+        sim = simulator(None)
+        outcome = _telemetry(sim, sim.run())
+        if case.scheme != "trace_cache":
+            assert sim.kernel_mode == ("record", "replay")[attempt], case
         for label, got, want in zip(labels, outcome, expected):
             assert got == want, f"run {attempt + 1} {label} differs: {case}"
 

@@ -10,7 +10,8 @@ between the two, or an optimization has broken an invariant (see
 The kernel matrix below covers every vetted scheme on every machine
 preset plus the synthetic micro workloads; the fallback tests prove the
 kernel declines ineligible configurations *silently* — same statistics,
-reference loop, decline reason recorded.  The predictor matrix runs
+reference loop, decline reason recorded — and that telemetry is not
+one of them: the kernel keeps the slot ledger itself.  The predictor matrix runs
 direction predictors and return stacks through the kernel's record and
 replay modes, as the wrong-path test does for wrong-path fetch, and the
 tape-safety tests prove a fetch-outcome tape is only ever replayed into
@@ -259,22 +260,35 @@ def test_sanitize_falls_back_to_interpreted_loop():
     _assert_stats_equal(stats, ref, "sanitize fallback")
 
 
-def test_telemetry_falls_back_to_interpreted_loop():
-    """A telemetry run declines the kernel; counted statistics stay
-    identical (``extra`` carries the attribution payload)."""
+def test_telemetry_runs_in_the_kernel():
+    """A telemetry run stays in the kernel, recording and then replaying;
+    its slot ledger equals the one the reference loop's observer
+    charges, and its counted statistics the reference loop's."""
     machine = get_machine("PI4")
     trace = _trace("espresso")
-    sim = Simulator(
-        machine, trace, "collapsing_buffer", warmup=WARMUP, telemetry=True
+    reference = Simulator(
+        machine,
+        trace,
+        "collapsing_buffer",
+        warmup=WARMUP,
+        telemetry=True,
+        kernel=False,
     )
-    stats = sim.run()
-    assert not sim.kernel_used
-    assert sim.kernel_decline_reason == "telemetry"
-    assert stats.extra  # attribution recorded
-    ref, _ = _reference_stats(
-        machine, trace, "collapsing_buffer", warmup=WARMUP
-    )
-    _assert_stats_equal(stats, ref, "telemetry fallback")
+    expected = reference.run()
+    assert reference.telemetry_report.engine == "reference:disabled"
+    for mode in ("record", "replay"):
+        sim = Simulator(
+            machine, trace, "collapsing_buffer", warmup=WARMUP, telemetry=True
+        )
+        stats = sim.run()
+        assert sim.kernel_used and sim.kernel_mode == mode
+        assert sim.telemetry_report.engine == f"kernel.{mode}"
+        assert stats.extra == expected.extra  # the slot_* ledger
+        assert (
+            sim.telemetry_report.histograms
+            == reference.telemetry_report.histograms
+        )
+        _assert_stats_equal(stats, expected, f"telemetry {mode}")
 
 
 def test_kernel_flag_false_forces_interpreted_loop():

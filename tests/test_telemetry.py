@@ -13,10 +13,12 @@ The contracts locked in here:
   telemetry ledger agree total for total, and the EIR gap between
   ``sequential`` and ``perfect`` is fully explained by the per-cause
   rate differences.
-* **Golden ledgers** — both are observers of the one reference loop, so
-  the per-cause split is also pinned against values captured from the
-  earlier hand-written instrumented loop and pipetrace loop, an
-  implementation independent of the shared observer.
+* **Golden ledgers** — the per-cause split is pinned against values
+  captured from the earlier hand-written instrumented loop and pipetrace
+  loop, an implementation independent of the shared rule.  The compiled
+  kernel must charge them unchanged on a recording run and on a tape
+  replay; the trace cache, which the kernel declines, charges them
+  through the reference loop's observer.
 """
 
 import dataclasses
@@ -165,6 +167,28 @@ def test_extra_survives_the_result_cache():
     assert second == first
 
 
+def test_telemetry_job_honours_no_kernel():
+    """A ``--no-kernel`` telemetry job runs the reference loop, and its
+    cached result never answers a kernel job (or the reverse)."""
+    from repro.sim import kernel as sim_kernel
+    from repro.sim.batch import SimJob, _run_job
+
+    cell = dict(
+        benchmark="espresso",
+        machine="PI4",
+        scheme="sequential",
+        length=2_000,
+        warmup=400,
+        telemetry=True,
+    )
+    runs = sim_kernel.stats["runs"]
+    reference = _run_job(SimJob(**cell, kernel=False))
+    assert sim_kernel.stats["runs"] == runs
+    compiled = _run_job(SimJob(**cell))
+    assert sim_kernel.stats["runs"] == runs + 1
+    assert compiled == reference
+
+
 # -- pipetrace cross-check -----------------------------------------------------
 
 
@@ -283,26 +307,32 @@ def test_golden_ledgers_and_counted_stats(machine_name, scheme, variant):
     expected_stats, expected_ledger, fetch_cycles = GOLDEN_CELLS[
         machine_name, scheme, variant
     ]
-    stats, report = _instrumented(
-        get_machine(machine_name),
-        _trace("espresso"),
-        scheme,
-        warmup=WARMUP,
-        wrong_path_fetch=variant == "wrong_path",
-        prewarm_cache=variant != "cold",
-    )
-    assert tuple(getattr(stats, name) for name in COUNTED) == expected_stats
-    assert tuple(report.attribution[c] for c in CAUSES) == expected_ledger
-    assert stats.slot_attribution() == report.attribution
-    assert report.counters["fetch_cycles"] == fetch_cycles
-    assert set(report.phase_seconds) == {
-        "retire",
-        "writeback",
-        "fire",
-        "dispatch",
-        "fetch",
-        "icache_lookup",
-    }
+    trace = _trace("espresso")
+    declined = scheme == "trace_cache"
+    for mode in ("record", "replay"):
+        sim = Simulator(
+            get_machine(machine_name),
+            trace,
+            scheme,
+            warmup=WARMUP,
+            wrong_path_fetch=variant == "wrong_path",
+            prewarm_cache=variant != "cold",
+            telemetry=True,
+        )
+        stats = sim.run()
+        report = sim.telemetry_report
+        assert tuple(getattr(stats, name) for name in COUNTED) == expected_stats
+        assert tuple(report.attribution[c] for c in CAUSES) == expected_ledger
+        assert stats.slot_attribution() == report.attribution
+        assert report.counters["fetch_cycles"] == fetch_cycles
+        if declined:
+            assert not sim.kernel_used
+            assert report.engine == "reference:scheme:trace_cache"
+            assert set(report.phase_seconds) == {"reference"}
+        else:
+            assert sim.kernel_used and sim.kernel_mode == mode
+            assert report.engine == f"kernel.{mode}"
+            assert set(report.phase_seconds) == {"compile_trace", mode}
 
 
 def test_golden_wrong_path_report():
@@ -316,7 +346,7 @@ def test_golden_wrong_path_report():
     )
     sim.run()
     report = sim.telemetry_report
-    assert sim.kernel_decline_reason == "telemetry"
+    assert sim.kernel_used and sim.kernel_decline_reason is None
     assert sim.wrong_path_cycles == 546
     assert report.counters == {"fetch_cycles": 862, "wrong_path_cycles": 546}
     histogram = report.histograms["delivered_per_fetch"]
@@ -460,7 +490,8 @@ def test_telemetry_with_sanitizer():
         telemetry=True,
     )
     stats = sim.run()
-    assert sim.kernel_decline_reason == "telemetry"
+    assert sim.kernel_decline_reason == "sanitize"
+    assert sim.telemetry_report.engine == "reference:sanitize"
     assert sim.sanitizer.cycles_checked > 0
     assert sim.sanitizer.cycles_checked >= stats.cycles
     for name in COUNTED:
@@ -661,11 +692,13 @@ def test_cli_simulate_telemetry(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "slot attribution" in out
     assert "phase wall-clock" in out
+    assert "engine: kernel.record" in out
     (record,) = read_jsonl(out_dir / "telemetry.jsonl")
     assert record["slot_delivered"] > 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
-    assert "fetch" in manifest["timings_seconds"]
+    assert manifest["engine"] == "kernel.record"
+    assert {"compile_trace", "record"} <= set(manifest["timings_seconds"])
 
 
 def test_cli_sweep_telemetry(tmp_path, capsys):
