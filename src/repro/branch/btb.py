@@ -146,7 +146,7 @@ class BranchTargetBuffer:
         is_unconditional: bool = False,
         is_call: bool = False,
         is_return: bool = False,
-    ) -> None:
+    ) -> int:
         """Train the BTB with a resolved branch.
 
         Entries are allocated on taken branches; a not-taken branch only
@@ -154,6 +154,13 @@ class BranchTargetBuffer:
         counter saturates as :class:`~repro.branch.counters.TwoBitCounter`
         does; a fresh allocation starts strongly taken (weakly taken,
         trained once on the taken outcome).
+
+        Returns the trained slot when its *planning-effective* state
+        changed, else -1.  That state is ``(tag, target)`` while the slot
+        predicts taken and one "falls through" class otherwise: it is all
+        a fetch plan of a unit without a direction predictor or return
+        stack reads, so counter re-trains inside one class, target
+        changes of a not-taken entry and not-taken misses return -1.
         """
         self.stats.updates += 1
         slot = self.slot(address)
@@ -165,14 +172,18 @@ class BranchTargetBuffer:
         )
         if self.tags[slot] == address:
             state = self.states[slot]
+            was_taken = self.flags[slot] & UNCONDITIONAL != 0 or state >= WEAK_TAKEN
+            moved = False
             if taken:
                 if state < STRONG_TAKEN:
-                    self.states[slot] = state + 1
+                    state = self.states[slot] = state + 1
+                moved = self.targets[slot] != target
                 self.targets[slot] = target
             elif state > STRONG_NOT_TAKEN:
-                self.states[slot] = state - 1
+                state = self.states[slot] = state - 1
             self.flags[slot] = flags
-            return
+            is_taken = flags & UNCONDITIONAL != 0 or state >= WEAK_TAKEN
+            return slot if was_taken != is_taken or (is_taken and moved) else -1
         if taken:
             # Allocate (direct-mapped: unconditionally replace).
             self.tags[slot] = address
@@ -180,6 +191,8 @@ class BranchTargetBuffer:
             self.states[slot] = STRONG_TAKEN
             self.flags[slot] = flags
             self.stats.allocations += 1
+            return slot
+        return -1
 
     def flush(self) -> None:
         """Invalidate all entries (statistics preserved)."""

@@ -13,11 +13,10 @@ import time
 from pathlib import Path
 
 from repro.check.api import DEFAULT_CHECK_LENGTH
-from repro.experiments.common import DEFAULT_CONFIG, ExperimentConfig
+from repro.experiments.common import DEFAULT_CONFIG, ExperimentConfig, eir_stats
 from repro.experiments.report import EXPERIMENTS, run_experiments
 from repro.fetch.factory import ALL_SCHEMES, HARDWARE_SCHEMES
 from repro.machines.presets import MACHINES, MACHINES_BY_NAME, get_machine
-from repro.sim.eir import measure_eir
 from repro.sim.runner import DEFAULT_TRACE_LENGTH, DEFAULT_WARMUP
 from repro.workloads.analysis import CHARACTERIZE_LENGTH, characterization_table
 from repro.workloads.profiles import ALL_BENCHMARKS
@@ -172,13 +171,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_eir(args: argparse.Namespace) -> int:
-    machine = get_machine(args.machine)
-    trace = _trace(args)
-    perfect = measure_eir(trace, machine, "perfect").eir
-    print(f"{args.benchmark} on {machine.name}: EIR(perfect) = {perfect:.2f}")
+    """One benchmark and machine of Figure 10: its cached ``eir_stats``
+    cells, measured on :func:`_trace`'s trace."""
+    machine = get_machine(args.machine).name
+
+    def eir(scheme: str) -> float:
+        return eir_stats(
+            args.benchmark, machine, scheme, length=args.length, seed=args.seed
+        ).eir
+
+    perfect = eir("perfect")
+    print(f"{args.benchmark} on {machine}: EIR(perfect) = {perfect:.2f}")
     for scheme in HARDWARE_SCHEMES:
-        eir = measure_eir(trace, machine, scheme).eir
-        print(f"  {scheme:24s} {eir:5.2f}  ({100 * eir / perfect:5.1f}%)")
+        value = eir(scheme)
+        print(f"  {scheme:24s} {value:5.2f}  ({100 * value / perfect:5.1f}%)")
     return 0
 
 

@@ -23,32 +23,32 @@ and then replays the dynamic trace as plain array lookups:
   address, BTB effective state, I-cache tags).
   Each planned packet — its delivered addresses, continuation address
   and statistic deltas — is memoized per fetch address together with the
-  BTB slots and cache sets it read (recorded via instance-attribute
-  wrappers installed for the duration of the run).  The entry is
-  invalidated only when a dependency *effectively* changes: a BTB train
-  that flips a slot's (tag, predicted-taken, target) planning state, or
-  a cache fill that replaces a depended-on set.  Saturating-counter
-  re-trains and same-block refills invalidate nothing, so steady-state
-  fetch is a dict hit.  Plans that performed a fill themselves
-  (prefetch/successor misses) are never memoized — their outcome is not
-  reusable once the block is resident.  The packet-legality rules of
-  :mod:`repro.check` are honoured at table-build time: when a
-  ``PacketChecker`` hangs off the fetch unit, every *distinct* packet is
-  checked once as its table entry is built (K-codes per entry instead of
-  per cycle).  A direction predictor or return stack carries
-  per-lookup state outside that dependency model, so such a unit plans
-  *live*: no memo, no wrappers, one ``fetch.plan()`` per fetch, and
-  training updates the direction predictor after the BTB exactly as
-  ``FetchUnit.train`` does.  Wrong-path fetch runs live in either mode:
-  while a misprediction resolves, each gated cycle calls
+  BTB slots and cache sets it read: the slots of its own addresses
+  (the predicted-addresses invariant at :data:`_SUPPORTED_SCHEMES`) and
+  the sets recorded by ``cache.access`` / ``cache.fill`` wrappers
+  installed for the duration of the run.  The entry is invalidated only
+  when a dependency *effectively* changes: a BTB train whose slot
+  ``BranchTargetBuffer.update`` reports as changed (its (tag, target)
+  while predicting taken), or a cache fill that replaces a depended-on
+  set.  Saturating-counter re-trains and same-block refills invalidate
+  nothing, so steady-state fetch is a dict hit.  Plans that performed a
+  fill themselves (prefetch/successor misses) are never memoized — their
+  outcome is not reusable once the block is resident.  The
+  packet-legality rules of :mod:`repro.check` are honoured at
+  table-build time: when a ``PacketChecker`` hangs off the fetch unit,
+  every *distinct* packet is checked once as its table entry is built
+  (K-codes per entry instead of per cycle).  A direction predictor or
+  return stack carries per-lookup state outside that dependency model,
+  so such a unit plans *live*: no memo, no wrappers, one ``fetch.plan()``
+  per fetch, and training updates the direction predictor after the BTB
+  exactly as ``FetchUnit.train`` does.  Wrong-path fetch runs live in
+  either mode: while a misprediction resolves, each gated cycle calls
   ``FetchUnit.wrong_path_cycle``, whose fills pass through the memo's
   fill wrapper and so invalidate the plans that depended on the set.
-  The memo is one closure factory, :func:`plan_memo`, shared with the
-  fetch-only EIR loop (:mod:`repro.sim.eir`).  There, stricter: a unit
-  plans live through ``FetchUnit.fetch_cycle`` when its scheme is not
-  vetted (the trace cache, subclasses), it has a direction predictor or
-  return stack, it carries a packet checker (each packet is checked as
-  often as it is fetched), or ``REPRO_KERNEL=0``.
+  The memo and its matching rule are one fetch step, ``deliver`` of
+  :func:`plan_memo`, which fetch-only EIR (:mod:`repro.sim.eir`) calls
+  too; there a packet checker also turns the memo off, so it sees every
+  fetched packet.
 
 * **Fetch-outcome tape** (recorded on the first compiled run): a run is
   a pure function of (trace, config, the fetch unit's starting state,
@@ -117,8 +117,6 @@ from collections import deque
 from time import perf_counter
 
 from repro import knobs
-from repro.branch.btb import UNCONDITIONAL
-from repro.branch.counters import WEAK_TAKEN
 from repro.fetch.banked import BankedSequentialFetch
 from repro.fetch.collapsing import CollapsingBufferFetch
 from repro.fetch.interleaved import InterleavedSequentialFetch
@@ -161,6 +159,11 @@ KERNEL_TABLE_VERSION = 2
 #: effective state, cache tags) — verified by inspection and guarded by
 #: the equivalence suite.  Exact-type matched: subclasses (e.g. the
 #: trace cache, which keeps mutable planning state) are *not* vetted.
+#:
+#: The predicted-addresses invariant: each of them asks the BTB about
+#: exactly the addresses it plans (every walk appends an address, then
+#: predicts it), so :func:`plan_memo` reads a plan's BTB dependencies
+#: off ``plan.addresses`` (guarded by ``tests/test_fetch.py``).
 _SUPPORTED_SCHEMES = frozenset(
     {
         SequentialFetch,
@@ -396,9 +399,9 @@ _STORE = int(OpClass.STORE)
 class TraceTable:
     """Per-trace compiled arrays (see module docstring).
 
-    ``lat``/``unit`` and the flag arrays are ``bytes`` (O(1) int reads,
-    immutable, compact); the dependency arrays are plain int lists
-    (values are trace indices or -1).
+    ``lat``/``unit`` are ``bytes`` (O(1) int reads, immutable, compact)
+    like the flag arrays of :func:`train_flags`; the dependency arrays
+    are plain int lists (values are trace indices or -1).
     """
 
     __slots__ = (
@@ -406,11 +409,6 @@ class TraceTable:
         "conservative",
         "lat",
         "unit",
-        "brcond",
-        "control",
-        "uncond",
-        "is_call",
-        "is_ret",
         "ndeps",
         "consumers",
         "final_writer",
@@ -425,33 +423,13 @@ def _op_arrays(instrs, luts) -> list[bytes]:
     return [ops.translate(lut) for lut in luts]
 
 
-def _categorical_arrays(table: TraceTable, instrs) -> None:
-    """Fill the op-derived byte arrays."""
-    (
-        table.lat,
-        table.unit,
-        table.brcond,
-        table.control,
-        table.uncond,
-        table.is_call,
-        table.is_ret,
-    ) = _op_arrays(
-        instrs,
-        (
-            _LAT_LUT,
-            _UNIT_LUT,
-            _BRCOND_LUT,
-            _CONTROL_LUT,
-            _UNCOND_LUT,
-            _CALL_LUT,
-            _RET_LUT,
-        ),
-    )
+#: The flag tables :func:`train_flags` returns, in its order.
+_FLAG_LUTS = (_CONTROL_LUT, _UNCOND_LUT, _CALL_LUT, _RET_LUT, _BRCOND_LUT)
 
 
 def train_flags(trace) -> list[bytes]:
-    """``[control, unconditional, call, return]`` byte flags per dynamic
-    instruction of *trace*: what BTB training reads, without the
+    """``[control, unconditional, call, return, conditional]`` byte flags
+    per dynamic instruction of *trace*: what training reads, without the
     dependency tables of :func:`compile_trace`.  Cached on the trace
     beside them, under the same length-suffixed key scheme."""
     n = len(trace.instructions)
@@ -459,10 +437,7 @@ def train_flags(trace) -> list[bytes]:
     key = ("train_flags", n)
     flags = tables.get(key)
     if flags is None:
-        flags = _op_arrays(
-            trace.instructions, (_CONTROL_LUT, _UNCOND_LUT, _CALL_LUT, _RET_LUT)
-        )
-        tables[key] = flags
+        flags = tables[key] = _op_arrays(trace.instructions, _FLAG_LUTS)
     return flags
 
 
@@ -489,7 +464,11 @@ def compile_trace(trace, conservative: bool) -> TraceTable:
     table = TraceTable()
     table.length = n
     table.conservative = conservative
-    _categorical_arrays(table, instrs)
+    # One pass over the ops for this table and :func:`train_flags`.
+    table.lat, table.unit, *flags = _op_arrays(
+        instrs, (_LAT_LUT, _UNIT_LUT, *_FLAG_LUTS)
+    )
+    tables.setdefault(("train_flags", n), flags)
 
     # Dependencies as a *static consumer graph*: dispatch is in trace
     # order, so instruction i's producers are the last writers of its
@@ -554,65 +533,71 @@ def compile_trace(trace, conservative: bool) -> TraceTable:
 # -- fetch-plan memo ----------------------------------------------------------
 
 
-def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
-    """The fetch-plan memo of *fetch* at plan width *width*, as closures.
+def plan_memo(fetch, trace, width: int, memoize: bool = True) -> tuple:
+    """The fetch step of *fetch* on *trace* at plan width *width*, over
+    its fetch-plan memo, as closures.
 
-    Returns ``(memo, build, train, install, remove, tally)``:
+    Returns ``(deliver, train, install, remove, tally)``:
 
-    * ``memo`` maps a fetch address to its packet record ``(stall,
-      addrs, count, next, d_lookups, d_hits, d_acc, d_miss, cause)``; a
-      caller that replays a hit adds its four statistic deltas itself.
-      ``cause`` is the slot-attribution cause index of a short delivery
-      (:func:`repro.telemetry.attribution.break_cause`).
-    * ``build(address)`` plans one packet live and returns its record,
-      memoising it when reusable.
-    * ``train(address, taken, target, is_unc, is_call, is_ret)`` is
-      ``btb.update`` plus invalidation of the plans that read the slot.
+    * ``deliver(position)`` fetches once at trace index *position*: it
+      replays the memoised packet of the fetch address, adding its BTB
+      and cache statistic deltas to the live counters, or plans it
+      (memoising it when reusable), then matches it against the trace
+      exactly as ``FetchUnit.fetch_cycle`` does.  Returns ``(stall,
+      matched, mispredict, record)``; ``record`` is the packet ``(stall,
+      addrs, count, next, d_lookups, d_hits, d_acc, d_miss, cause)``,
+      whose ``cause`` is the slot-attribution cause index of a short
+      delivery (:func:`repro.telemetry.attribution.break_cause`).
+    * ``train(index)`` trains the unit with the resolved control
+      instruction at trace index *index*, as ``FetchUnit.train`` does,
+      and invalidates the plans that read a BTB slot whose
+      planning-effective state changed (the slot
+      ``BranchTargetBuffer.update`` returns).
     * ``install()`` / ``remove()`` put the dependency-recording
-      ``btb.predict`` / ``cache.access`` / ``cache.fill`` wrappers on the
-      unit and take them off again.
-    * ``tally(fetches)`` adds the plan counters of *fetches* planned
+      ``cache.access`` / ``cache.fill`` wrappers on the unit and take
+      them off again.
+    * ``tally(fetches)`` adds the plan counters of *fetches* delivered
       fetches to :data:`stats`.
 
-    With *memoize* false (a unit whose plans depend on a direction
-    predictor or return stack) ``memo`` stays empty, every fetch builds,
-    and ``train`` is ``btb.update`` itself.  Closures rather than an
-    object: the replay loops read them through closure cells.
+    A plan's BTB dependencies are the slots of its own addresses: every
+    vetted scheme predicts exactly the addresses it plans (the
+    predicted-addresses invariant at :data:`_SUPPORTED_SCHEMES`).  With
+    *memoize* false (a unit whose plans depend on a direction predictor
+    or return stack, or whose packet checker must see every fetched
+    packet) every fetch plans live and ``install`` / ``remove`` do
+    nothing.  Closures rather than an object: the loops read them
+    through closure cells.
     """
     btb = fetch.btb
     cache = fetch.cache
     bstats = btb.stats
     cstats = cache.stats
     memo: dict[int, tuple] = {}
+    memo_get = memo.get
     btb_rev: dict[int, set[int]] = {}  # BTB slot -> memoized fetch addrs
     cache_rev: dict[int, set[int]] = {}  # cache set -> memoized fetch addrs
-    dep_slots: set[int] = set()
     dep_sets: set[int] = set()
     filled = False
     n_builds = 0
     n_invalidated = 0
 
+    instrs = trace.instructions
+    total = len(instrs)
+    addr_ = trace.address_array()
+    taken_ = trace.taken_array()
+    next_ = trace.next_address_array()
+    _, uncond_, call_, ret_, brcond_ = train_flags(trace)
     interleave = btb.interleave
     epb = btb.entries_per_bank
-    btb_tags = btb.tags
-    btb_targets = btb.targets
-    btb_states = btb.states
-    btb_flags = btb.flags
     num_sets = cache.num_sets
     tags = cache._tags
     plan_fn = fetch.plan
     checker = fetch.checker
     btb_update = btb.update
-    real_predict = btb.predict
+    direction = fetch.direction_predictor
+    direction_update = direction.update if direction is not None else None
     real_access = cache.access
     real_fill = cache.fill
-    orig_slot_predictor = fetch._slot_predictor
-
-    def rec_predict(address):
-        dep_slots.add(
-            (address % interleave) * epb + (address // interleave) % epb
-        )
-        return real_predict(address)
 
     def rec_access(block):
         dep_sets.add(block % num_sets)
@@ -631,21 +616,15 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
         real_fill(block)
 
     def build(address):
-        """Plan one packet live, memoize it if reusable, return the record
-        ``(stall, addrs, count, next, d_lookups, d_hits, d_acc, d_miss,
-        cause)``.
-
-        Matches ``FetchUnit.fetch_cycle`` exactly: a stall plan delivers
-        nothing (and is never memoized — the miss fill it triggered
-        changes its own outcome); the packet checker, when attached, runs
-        once per distinct packet here instead of once per cycle.  A plan
-        that filled the cache (prefetch/successor miss), or any plan of a
-        unit that plans live, is planned again next time rather than
-        memoized.
+        """Plan one packet live, memoize it if reusable, return its
+        record.  A stall plan delivers nothing and is never memoized (the
+        miss fill it triggered changes its own outcome); the packet
+        checker, when attached, runs once per built packet.  A plan that
+        filled the cache (prefetch/successor miss) is planned again next
+        time rather than memoized.
         """
         nonlocal filled, n_builds
         n_builds += 1
-        dep_slots.clear()
         dep_sets.clear()
         filled = False
         lk0 = bstats.lookups
@@ -655,8 +634,6 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
         plan = plan_fn(address, width)
         stall = plan.stall_cycles
         if stall > 0:
-            # Never memoized (the miss fill changes its own outcome), but
-            # the real stat deltas still matter to the tape recorder.
             return (
                 stall,
                 None,
@@ -684,7 +661,8 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
         )
         if memoize and not filled:
             memo[address] = rec
-            for s in dep_slots:
+            for a in addrs:
+                s = (a % interleave) * epb + (a // interleave) % epb
                 members = btb_rev.get(s)
                 if members is None:
                     btb_rev[s] = {address}
@@ -698,65 +676,73 @@ def plan_memo(fetch, width: int, memoize: bool = True) -> tuple:
                     members.add(address)
         return rec
 
-    def train(address, taken, target, is_unc, is_c, is_r):
-        """``fetch.train`` with BTB-slot dependency invalidation.
+    def deliver(position):
+        rec = memo_get(addr_[position])
+        if rec is None:
+            rec = build(addr_[position])
+        else:
+            bstats.lookups += rec[4]
+            bstats.hits += rec[5]
+            cstats.accesses += rec[6]
+            cstats.misses += rec[7]
+        stall = rec[0]
+        if stall:
+            return stall, 0, False, rec
+        plan_addrs = rec[1]
+        count = rec[2]
+        end = position + count
+        mispredict = False
+        if end <= total and addr_[position:end] == plan_addrs:
+            matched = count
+        else:
+            matched = 0
+            for planned in plan_addrs:
+                index = position + matched
+                if index >= total:
+                    break
+                if addr_[index] != planned:
+                    mispredict = True
+                    break
+                matched += 1
+        if not mispredict:
+            cont = position + matched
+            if cont < total and rec[3] != addr_[cont]:
+                mispredict = True
+        if matched == 0:
+            # The plan always starts at the actual fetch address.
+            raise AssertionError("fetch plan diverged at its own fetch address")
+        return 0, matched, mispredict, rec
 
-        A memoized plan only depends on the slot's *planning-effective*
-        state — ``(tag, target)`` when the entry predicts taken, the
-        absent/not-taken class otherwise — so counter re-trains inside
-        one class invalidate nothing.
-        """
+    def train(j):
         nonlocal n_invalidated
-        slot = (address % interleave) * epb + (address // interleave) % epb
-        tag = btb_tags[slot]
-        if tag >= 0 and (
-            btb_flags[slot] & UNCONDITIONAL or btb_states[slot] >= WEAK_TAKEN
-        ):
-            before = (tag, btb_targets[slot])
-        else:
-            before = None
-        btb_update(
-            address,
-            taken,
-            target,
-            is_unconditional=is_unc,
-            is_call=is_c,
-            is_return=is_r,
+        slot = btb_update(
+            addr_[j], taken_[j], next_[j], uncond_[j], call_[j], ret_[j]
         )
-        tag = btb_tags[slot]
-        if tag >= 0 and (
-            btb_flags[slot] & UNCONDITIONAL or btb_states[slot] >= WEAK_TAKEN
-        ):
-            after = (tag, btb_targets[slot])
-        else:
-            after = None
-        if before != after:
+        if slot >= 0:
             deps = btb_rev.pop(slot, None)
             if deps:
                 for a in deps:
                     if memo.pop(a, None) is not None:
                         n_invalidated += 1
+        if direction_update is not None and brcond_[j]:
+            direction_update(addr_[j], instrs[j].target, taken_[j])
 
     def install():
-        btb.predict = rec_predict  # type: ignore[method-assign]
-        cache.access = rec_access  # type: ignore[method-assign]
-        cache.fill = rec_fill  # type: ignore[method-assign]
-        fetch._slot_predictor = rec_predict
+        if memoize:
+            cache.access = rec_access  # type: ignore[method-assign]
+            cache.fill = rec_fill  # type: ignore[method-assign]
 
     def remove():
-        del btb.predict  # type: ignore[method-assign]
-        del cache.access  # type: ignore[method-assign]
-        del cache.fill  # type: ignore[method-assign]
-        fetch._slot_predictor = orig_slot_predictor
+        if memoize:
+            del cache.access  # type: ignore[method-assign]
+            del cache.fill  # type: ignore[method-assign]
 
     def tally(fetches):
         stats["plans_compiled"] += n_builds
         stats["plan_replays"] += fetches - n_builds
         stats["plan_invalidations"] += n_invalidated
 
-    if not memoize:
-        train = btb_update  # no memo to invalidate
-    return memo, build, train, install, remove, tally
+    return deliver, train, install, remove, tally
 
 
 # -- compiled run -----------------------------------------------------------
@@ -826,16 +812,11 @@ def run_compiled(sim):
     warmup = sim.warmup
     max_cycles = max(10_000, sim.MAX_CPI * total)
 
+    instrs = trace.instructions
     addr_ = trace.address_array()
-    next_ = trace.next_address_array()
-    taken_ = trace.taken_array()
     lat_ = table.lat
     unit_ = table.unit
-    brcond_ = table.brcond
-    control_ = table.control
-    uncond_ = table.uncond
-    call_ = table.is_call
-    ret_ = table.is_ret
+    control_, _, _, _, brcond_ = train_flags(trace)
     cons_ = table.consumers
 
     # -- flattened core state -----------------------------------------------
@@ -875,32 +856,31 @@ def run_compiled(sim):
     spec_stalls = core_stats.speculation_stalls
     bstats = fetch.btb.stats
     cstats = fetch.cache.stats
-    # Replay-path statistic deltas accumulate here; build-path deltas land
-    # in the live stat objects (the plan runs against the real BTB/cache).
-    # Current totals are always `object + r*`.
+    # A live run's BTB/cache statistics land in the live stat objects
+    # (``deliver`` adds a memo hit's deltas there).  Tape entries carry
+    # *cumulative* run-relative deltas, so tape replay only keeps a
+    # reference to the last consumed entry and materializes them as r*
+    # on demand (snapshot and final write-back): current totals are
+    # always `object + r*`.  The run-start baselines below turn
+    # live-object totals into run-relative values while recording.
     rlk = rht = rac = rms = 0
-    # Tape entries carry *cumulative* run-relative BTB/cache deltas, so
-    # tape replay only keeps a reference to the last consumed entry and
-    # materializes r* on demand (snapshot and final write-back).  The
-    # run-start baselines below turn live-object totals into run-relative
-    # values while recording.
     lk0_run = bstats.lookups
     ht0_run = bstats.hits
     ac0_run = cstats.accesses
     ms0_run = cstats.misses
     last_e = (0, 0, 0, 0, 0, 0, 0, 0)
 
-    # -- fetch-plan memo + dependency tracking ------------------------------
+    # -- the fetch step over the plan memo ----------------------------------
     # A direction predictor or return stack makes a plan depend on state
     # outside the (BTB slot, cache set) dependency model: such a unit
-    # plans live on every fetch (``memo`` stays empty, no wrappers).
-    direction = fetch.direction_predictor
-    memoize = direction is None and fetch.return_stack is None
-    direction_update = direction.update if direction is not None else None
-    instrs = trace.instructions
-    memo, build, train, install, remove, tally = plan_memo(
-        fetch, issue_rate, memoize
-    )
+    # plans live on every fetch.
+    if live:
+        deliver, train, install, remove, tally = plan_memo(
+            fetch,
+            trace,
+            issue_rate,
+            fetch.direction_predictor is None and fetch.return_stack is None,
+        )
 
     # -- main loop ----------------------------------------------------------
     cycle = 0
@@ -924,13 +904,11 @@ def run_compiled(sim):
     ledger = sim.slot_ledger
     ledger_fetches = fs_cycles
     blocked_cause = MISPREDICT_RESOLVE
-    memo_get = memo.get
     # ``ready`` keeps one identity for the whole run (cleared/overwritten
     # in place) so its bound append survives hoisting.
     ready_append = ready.append
 
-    wrapped = live and memoize
-    if wrapped:
+    if live:
         install()
     try:
         while retired < total:
@@ -1015,18 +993,7 @@ def run_compiled(sim):
                     if brcond_[j]:
                         unresolved -= 1
                     if live and control_[j]:
-                        train(
-                            addr_[j],
-                            taken_[j],
-                            next_[j],
-                            uncond_[j],
-                            call_[j],
-                            ret_[j],
-                        )
-                        if direction_update is not None and brcond_[j]:
-                            direction_update(
-                                addr_[j], instrs[j].target, taken_[j]
-                            )
+                        train(j)
                     if j == flagged_index and not recovery_at_retire:
                         waiting = False
                         wp_addr = -1
@@ -1156,60 +1123,14 @@ def run_compiled(sim):
                             fs_full += 1
                         position += matched
                 else:
-                    address = addr_[position]
-                    rec = memo_get(address)
-                    if rec is not None:
-                        rlk += rec[4]
-                        rht += rec[5]
-                        rac += rec[6]
-                        rms += rec[7]
-                    else:
-                        rec = build(address)
-                    stall = rec[0]
+                    stall, matched, mispredict, rec = deliver(position)
                     if stall:
                         fetch_blocked_until = cycle + stall
                         blocked_cause = ICACHE_MISS
                         fs_stall += stall
-                        if tape_rec is not None:
-                            tape_rec.append((
-                                position,
-                                stall,
-                                0,
-                                0,
-                                bstats.lookups - lk0_run + rlk,
-                                bstats.hits - ht0_run + rht,
-                                cstats.accesses - ac0_run + rac,
-                                cstats.misses - ms0_run + rms,
-                                ICACHE_MISS,
-                            ))
                     else:
-                        plan_addrs = rec[1]
-                        count = rec[2]
-                        end = position + count
-                        mispredict = False
-                        if end <= total and addr_[position:end] == plan_addrs:
-                            matched = count
-                        else:
-                            matched = 0
-                            for planned in plan_addrs:
-                                index = position + matched
-                                if index >= total:
-                                    break
-                                if addr_[index] != planned:
-                                    mispredict = True
-                                    break
-                                matched += 1
-                        if not mispredict:
-                            cont = position + matched
-                            if cont < total and rec[3] != addr_[cont]:
-                                mispredict = True
                         fs_delivered += matched
                         if mispredict:
-                            if matched == 0:
-                                raise AssertionError(
-                                    "fetch plan diverged at its own fetch "
-                                    "address"
-                                )
                             fs_mispredicts += 1
                             flagged_index = position + matched - 1
                             waiting = True
@@ -1225,21 +1146,21 @@ def run_compiled(sim):
                                 )
                         if matched == issue_rate:
                             fs_full += 1
-                        if tape_rec is not None:
-                            # After predict_slot, so its lookup joins
-                            # the deltas.
-                            tape_rec.append((
-                                position,
-                                0,
-                                matched,
-                                1 if mispredict else 0,
-                                bstats.lookups - lk0_run + rlk,
-                                bstats.hits - ht0_run + rht,
-                                cstats.accesses - ac0_run + rac,
-                                cstats.misses - ms0_run + rms,
-                                rec[8],
-                            ))
                         position += matched
+                    if tape_rec is not None:
+                        # After predict_slot, so its lookup joins the
+                        # deltas.
+                        tape_rec.append((
+                            position - matched,
+                            stall,
+                            matched,
+                            1 if mispredict else 0,
+                            bstats.lookups - lk0_run,
+                            bstats.hits - ht0_run,
+                            cstats.accesses - ac0_run,
+                            cstats.misses - ms0_run,
+                            rec[8],
+                        ))
             elif wp_addr >= 0:
                 # Gated while a misprediction resolves: one wrong-path
                 # fetch cycle (``wp_addr`` is -1 whenever not waiting).
@@ -1254,10 +1175,10 @@ def run_compiled(sim):
                             0 if wp_addr >= 0 else -1,
                             0,
                             0,
-                            bstats.lookups - lk0_run + rlk,
-                            bstats.hits - ht0_run + rht,
-                            cstats.accesses - ac0_run + rac,
-                            cstats.misses - ms0_run + rms,
+                            bstats.lookups - lk0_run,
+                            bstats.hits - ht0_run,
+                            cstats.accesses - ac0_run,
+                            cstats.misses - ms0_run,
                         ))
                 else:
                     entry = tape[tape_i]
@@ -1404,7 +1325,7 @@ def run_compiled(sim):
                         spec_stalls += skipped
                     cycle = target
     finally:
-        if wrapped:
+        if live:
             remove()
 
     # -- write the authoritative locals back into the live objects ----------

@@ -94,6 +94,39 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "EIR(perfect)" in out
 
+    def test_eir_reads_figure_10_cells_of_the_cli_trace(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``repro eir`` prints ``measure_eir`` on the trace its flags
+        name, through Figure 10's ``eir_stats`` cells: a rerun is five
+        cache hits and prints the same bytes."""
+        from repro.fetch.factory import HARDWARE_SCHEMES
+        from repro.sim import cache as result_cache
+        from repro.sim.eir import measure_eir
+        from repro.workloads.trace import generate_trace
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        argv = ["eir", "li", "PI8", "--length", "2500", "--seed", "3"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        before = result_cache.stats.snapshot()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        delta = result_cache.stats.since(before)
+        assert (delta["hits"], delta["misses"]) == (5, 0)
+
+        workload = load_workload("li")
+        trace = generate_trace(workload.program, workload.behavior, 2500, seed=3)
+        perfect = measure_eir(trace, "PI8", "perfect").eir
+        lines = [f"li on PI8: EIR(perfect) = {perfect:.2f}"]
+        for scheme in HARDWARE_SCHEMES:
+            eir = measure_eir(trace, "PI8", scheme).eir
+            lines.append(
+                f"  {scheme:24s} {eir:5.2f}  ({100 * eir / perfect:5.1f}%)"
+            )
+        assert first == "\n".join(lines) + "\n"
+
     def test_characterize(self, capsys):
         assert main(["characterize", "ora", "--length", "3000"]) == 0
         assert "ora" in capsys.readouterr().out

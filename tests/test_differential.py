@@ -19,9 +19,11 @@ delivered-per-fetch histogram, recorded and then replayed, must equal
 those the reference loop's observer charges.
 
 Fetch-only EIR gets the same treatment: 60 seeded cases compare
-``measure_eir`` on the kernel's plan memo with live planning, and a few
-results and packet-checker findings are locked to their values from
-before EIR used the memo.
+``measure_eir`` on the kernel's plan memo with live planning, 20 more
+(a direction predictor, return stack or packet checker on each vetted
+scheme) compare the kernel's unmemoised fetch step with the
+``fetch_cycle`` loop, and a few results and packet-checker findings are
+locked to their values from before EIR used the memo.
 """
 
 from __future__ import annotations
@@ -372,6 +374,77 @@ def test_memoised_eir_matches_live_planning(case: EIRCase, monkeypatch):
     assert sim_kernel.stats["plans_compiled"] == before  # planned live
     assert got == want, f"EIRResult differs: {case}"
     assert _eir_state(memoised) == _eir_state(live), f"end state differs: {case}"
+
+
+# A direction predictor, return stack or packet checker makes the EIR loop
+# take the kernel's fetch step without the memo (every fetch plans).  With
+# ``REPRO_KERNEL=0`` the same unit runs the ``fetch_cycle`` loop instead:
+# the two must agree on the result, the unit's end state and, for a
+# checker, on every finding and the number of packets checked.
+
+EIR_EXTENSIONS = ("gshare", "2level", "ras", "checker")
+
+
+def _extension_cases() -> list[tuple]:
+    rng = random.Random(SEED + 3)
+    cases = []
+    for scheme in EIR_SCHEMES:
+        for extension in EIR_EXTENSIONS:
+            cases.append((
+                scheme,
+                extension,
+                rng.choice(BENCHMARKS),
+                rng.randrange(800, 2501),
+                rng.randrange(1 << 16),
+                get_machine(rng.choice(("PI4", "PI8", "PI12"))),
+                rng.choice((0, 500)),
+            ))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "case", _extension_cases(), ids=lambda c: f"{c[0]}-{c[1]}-{c[5].name}"
+)
+def test_extension_eir_matches_the_specification(case, monkeypatch):
+    from repro.check.rules import rules_for
+    from repro.check.sanitizer import PacketChecker
+    from repro.sim.eir import measure_eir
+
+    scheme, extension, benchmark, length, trace_seed, machine, warmup = case
+    workload = load_workload(benchmark)
+    trace = generate_trace(
+        workload.program, workload.behavior, length, seed=trace_seed
+    )
+
+    def run():
+        predictors = {"gshare": GShare, "2level": TwoLevelLocal}
+        unit = create_fetch_unit(
+            scheme,
+            machine,
+            trace,
+            direction_predictor=(
+                predictors[extension]() if extension in predictors else None
+            ),
+            return_stack=ReturnAddressStack() if extension == "ras" else None,
+        )
+        findings: list = []
+        if extension == "checker":
+            unit.checker = PacketChecker(
+                rules_for("sequential"), subject="x", collect=findings
+            )
+        before = sim_kernel.stats["plans_compiled"]
+        result = measure_eir(trace, machine, unit, warmup=warmup)
+        planned = sim_kernel.stats["plans_compiled"] - before
+        checked = unit.checker.packets_checked if unit.checker else 0
+        return result, _eir_state(unit), [str(e) for e in findings], checked, planned
+
+    *got, kernel_plans = run()
+    monkeypatch.setenv("REPRO_KERNEL", "0")
+    *want, live_plans = run()
+    assert kernel_plans > 0 and live_plans == 0  # each took its own loop
+    labels = ("EIRResult", "end state", "findings", "packets checked")
+    for label, a, b in zip(labels, got, want):
+        assert a == b, f"{label} differs: {case}"
 
 
 #: ``EIRResult`` counts ``(delivered, cycles, mispredicts, cache_misses)``

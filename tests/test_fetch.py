@@ -4,8 +4,11 @@ All scenarios use a PI4-like machine: 4-wide issue, 16-byte blocks
 (4 instructions per block, so block boundaries fall at multiples of 4).
 """
 
+import random
+
 import pytest
 
+from repro.branch import BranchTargetBuffer
 from repro.fetch import (
     BankedSequentialFetch,
     CollapsingBufferFetch,
@@ -15,7 +18,7 @@ from repro.fetch import (
     create_fetch_unit,
 )
 from repro.isa import Instruction, OpClass
-from repro.machines import PI4
+from repro.machines import PI4, get_machine
 from repro.workloads.trace import DynamicTrace
 
 
@@ -378,8 +381,6 @@ class TestSchemeDominance:
     sequential <= interleaved <= banked <= collapsing buffer."""
 
     def test_delivery_ordering_on_random_paths(self):
-        import random
-
         rng = random.Random(7)
         for _ in range(200):
             # Random short path with a couple of branches.
@@ -413,3 +414,59 @@ class TestSchemeDominance:
             seq, inter, banked, collapsing = deliveries
             assert seq <= inter <= collapsing
             assert banked <= collapsing
+
+
+class TestPlansPredictTheirOwnAddresses:
+    """The compiled kernel's predicted-addresses invariant (beside
+    ``kernel._SUPPORTED_SCHEMES``): each vetted scheme's ``plan()`` asks
+    the BTB about exactly the addresses it plans, in order, so the plan
+    memo reads a packet's BTB dependencies off the packet."""
+
+    @pytest.mark.parametrize("machine_name", ["PI4", "PI8", "PI12"])
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            "sequential",
+            "interleaved_sequential",
+            "banked_sequential",
+            "collapsing_buffer",
+            "perfect",
+        ],
+    )
+    def test_predicted_addresses_are_the_plan(
+        self, scheme, machine_name, monkeypatch
+    ):
+        seen: list[int] = []
+        predict = BranchTargetBuffer.predict
+
+        def recording(btb, address):
+            seen.append(address)
+            return predict(btb, address)
+
+        # Patched on the class before the unit binds its slot predictor.
+        monkeypatch.setattr(BranchTargetBuffer, "predict", recording)
+        machine = get_machine(machine_name)
+        rng = random.Random(f"{scheme}/{machine_name}")
+        unit = create_fetch_unit(scheme, machine, make_trace((0, OpClass.IALU)))
+        words = machine.words_per_block
+        span = 64 * words
+        for _ in range(300):
+            for _ in range(rng.randrange(8)):
+                address = rng.randrange(span)
+                if rng.random() < 0.5:
+                    target = address + rng.randrange(-words, 2 * words)
+                else:
+                    target = rng.randrange(span)
+                unit.btb.update(
+                    address,
+                    rng.random() < 0.7,
+                    max(0, target),
+                    is_unconditional=rng.random() < 0.2,
+                    is_call=rng.random() < 0.1,
+                    is_return=rng.random() < 0.1,
+                )
+            for _ in range(rng.randrange(3)):
+                unit.cache.fill(rng.randrange(span // words))
+            seen.clear()
+            plan = unit.plan(rng.randrange(span), machine.issue_rate)
+            assert seen == plan.addresses

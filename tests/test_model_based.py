@@ -28,9 +28,28 @@ class _ReferenceBTB:
             (address // self.interleave) % self.per_bank,
         )
 
+    def _effective(self, slot: tuple[int, int]):
+        """A slot's planning-effective state: ``(tag, target)`` while it
+        predicts taken, else ``None``."""
+        entry = self.slots.get(slot)
+        if entry is None or not (entry["unconditional"] or entry["counter"] >= 2):
+            return None
+        return (entry["tag"], entry["target"])
+
     def update(self, address, taken, target, unconditional, call, ret):
+        """Train; returns the flat slot index when the slot's effective
+        state changed, else -1 (``BranchTargetBuffer.update``'s
+        contract)."""
         self.stats["updates"] += 1
         slot = self._slot(address)
+        before = self._effective(slot)
+        self._train(slot, address, taken, target, unconditional, call, ret)
+        if self._effective(slot) == before:
+            return -1
+        bank, index = slot
+        return bank * self.per_bank + index
+
+    def _train(self, slot, address, taken, target, unconditional, call, ret):
         entry = self.slots.get(slot)
         flags = {"unconditional": unconditional, "call": call, "ret": ret}
         if entry is not None and entry["tag"] == address:
@@ -104,8 +123,9 @@ class TestBTBAgainstReference:
                 real.flush()
                 reference.flush()
             elif op < 10:
-                real.update(address, taken, target, unc, call, ret)
-                reference.update(address, taken, target, unc, call, ret)
+                assert real.update(
+                    address, taken, target, unc, call, ret
+                ) == reference.update(address, taken, target, unc, call, ret)
             else:
                 assert _prediction(real.predict(address)) == reference.predict(
                     address
@@ -127,13 +147,36 @@ class TestBTBAgainstReference:
             (5, True, 11, False, False, False),  # evicts 37
         ]
         for step in steps:
-            real.update(*step)
-            reference.update(*step)
+            assert real.update(*step) == reference.update(*step)
             for address in (5, 37):
                 assert _prediction(real.predict(address)) == reference.predict(
                     address
                 )
         assert dataclasses.asdict(real.stats) == reference.stats
+
+    def test_update_returns_the_slot_only_on_an_effective_change(self):
+        """Aliasing allocations, flips across the taken threshold and
+        taken re-trains with a new target return the slot; saturating
+        re-trains, moves inside one class and not-taken misses return
+        -1."""
+        real = BranchTargetBuffer(num_entries=32, interleave=4)
+        slot = real.slot(5)
+        assert real.slot(37) == slot
+        steps = [
+            ((5, False, 9), -1),  # not-taken miss: nothing allocated
+            ((5, True, 9), slot),  # allocation, strongly taken
+            ((5, True, 9), -1),  # saturating re-train, same target
+            ((5, True, 11), slot),  # same class, new target
+            ((5, False, 0), -1),  # 3 -> 2: still taken
+            ((5, False, 0), slot),  # 2 -> 1: falls through
+            ((5, False, 0), -1),  # 1 -> 0: still falls through
+            ((5, True, 13), -1),  # 0 -> 1: new target, still falls through
+            ((37, False, 0), -1),  # not-taken miss on the aliased slot
+            ((37, True, 20), slot),  # aliasing allocation evicts 5
+            ((5, True, 20), slot),  # same target, other tag: evicts 37
+        ]
+        for (address, taken, target), expected in steps:
+            assert real.update(address, taken, target) == expected
 
 
 class _ReferenceCache:
