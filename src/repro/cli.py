@@ -123,7 +123,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _trace(args),
         args.scheme,
         warmup=DEFAULT_WARMUP,
-        telemetry=True if args.telemetry is not None else None,
+        telemetry=args.telemetry is not None,
         kernel=False if args.no_kernel else None,
     )
     start = time.perf_counter()
@@ -192,7 +192,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Telemetry breakdown: where every fetch slot went, per scheme."""
     import json
 
-    from repro.experiments.common import telemetry_sim_stats
+    from repro.experiments.common import sim_stats
     from repro.metrics.chart import BarGroup, bar_chart, tornado_chart
     from repro.metrics.summary import format_table
     from repro.sim import cache as result_cache
@@ -204,13 +204,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     results = {
-        scheme: telemetry_sim_stats(
+        scheme: sim_stats(
             args.benchmark,
             machine.name,
             scheme,
             length=args.length,
             warmup=args.warmup,
             seed=args.seed,
+            telemetry=True,
         )
         for scheme in schemes
     }
@@ -547,11 +548,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         suite_jobs,
     )
 
+    # Result-neutral engine options travel as environment knobs (not
+    # SimJob fields) so worker processes inherit them; both are salted
+    # into the result-cache key.
     if args.sanitize:
-        # Env (not a flag threaded through SimJob) so worker processes
-        # inherit it; the result-cache digest includes this knob.
         os.environ["REPRO_SANITIZE"] = "1"
-    telemetry = args.telemetry is not None
+    if args.no_kernel:
+        os.environ["REPRO_KERNEL"] = "0"
     benchmarks = tuple(args.benchmarks or ALL_BENCHMARKS)
     machines = tuple(args.machines or [m.name for m in MACHINES])
     schemes = tuple(args.schemes or HARDWARE_SCHEMES)
@@ -562,8 +565,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         length=args.length,
         warmup=args.warmup,
         seed=args.seed,
-        telemetry=telemetry,
-        kernel=False if args.no_kernel else None,
+        telemetry=args.telemetry is not None,
     )
     journal_dir = args.resume or args.journal
     journal = SweepJournal(journal_dir) if journal_dir else None

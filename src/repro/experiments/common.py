@@ -170,15 +170,16 @@ def _trace(benchmark: str, variant: str, length: int, seed: int, block_words: in
 # -- cached measurements ---------------------------------------------------------
 
 
-def _simulate(cell: tuple, **options) -> SimStats:
-    """One full simulation of a :func:`sim_stats` cell; *options* go to
-    :class:`Simulator`."""
+def _simulate(cell: tuple, telemetry: bool) -> SimStats:
+    """One full simulation of a :func:`sim_stats` cell."""
     bench, machine_name, scheme, variant, length, warmup, seed, penalty, words = cell
     machine = get_machine(machine_name)
     if penalty is not None:
         machine = machine.with_fetch_penalty(penalty)
     trace = variant_trace(bench, variant, length, seed, words)
-    return Simulator(machine, trace, scheme, warmup=warmup, **options).run()
+    return Simulator(
+        machine, trace, scheme, warmup=warmup, telemetry=telemetry
+    ).run()
 
 
 def sim_stats(
@@ -191,7 +192,7 @@ def sim_stats(
     seed: int = DEFAULT_CONFIG.seed,
     fetch_penalty: int | None = None,
     block_words: int = 4,
-    kernel: bool | None = None,
+    telemetry: bool = False,
 ) -> SimStats:
     """Run (and cache) one full IPC simulation.
 
@@ -200,15 +201,18 @@ def sim_stats(
     invocations and CI runs share them; nothing is memoised in process
     but the trace (:func:`variant_trace`).
 
-    ``REPRO_SANITIZE=1`` makes the simulation run under the pipeline
-    sanitizer (:mod:`repro.check.sanitizer`); the disk-cache key is
-    salted with that knob's value, so it may be flipped between calls.
+    The engine options that never change the result are environment
+    knobs salted into the disk-cache key, so they may be flipped between
+    calls: ``REPRO_SANITIZE=1`` runs the pipeline sanitizer
+    (:mod:`repro.check.sanitizer`) and ``REPRO_KERNEL=0`` the reference
+    loop instead of the compiled kernel.
 
-    *kernel* is forwarded to :class:`Simulator` (``None`` defers to the
-    ``REPRO_KERNEL`` knob).  It joins the disk-cache key even though the
-    kernel is bit-identical — so a result produced with the kernel
-    forced off never masks (or is masked by) one produced with it on
-    while either path is under suspicion.
+    With *telemetry*, ``extra`` also carries the ``slot_*`` attribution
+    (deterministic integers, so they round-trip through the disk cache).
+    Such results are cached under a separate kind (``telemetry_stats``)
+    so plain and instrumented results never serve each other.
+    Wall-clock phase timings are *not* cached — a cache hit serves the
+    attribution only.
     """
     # Chaos site: lets the harness prove a transient failure here is retried.
     faults.maybe_fail("sim.stats")
@@ -224,47 +228,9 @@ def sim_stats(
         block_words,
     )
     return result_cache.get_or_compute(
-        "sim_stats", cell + (kernel,), lambda: _simulate(cell, kernel=kernel)
-    )
-
-
-def telemetry_sim_stats(
-    benchmark: str,
-    machine_name: str,
-    scheme: str,
-    variant: str = "orig",
-    length: int = DEFAULT_CONFIG.trace_length,
-    warmup: int = DEFAULT_CONFIG.warmup,
-    seed: int = DEFAULT_CONFIG.seed,
-    fetch_penalty: int | None = None,
-    block_words: int = 4,
-    kernel: bool | None = None,
-) -> SimStats:
-    """:func:`sim_stats` with telemetry on (slot attribution in ``extra``).
-
-    Returns the same counted statistics with ``extra`` carrying the
-    ``slot_*`` attribution (deterministic integers, so they round-trip
-    through the disk cache).  Cached under a separate kind
-    (``telemetry_stats``) so plain and instrumented results never serve
-    each other.  Wall-clock phase timings are *not* cached — a cache
-    hit serves the attribution only.  *kernel* selects the engine and
-    joins the key, as in :func:`sim_stats`.
-    """
-    cell = (
-        benchmark,
-        machine_name,
-        scheme,
-        variant,
-        length,
-        warmup,
-        seed,
-        fetch_penalty,
-        block_words,
-    )
-    return result_cache.get_or_compute(
-        "telemetry_stats",
-        cell + (kernel,),
-        lambda: _simulate(cell, telemetry=True, kernel=kernel),
+        "telemetry_stats" if telemetry else "sim_stats",
+        cell,
+        lambda: _simulate(cell, telemetry=telemetry),
     )
 
 

@@ -95,13 +95,6 @@ KNOBS: tuple[KnobSpec, ...] = (
         description="cycles between deep sanitizer passes",
     ),
     KnobSpec(
-        name="REPRO_TELEMETRY",
-        type="bool",
-        default="0",
-        cache_policy="salted",
-        description="observe the reference loop (slot attribution in extra)",
-    ),
-    KnobSpec(
         name="REPRO_KERNEL",
         type="bool",
         default="1",

@@ -53,7 +53,6 @@ FIELDS = (
     "fetch_penalty",
     "block_words",
     "telemetry",
-    "kernel",
 )
 
 
@@ -160,10 +159,6 @@ def validate_job(payload: object) -> SimJob:
     if not isinstance(telemetry, bool):
         errors.append("telemetry must be a boolean")
         telemetry = False
-    kernel = payload.get("kernel")
-    if kernel is not None and not isinstance(kernel, bool):
-        errors.append("kernel must be a boolean or null")
-        kernel = None
 
     if errors:
         raise ValidationError(errors)
@@ -178,7 +173,6 @@ def validate_job(payload: object) -> SimJob:
         fetch_penalty=fetch_penalty,
         block_words=block_words,
         telemetry=telemetry,
-        kernel=kernel,
     )
 
 

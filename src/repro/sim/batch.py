@@ -67,12 +67,6 @@ class SimJob:
     #: Run with telemetry on (slot attribution in ``SimStats.extra``;
     #: cached under a separate result-cache kind).
     telemetry: bool = False
-    #: Compiled-kernel selection (:mod:`repro.sim.kernel`): ``None``
-    #: defers to the ``REPRO_KERNEL`` knob, ``False`` runs the
-    #: reference loop (``sweep --no-kernel``).  Joins the persistent
-    #: cache key via :func:`repro.experiments.common.sim_stats` (or
-    #: ``telemetry_sim_stats``).
-    kernel: bool | None = None
 
 
 @dataclass(slots=True)
@@ -113,19 +107,20 @@ class BatchReport:
 
 def _run_job(job: SimJob) -> SimStats:
     # Imported here so workers resolve it after fork.
-    from repro.experiments.common import sim_stats, telemetry_sim_stats
+    from repro.experiments.common import sim_stats
 
-    kwargs = dict(
+    return sim_stats(
+        job.benchmark,
+        job.machine,
+        job.scheme,
         variant=job.variant,
         length=job.length,
         warmup=job.warmup,
         seed=job.seed,
         fetch_penalty=job.fetch_penalty,
         block_words=job.block_words,
-        kernel=job.kernel,
+        telemetry=job.telemetry,
     )
-    simulate = telemetry_sim_stats if job.telemetry else sim_stats
-    return simulate(job.benchmark, job.machine, job.scheme, **kwargs)
 
 
 def run_batch(

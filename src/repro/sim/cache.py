@@ -186,12 +186,12 @@ def source_version() -> str:
     return _source_version_memo
 
 
-#: Environment knobs that change what a simulation *checks* or *records*
-#: (not what it computes).  They join the cache key so e.g. ``sweep
-#: --sanitize`` runs the sanitizer instead of replaying an unsanitized
-#: cached result, and a ``REPRO_TELEMETRY=1`` run (whose ``SimStats``
-#: carry ``slot_*`` attribution in ``extra``) never serves — or is
-#: served by — a plain run's entry.  Derived from the central knob
+#: Environment knobs that change how a simulation runs or what it
+#: *checks* (not what it computes).  They join the cache key so e.g.
+#: ``sweep --sanitize`` runs the sanitizer instead of replaying an
+#: unsanitized cached result, and a ``sweep --no-kernel``
+#: (``REPRO_KERNEL=0``) result never serves — or is served by — a
+#: kernel run's entry.  Derived from the central knob
 #: registry (:mod:`repro.knobs`): declaring a knob ``salted`` there puts
 #: it in every key *by construction*, which is what killed the
 #: forgotten-salt bug class of PRs 2/3/6 — and ``repro lint`` (A011)

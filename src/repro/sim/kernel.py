@@ -748,6 +748,35 @@ def plan_memo(fetch, trace, width: int, memoize: bool = True) -> tuple:
 # -- compiled run -----------------------------------------------------------
 
 
+def _warmup_snapshot(
+    cycle,
+    retired,
+    delivered,
+    mispredicts,
+    cstats,
+    bstats,
+    last_e,
+    spec_stalls,
+    wf_stalls,
+) -> dict[str, int]:
+    """:meth:`Simulator._counters` from the kernel's locals, taken on the
+    first cycle with ``retired >= warmup``.  A tape replay's BTB and
+    I-cache totals are the live stat objects plus the last consumed
+    entry's cumulative deltas, *last_e* (all zero while planning live)."""
+    return {
+        "cycles": cycle,
+        "retired": retired,
+        "delivered": delivered,
+        "fetch_mispredicts": mispredicts,
+        "fetch_cache_accesses": cstats.accesses + last_e[6],
+        "fetch_cache_misses": cstats.misses + last_e[7],
+        "btb_lookups": bstats.lookups + last_e[4],
+        "btb_hits": bstats.hits + last_e[5],
+        "speculation_stalls": spec_stalls,
+        "window_full_stalls": wf_stalls,
+    }
+
+
 def run_compiled(sim):
     """Replay *sim* through the compiled kernel; returns ``SimStats``.
 
@@ -859,11 +888,12 @@ def run_compiled(sim):
     # A live run's BTB/cache statistics land in the live stat objects
     # (``deliver`` adds a memo hit's deltas there).  Tape entries carry
     # *cumulative* run-relative deltas, so tape replay only keeps a
-    # reference to the last consumed entry and materializes them as r*
-    # on demand (snapshot and final write-back): current totals are
-    # always `object + r*`.  The run-start baselines below turn
-    # live-object totals into run-relative values while recording.
-    rlk = rht = rac = rms = 0
+    # reference to the last consumed entry, ``last_e``, and adds its
+    # deltas on demand (:func:`_warmup_snapshot` and the final
+    # write-back): current totals are always `object + last_e`, whose
+    # deltas stay zero while planning live.  The run-start baselines
+    # below turn live-object totals into run-relative values while
+    # recording.
     lk0_run = bstats.lookups
     ht0_run = bstats.hits
     ac0_run = cstats.accesses
@@ -918,23 +948,17 @@ def run_compiled(sim):
                     f"({retired}/{total} retired)"
                 )
             if not snapshot_taken and retired >= warmup:
-                if not live:
-                    rlk = last_e[4]
-                    rht = last_e[5]
-                    rac = last_e[6]
-                    rms = last_e[7]
-                snapshot = {
-                    "cycles": cycle,
-                    "retired": retired,
-                    "delivered": fs_delivered,
-                    "fetch_mispredicts": fs_mispredicts,
-                    "fetch_cache_accesses": cstats.accesses + rac,
-                    "fetch_cache_misses": cstats.misses + rms,
-                    "btb_lookups": bstats.lookups + rlk,
-                    "btb_hits": bstats.hits + rht,
-                    "speculation_stalls": spec_stalls,
-                    "window_full_stalls": wf_stalls,
-                }
+                snapshot = _warmup_snapshot(
+                    cycle,
+                    retired,
+                    fs_delivered,
+                    fs_mispredicts,
+                    cstats,
+                    bstats,
+                    last_e,
+                    spec_stalls,
+                    wf_stalls,
+                )
                 snapshot_taken = True
                 if ledger is not None:
                     ledger.restart()
@@ -1268,23 +1292,17 @@ def run_compiled(sim):
                     # each cycle with a blocked dispatch head charges one
                     # stall.
                     if not snapshot_taken and retired >= warmup:
-                        if not live:
-                            rlk = last_e[4]
-                            rht = last_e[5]
-                            rac = last_e[6]
-                            rms = last_e[7]
-                        snapshot = {
-                            "cycles": cycle,
-                            "retired": retired,
-                            "delivered": fs_delivered,
-                            "fetch_mispredicts": fs_mispredicts,
-                            "fetch_cache_accesses": cstats.accesses + rac,
-                            "fetch_cache_misses": cstats.misses + rms,
-                            "btb_lookups": bstats.lookups + rlk,
-                            "btb_hits": bstats.hits + rht,
-                            "speculation_stalls": spec_stalls,
-                            "window_full_stalls": wf_stalls,
-                        }
+                        snapshot = _warmup_snapshot(
+                            cycle,
+                            retired,
+                            fs_delivered,
+                            fs_mispredicts,
+                            cstats,
+                            bstats,
+                            last_e,
+                            spec_stalls,
+                            wf_stalls,
+                        )
                         snapshot_taken = True
                         if ledger is not None:
                             ledger.restart()
@@ -1329,20 +1347,15 @@ def run_compiled(sim):
             remove()
 
     # -- write the authoritative locals back into the live objects ----------
-    if not live:
-        rlk = last_e[4]
-        rht = last_e[5]
-        rac = last_e[6]
-        rms = last_e[7]
     fstats.cycles = fs_cycles
     fstats.delivered = fs_delivered
     fstats.mispredicts = fs_mispredicts
     fstats.cache_stall_cycles = fs_stall
     fstats.full_deliveries = fs_full
-    bstats.lookups += rlk
-    bstats.hits += rht
-    cstats.accesses += rac
-    cstats.misses += rms
+    bstats.lookups += last_e[4]
+    bstats.hits += last_e[5]
+    cstats.accesses += last_e[6]
+    cstats.misses += last_e[7]
     core_stats.retired = retired
     core_stats.dispatched = dispatch_head
     core_stats.window_full_stalls = wf_stalls

@@ -26,29 +26,16 @@ def run_trace(
     machine: MachineConfig | str,
     scheme: str,
     warmup: int = DEFAULT_WARMUP,
-    sanitize: bool | None = None,
-    telemetry: bool | None = None,
-    kernel: bool | None = None,
 ) -> SimStats:
     """Simulate *trace* on *machine* with the fetch *scheme*.
 
-    *sanitize* opts into the ``repro.check`` pipeline sanitizer;
-    *telemetry* into slot attribution on the observed reference loop,
-    landing in ``SimStats.extra``; *kernel* selects the compiled execution kernel
-    (each ``None`` defers to its environment knob, ``REPRO_SANITIZE`` /
-    ``REPRO_TELEMETRY`` / ``REPRO_KERNEL``).
+    The engine options (sanitizer, telemetry, kernel) are
+    :class:`Simulator`'s; here the sanitizer and the kernel follow
+    their environment knobs, ``REPRO_SANITIZE`` and ``REPRO_KERNEL``.
     """
     if isinstance(machine, str):
         machine = get_machine(machine)
-    return Simulator(
-        machine,
-        trace,
-        scheme,
-        warmup=warmup,
-        sanitize=sanitize,
-        telemetry=telemetry,
-        kernel=kernel,
-    ).run()
+    return Simulator(machine, trace, scheme, warmup=warmup).run()
 
 
 def run_workload(
@@ -58,9 +45,6 @@ def run_workload(
     max_instructions: int = DEFAULT_TRACE_LENGTH,
     seed: int = TEST_INPUT_SEED,
     warmup: int = DEFAULT_WARMUP,
-    sanitize: bool | None = None,
-    telemetry: bool | None = None,
-    kernel: bool | None = None,
 ) -> SimStats:
     """Generate a trace for *workload* and simulate it.
 
@@ -73,15 +57,7 @@ def run_workload(
     trace = generate_trace(
         workload.program, workload.behavior, max_instructions, seed=seed
     )
-    return run_trace(
-        trace,
-        machine,
-        scheme,
-        warmup=warmup,
-        sanitize=sanitize,
-        telemetry=telemetry,
-        kernel=kernel,
-    )
+    return run_trace(trace, machine, scheme, warmup=warmup)
 
 
 def run_program(

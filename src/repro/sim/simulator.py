@@ -23,8 +23,8 @@ Two engines produce bit-identical statistics:
   engine of every run the kernel declines, and the one loop per-cycle
   consumers observe.
 
-A telemetry run (the opt-in ``telemetry`` flag or ``REPRO_TELEMETRY=1``)
-hands whichever engine runs a slot ledger
+A telemetry run (the opt-in ``telemetry`` flag) hands whichever engine
+runs a slot ledger
 (:class:`~repro.telemetry.attribution.SlotAttribution`): the kernel
 charges it itself, and :meth:`~Simulator.run_reference` feeds it through
 its one internal observer.  The run fills ``SimStats.extra`` with
@@ -49,11 +49,7 @@ from repro.machines.config import MachineConfig
 from repro.sim.stats import SimStats
 from repro.telemetry.attribution import SlotAttribution, SlotObserver
 from repro.telemetry import trace as tracing
-from repro.telemetry.core import (
-    MetricsRegistry,
-    TelemetryReport,
-    telemetry_enabled,
-)
+from repro.telemetry.core import MetricsRegistry, TelemetryReport
 from repro.workloads.trace import DynamicTrace
 
 
@@ -85,7 +81,7 @@ class Simulator:
         prewarm_cache: bool = True,
         wrong_path_fetch: bool = False,
         sanitize: bool | None = None,
-        telemetry: bool | None = None,
+        telemetry: bool = False,
         kernel: bool | None = None,
     ) -> None:
         """Set up a run.
@@ -113,8 +109,7 @@ class Simulator:
         invariant.
 
         *telemetry* opts into slot-level stall attribution and the
-        engine's phase timers, kept by whichever engine runs; ``None``
-        defers to the ``REPRO_TELEMETRY`` environment knob.  The counted
+        engine's phase timers, kept by whichever engine runs.  The counted
         statistics stay identical; ``SimStats.extra`` gains the
         ``slot_*`` attribution, and :attr:`telemetry_report` carries the
         full record after :meth:`run`.
@@ -142,8 +137,6 @@ class Simulator:
         if sanitize is None:
             sanitize = sanitize_enabled()
         self.sanitizer = PipelineSanitizer(self) if sanitize else None
-        if telemetry is None:
-            telemetry = telemetry_enabled()
         #: Metrics registry and slot ledger of a telemetry run; ``None``
         #: leaves the kernel and the reference loop unobserved.
         self.telemetry: MetricsRegistry | None = (

@@ -181,9 +181,9 @@ class SweepJournal:
     Line 1 is a header binding the journal to the simulator sources and
     the check-relevant environment knobs (the same salts as the
     persistent result cache); a journal written by different code or
-    under different ``REPRO_SANITIZE``/``REPRO_TELEMETRY`` settings is
-    *stale* and is truncated on the next write instead of serving wrong
-    results.  Every result line carries the job key, a digest-checked
+    under a different ``REPRO_SANITIZE`` (``--sanitize``) or
+    ``REPRO_KERNEL`` (``--no-kernel``) setting is *stale* and is
+    truncated on the next write instead of serving wrong results.  Every result line carries the job key, a digest-checked
     pickle of the result, and the job's :class:`JobOutcome` — each line
     is flushed as it is written, so an interrupt loses at most the job
     in flight.

@@ -21,10 +21,10 @@ Cooperating pieces:
 * :mod:`repro.telemetry.export` — JSONL/CSV record writers plus the
   Prometheus text exposition renderer behind ``/metrics?format=prom``.
 
-Telemetry is strictly opt-in: ``Simulator(..., telemetry=True)`` (or
-``REPRO_TELEMETRY=1`` through the runners) hands the run a slot ledger,
-which the compiled kernel charges itself (a run the kernel declines
-feeds it through the reference loop's observer).  With it off the
+Telemetry is strictly opt-in: ``Simulator(..., telemetry=True)`` (a
+telemetry ``SimJob``, ``--telemetry`` on the CLI) hands the run a slot
+ledger, which the compiled kernel charges itself (a run the kernel
+declines feeds it through the reference loop's observer).  With it off the
 kernel's only cost is one ``None`` test per iterated cycle — nothing
 measurable — and ``SimStats`` stays bit-identical.  Tracing
 follows the same discipline — ``REPRO_TRACE=0`` (the default) makes
@@ -42,7 +42,6 @@ from repro.telemetry.core import (
     MetricsRegistry,
     NullRegistry,
     TelemetryReport,
-    telemetry_enabled,
 )
 from repro.telemetry.export import read_jsonl, to_csv, to_jsonl, to_prometheus
 from repro.telemetry.manifest import (
@@ -67,7 +66,6 @@ __all__ = [
     "config_fingerprint",
     "environment_knobs",
     "read_jsonl",
-    "telemetry_enabled",
     "to_csv",
     "to_jsonl",
     "to_prometheus",

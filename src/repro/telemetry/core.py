@@ -20,13 +20,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro import knobs
-
-
-def telemetry_enabled() -> bool:
-    """True when ``REPRO_TELEMETRY`` requests telemetry by default."""
-    return knobs.enabled("REPRO_TELEMETRY")
-
 
 @dataclass(slots=True)
 class Histogram:

@@ -183,17 +183,16 @@ class TestKnobsRuntime:
         assert knobs.salted_knobs() == (
             "REPRO_SANITIZE",
             "REPRO_CHECK_DEEP_PERIOD",
-            "REPRO_TELEMETRY",
             "REPRO_KERNEL",
         )
 
     def test_fingerprint_tracks_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         before = knobs.fingerprint()
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_KERNEL", "0")
         after = knobs.fingerprint()
         assert before != after
-        assert after[knobs.salted_knobs().index("REPRO_TELEMETRY")] == "1"
+        assert after[knobs.salted_knobs().index("REPRO_KERNEL")] == "0"
 
     def test_every_exempt_knob_has_a_reason(self):
         for spec in knobs.KNOBS:
@@ -230,7 +229,7 @@ class TestRegistryCoverage:
             discovered.update(token.findall(path.read_text()))
         assert discovered, "grep found no knobs at all?"
         assert discovered <= set(knobs.REGISTRY)
-        assert len(knobs.REGISTRY) == 15
+        assert len(knobs.REGISTRY) == 14
 
     def test_analyzer_sees_every_knob(self):
         project = Project(REPO_ROOT)

@@ -110,11 +110,11 @@ def test_stats_snapshot_delta_and_merge(cache_env):
     assert (fresh.hits, fresh.stores) == (1, 1)
 
 
-def test_telemetry_knob_salts_the_key(cache_env, monkeypatch):
+def test_kernel_knob_salts_the_key(cache_env, monkeypatch):
     key = ("espresso", "PI4", "sequential")
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     cache.store("sim_stats", key, "plain")
-    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    monkeypatch.setenv("REPRO_KERNEL", "0")
     assert cache.load("sim_stats", key) is None  # different generation
 
 

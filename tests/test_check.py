@@ -480,8 +480,10 @@ class TestSanitizer:
         assert sanitize_enabled()
         assert _simulator().sanitizer is not None
 
-    @pytest.mark.parametrize("memo", ["sim_stats", "telemetry_sim_stats"])
-    def test_memo_keys_on_sanitize(self, memo, monkeypatch, tmp_path):
+    @pytest.mark.parametrize(
+        "telemetry", [False, True], ids=["sim_stats", "telemetry_stats"]
+    )
+    def test_memo_keys_on_sanitize(self, telemetry, monkeypatch, tmp_path):
         """A sanitized call after a plain call of the same cell simulates
         again, under the sanitizer, and a repeat of either simulates
         nothing: the result-cache key is salted with REPRO_SANITIZE."""
@@ -499,8 +501,8 @@ class TestSanitizer:
             real_init(sanitizer, sim)
 
         monkeypatch.setattr(PipelineSanitizer, "__init__", counting_init)
-        run = getattr(common, memo)
-        cell = dict(length=2_000, warmup=400, seed=9)
+        run = common.sim_stats
+        cell = dict(length=2_000, warmup=400, seed=9, telemetry=telemetry)
         plain = run("espresso", "PI4", "sequential", **cell)
         assert sanitized_runs == []
         monkeypatch.setenv("REPRO_SANITIZE", "1")

@@ -235,19 +235,32 @@ class TestCLI:
     def test_sweep_engine_flags_keep_the_grid(
         self, flag, length, cache_env, monkeypatch, capsys
     ):
-        # --sanitize sets REPRO_SANITIZE for the workers; undo it after.
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        def plain_env():
+            # --sanitize sets REPRO_SANITIZE and --no-kernel REPRO_KERNEL
+            # for the workers; undo both (and again after the test).
+            monkeypatch.setenv("REPRO_SANITIZE", "0")
+            monkeypatch.setenv("REPRO_KERNEL", "1")
+
+        schemes = ("sequential", "collapsing_buffer")
         argv = [
             "sweep", "--benchmarks", "ora", "--machines", "PI4",
-            "--schemes", "sequential", "--length", str(length),
-            "--warmup", "400", "--jobs", "1", flag,
+            "--schemes", *schemes, "--length", str(length),
+            "--warmup", "400", "--jobs", "2",
         ]
-        assert main(argv) == 0
+        plain_env()
+        assert main(argv + [flag]) == 0
         out = capsys.readouterr().out
-        assert "1 miss(es)" in out
-        (row,) = [line for line in out.splitlines() if line.startswith("ora")]
-        stats = run_workload("ora", "PI4", "sequential", length, warmup=400)
-        assert row.split()[-1] == f"{stats.ipc:.2f}"
+        assert "0 hit(s), 2 miss(es)" in out
+        rows = [line for line in out.splitlines() if line.startswith("ora")]
+        plain_env()
+        assert [row.split()[-1] for row in rows] == [
+            f"{run_workload('ora', 'PI4', s, length, warmup=400).ipc:.2f}"
+            for s in schemes
+        ]
+        # The knob is salted into the result-cache key: a plain rerun on
+        # the same cache directory simulates again.
+        assert main(argv) == 0
+        assert "0 hit(s), 2 miss(es)" in capsys.readouterr().out
 
     def test_check_variants_widen_the_matrix(self, capsys):
         argv = [

@@ -122,12 +122,14 @@ def test_validate_job_collects_every_error():
                 "scheme": "wat",
                 "length": 7,
                 "bogus": 1,
+                "kernel": False,
             }
         )
     text = "\n".join(excinfo.value.errors)
-    assert len(excinfo.value.errors) >= 5
+    assert len(excinfo.value.errors) >= 6
     for fragment in ("benchmark", "machine", "scheme", "length", "bogus"):
         assert fragment in text
+    assert "unknown field 'kernel'" in text
 
 
 def test_validate_job_rejects_non_object():

@@ -53,8 +53,7 @@ WARMUP = 500
 
 @pytest.fixture(autouse=True)
 def _isolated_env(tmp_path, monkeypatch):
-    """Telemetry off by default, disk cache confined to the test."""
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    """Disk cache confined to the test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     result_cache.reset_stats()
 
@@ -128,16 +127,6 @@ def test_off_by_default_and_extra_stays_empty():
     assert sim.telemetry_report is None
 
 
-def test_env_knob_enables_and_parameter_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_TELEMETRY", "1")
-    machine = get_machine("PI4")
-    trace = _trace("espresso", 1_000)
-    assert Simulator(machine, trace, "sequential").telemetry is not None
-    assert Simulator(
-        machine, trace, "sequential", telemetry=False
-    ).telemetry is None
-
-
 def test_instrumented_counts_match_fast_loop():
     machine = get_machine("PI4")
     trace = _trace("li")
@@ -155,25 +144,26 @@ def test_instrumented_counts_match_fast_loop():
 
 
 def test_extra_survives_the_result_cache():
-    from repro.experiments.common import telemetry_sim_stats
+    from repro.experiments.common import sim_stats
 
-    kwargs = dict(length=2_000, warmup=400)
-    first = telemetry_sim_stats("espresso", "PI4", "sequential", **kwargs)
+    kwargs = dict(length=2_000, warmup=400, telemetry=True)
+    first = sim_stats("espresso", "PI4", "sequential", **kwargs)
     assert first.slot_attribution()  # instrumented payload present
     assert result_cache.stats.stores == 1
-    second = telemetry_sim_stats("espresso", "PI4", "sequential", **kwargs)
+    second = sim_stats("espresso", "PI4", "sequential", **kwargs)
     assert result_cache.stats.hits == 1
     assert second.extra == first.extra
     assert second == first
 
 
-def test_telemetry_job_honours_no_kernel():
-    """A ``--no-kernel`` telemetry job runs the reference loop, and its
-    cached result never answers a kernel job (or the reverse)."""
+def test_telemetry_job_honours_no_kernel(monkeypatch):
+    """A ``--no-kernel`` (``REPRO_KERNEL=0``) telemetry job runs the
+    reference loop, and its cached result never answers a kernel job
+    (or the reverse)."""
     from repro.sim import kernel as sim_kernel
     from repro.sim.batch import SimJob, _run_job
 
-    cell = dict(
+    job = SimJob(
         benchmark="espresso",
         machine="PI4",
         scheme="sequential",
@@ -182,9 +172,11 @@ def test_telemetry_job_honours_no_kernel():
         telemetry=True,
     )
     runs = sim_kernel.stats["runs"]
-    reference = _run_job(SimJob(**cell, kernel=False))
+    monkeypatch.setenv("REPRO_KERNEL", "0")
+    reference = _run_job(job)
     assert sim_kernel.stats["runs"] == runs
-    compiled = _run_job(SimJob(**cell))
+    monkeypatch.delenv("REPRO_KERNEL")
+    compiled = _run_job(job)
     assert sim_kernel.stats["runs"] == runs + 1
     assert compiled == reference
 
