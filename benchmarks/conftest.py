@@ -5,7 +5,8 @@ under pytest-benchmark timing.  Experiments are deterministic and
 memoised, so every benchmark runs exactly one round; the printed tables
 are the regenerated artifacts.
 
-Scale up with ``REPRO_SCALE`` (see repro.experiments.common).
+Every length is set in ``BENCH_CONFIG`` below; edit it to scale the
+harness.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Usage::
     python examples/reproduce_paper.py                # everything (~10 min)
     python examples/reproduce_paper.py table2 fig10   # a selection
     python examples/reproduce_paper.py --chart fig09  # ASCII bar charts
-    REPRO_SCALE=4 python examples/reproduce_paper.py  # longer traces
+    python -m repro experiment --scale 4              # longer traces
 """
 
 import sys

@@ -39,7 +39,7 @@ from repro.analysis.project import (
 
 #: Registry accessor function names; a call like ``knobs.raw("REPRO_X")``
 #: (or a from-imported bare ``raw(...)``) counts as a read of ``REPRO_X``.
-ACCESSOR_NAMES = frozenset({"spec", "raw", "enabled", "get_int", "get_float"})
+ACCESSOR_NAMES = frozenset({"spec", "raw", "enabled", "get_float"})
 
 #: Resolved callee paths that read an environment variable by name.
 _ENV_GET_CALLS = frozenset({"os.environ.get", "os.getenv"})

@@ -11,7 +11,7 @@ Two cooperating pieces:
   ``REPRO_SANITIZE=1`` (or ``sanitize=True``) and asserts cheap core
   invariants every cycle — retirement monotonic, fetch-queue range
   inside the trace, occupancy counters in bounds — plus a periodic
-  *deep* pass (every ``REPRO_CHECK_DEEP_PERIOD`` cycles, default 64)
+  *deep* pass (every :data:`DEEP_PERIOD`, 64, cycles)
   that cross-checks the window's ready/waiting contents and the ROB
   against the counters the fast path maintains incrementally.
 
@@ -28,18 +28,14 @@ from repro.check.rules import SchemeRules, check_packet, rules_for
 from repro.core.rob import EntryState
 from repro.isa.opcodes import OpClass
 
-#: Default cycle period of the deep (O(window + ROB)) invariant pass.
-DEFAULT_DEEP_PERIOD = 64
+#: Cycle period of the deep (O(window + ROB)) invariant pass, read when
+#: a :class:`PipelineSanitizer` is built.
+DEEP_PERIOD = 64
 
 
 def sanitize_enabled() -> bool:
     """True when ``REPRO_SANITIZE`` requests the opt-in sanitizer."""
     return knobs.enabled("REPRO_SANITIZE")
-
-
-def deep_check_period() -> int:
-    """Deep-pass period from ``REPRO_CHECK_DEEP_PERIOD`` (>= 1)."""
-    return max(1, knobs.get_int("REPRO_CHECK_DEEP_PERIOD"))
 
 
 class PacketChecker:
@@ -99,15 +95,13 @@ class PipelineSanitizer:
     O(cycles) instead of via a reference-run comparison.
     """
 
-    def __init__(self, simulator, deep_period: int | None = None) -> None:
+    def __init__(self, simulator) -> None:
         self.simulator = simulator
         self.core = simulator.core
         self.total = len(simulator.trace.instructions)
         config = simulator.config
         self.queue_capacity = config.fetch_queue_groups * config.issue_rate
-        self.deep_period = (
-            deep_check_period() if deep_period is None else max(1, deep_period)
-        )
+        self.deep_period = DEEP_PERIOD
         self.subject = (
             f"{simulator.trace.name}/{config.name}/{simulator.fetch_unit.name}"
         )

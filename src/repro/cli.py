@@ -8,10 +8,12 @@ scheme and experiment name it accepts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
+from repro import knobs
 from repro.check.api import DEFAULT_CHECK_LENGTH
 from repro.experiments.common import DEFAULT_CONFIG, ExperimentConfig, eir_stats
 from repro.experiments.report import EXPERIMENTS, run_experiments
@@ -22,6 +24,10 @@ from repro.workloads.analysis import CHARACTERIZE_LENGTH, characterization_table
 from repro.workloads.profiles import ALL_BENCHMARKS
 from repro.workloads.suite import load_workload
 from repro.workloads.trace import TEST_INPUT_SEED, generate_trace
+
+#: Where ``repro ablate run`` writes a study without ``--out``
+#: (``studies/<study-name>``).
+STUDY_ROOT = Path("studies")
 
 #: Trace length behind ``repro pipetrace``: only ``--cycles`` cycles
 #: are rendered, so a short trace covers them.
@@ -379,7 +385,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     """Declarative study engine: ``ablate run|list|report``."""
     import json
 
-    from repro import knobs
     from repro.check.errors import CheckFailure
     from repro.study import analysis as study_analysis
     from repro.study.engine import REPORT_JSON, run_study
@@ -439,9 +444,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             print(f"bad study spec {path}: {exc}", file=sys.stderr)
             return 1
 
-    out_dir = Path(args.out) if args.out else (
-        Path(knobs.raw("REPRO_STUDY_DIR")) / spec.name
-    )
+    out_dir = Path(args.out) if args.out else STUDY_ROOT / spec.name
     from repro.sim.batch import BatchError
 
     try:
@@ -539,8 +542,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import os
-
     from repro.sim.batch import (
         BatchError,
         SweepJournal,
@@ -786,8 +787,6 @@ def _activate_tracing(trace_dir: str) -> None:
     """Turn on ``REPRO_TRACE`` (and the spill directory) via the
     environment so worker processes inherit it — both knobs are
     cache-exempt, so traced results stay bit-identical."""
-    import os
-
     from repro.telemetry import trace as tracing
 
     os.environ["REPRO_TRACE"] = "1"
@@ -1104,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         metavar="DIR",
         default=None,
-        help="output directory (default: $REPRO_STUDY_DIR/<study-name>)",
+        help=f"output directory (default: {STUDY_ROOT}/<study-name>)",
     )
     ablate_run.add_argument(
         "--resume",
@@ -1340,11 +1339,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _knob_environment() -> dict[str, str]:
+    return {
+        name: value
+        for name, value in os.environ.items()
+        if name.startswith(knobs.KNOB_PREFIX)
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb.  Verbs hand engine options to their worker
+    processes through ``REPRO_*`` variables (``--trace``, ``sweep
+    --sanitize``/``--no-kernel``); they hold while the verb runs, so its
+    manifest records them, and are restored when it returns, so a
+    caller that invokes ``main`` in process keeps its own settings."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "trace", None) is not None:  # sweep, serve, balance
-        _activate_tracing(args.trace)
-    return args.func(args)
+    saved = _knob_environment()
+    try:
+        if getattr(args, "trace", None) is not None:  # sweep, serve, balance
+            _activate_tracing(args.trace)
+        return args.func(args)
+    finally:
+        current = _knob_environment()
+        if current != saved:
+            for name in current.keys() - saved.keys():
+                del os.environ[name]
+            os.environ.update(saved)
+            from repro.telemetry import trace as tracing
+
+            tracing.reload()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,10 +9,6 @@ argument tuple, so a warm report reads cells instead of rebuilding
 workloads, traces or compiler passes.  In process, only dynamic traces
 are memoised, and at most :data:`TRACE_LIMIT` of them, so a long-lived
 worker's memory stays bounded.
-
-Trace lengths default to laptop-friendly excerpts; set the environment
-variable ``REPRO_SCALE`` (e.g. ``REPRO_SCALE=4``) to lengthen every trace
-proportionally for higher-fidelity runs.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro import faults, knobs
+from repro import faults
 from repro.compiler import PaddingResult, pad_all, pad_trace, reorder_program
 from repro.machines.config import MachineConfig
 from repro.machines.presets import MACHINES, get_machine
@@ -41,22 +37,18 @@ VARIANTS = ("orig", "reordered", "pad_all", "pad_trace")
 ABLATION_BENCHMARKS = ("compress", "espresso", "li", "gcc")
 
 
-def _scale() -> float:
-    return max(0.1, knobs.get_float("REPRO_SCALE"))
-
-
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Knobs shared by all experiments."""
 
     #: Dynamic trace length for IPC simulations.
-    trace_length: int = int(20_000 * _scale())
+    trace_length: int = 20_000
     #: Trace length for fetch-only EIR measurements.
-    eir_length: int = int(30_000 * _scale())
+    eir_length: int = 30_000
     #: Trace length for pure trace statistics (Tables 2/3).
-    stats_length: int = int(80_000 * _scale())
+    stats_length: int = 80_000
     #: Warmup instructions excluded from IPC statistics.
-    warmup: int = int(4_000 * _scale())
+    warmup: int = 4_000
     #: Behaviour seed of the held-out test input.
     seed: int = TEST_INPUT_SEED
 

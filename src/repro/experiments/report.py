@@ -78,17 +78,3 @@ def run_experiments(
         results.append(runner(config))
     return results
 
-
-def full_report(
-    names: Iterable[str] | None = None,
-    config: ExperimentConfig = DEFAULT_CONFIG,
-    chart: bool = False,
-) -> str:
-    """Text report of the selected experiments (tables, or bar charts for
-    the figure-type artifacts with *chart*)."""
-    sections = [
-        render(result, chart=chart)
-        for result in run_experiments(names, config)
-    ]
-    rule = "\n\n" + "=" * 72 + "\n\n"
-    return rule.join(sections)

@@ -26,9 +26,12 @@ Cache-key policy:
   declaration carries the reason, which ``docs/linting.md`` renders.
 
 Declaring a new knob: add a :class:`KnobSpec` to :data:`KNOBS`, then
-read it with :func:`enabled` / :func:`get_int` / :func:`get_float` /
-:func:`raw`.  Picking ``exempt`` requires writing the reason; ``repro
-lint`` fails on anything less.
+read it with :func:`enabled` / :func:`get_float` / :func:`raw`.
+Picking ``exempt`` requires writing the reason; ``repro lint`` fails on
+anything less.  A knob earns its place only when something outside the
+tests needs a value other than its default (a CI step, a documented
+workflow, a child process that must inherit it); otherwise it is a
+module constant that a test can monkeypatch.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class KnobSpec:
 
     Attributes:
         name: Full variable name (``REPRO_...``).
-        type: ``"bool"``, ``"int"``, ``"float"``, ``"str"`` or
+        type: ``"bool"``, ``"float"``, ``"str"`` or
             ``"spec"`` (a structured mini-language, e.g. the fault
             grammar) — documentation plus the accessor sanity checks.
         default: Raw (string) value assumed when the variable is unset.
@@ -69,7 +72,7 @@ class KnobSpec:
     def __post_init__(self) -> None:
         if not self.name.startswith(KNOB_PREFIX):
             raise ValueError(f"knob {self.name!r} lacks the {KNOB_PREFIX} prefix")
-        if self.type not in ("bool", "int", "float", "str", "spec"):
+        if self.type not in ("bool", "float", "str", "spec"):
             raise ValueError(f"unknown knob type {self.type!r}")
         if self.cache_policy not in ("salted", "exempt"):
             raise ValueError(f"unknown cache policy {self.cache_policy!r}")
@@ -86,13 +89,6 @@ KNOBS: tuple[KnobSpec, ...] = (
         default="0",
         cache_policy="salted",
         description="run every simulation under the pipeline sanitizer",
-    ),
-    KnobSpec(
-        name="REPRO_CHECK_DEEP_PERIOD",
-        type="int",
-        default="64",
-        cache_policy="salted",
-        description="cycles between deep sanitizer passes",
     ),
     KnobSpec(
         name="REPRO_KERNEL",
@@ -148,17 +144,6 @@ KNOBS: tuple[KnobSpec, ...] = (
         description="deterministic fault-injection spec (repro.faults)",
     ),
     KnobSpec(
-        name="REPRO_SCALE",
-        type="float",
-        default="1",
-        cache_policy="exempt",
-        reason=(
-            "scales experiment trace lengths, and every length is an "
-            "explicit component of the cache key already"
-        ),
-        description="multiplier on experiment trace lengths",
-    ),
-    KnobSpec(
         name="REPRO_TRACE",
         type="bool",
         default="0",
@@ -191,30 +176,6 @@ KNOBS: tuple[KnobSpec, ...] = (
             "attempt is replayed elsewhere and yields the same value"
         ),
         description="seconds the balancer allows one forwarded attempt",
-    ),
-    KnobSpec(
-        name="REPRO_STUDY_DIR",
-        type="str",
-        default="studies",
-        cache_policy="exempt",
-        reason=(
-            "default output root for study artifacts (journal, manifest, "
-            "reports); selects where results land, never what a run "
-            "computes"
-        ),
-        description="default output directory root for `repro ablate run`",
-    ),
-    KnobSpec(
-        name="REPRO_STUDY_MAX_RUNS",
-        type="int",
-        default="512",
-        cache_policy="exempt",
-        reason=(
-            "bounds how many unique runs a study spec may expand to; an "
-            "over-budget study fails loudly (D007) before computing "
-            "anything, so no cached value can depend on it"
-        ),
-        description="maximum unique runs one study expansion may produce",
     ),
     KnobSpec(
         name="REPRO_TRACE_DIR",
@@ -255,16 +216,6 @@ def enabled(name: str) -> bool:
     """Boolean knob *name* under the uniform grammar: any value outside
     :data:`FALSE_VALUES` (case-insensitive) is on."""
     return raw(name).strip().lower() not in FALSE_VALUES
-
-
-def get_int(name: str) -> int:
-    """Integer knob *name*; an unparsable value falls back to the
-    declared default (never raises on user input)."""
-    declared = spec(name)
-    try:
-        return int(raw(name))
-    except ValueError:
-        return int(declared.default)
 
 
 def get_float(name: str) -> float:

@@ -111,6 +111,17 @@ class InstructionCache:
         """Install a block, evicting the direct-mapped victim."""
         self._tags[self.set_of(block_index)] = block_index
 
+    def prewarm(self, addresses) -> None:
+        """Sweep the blocks spanned by the word *addresses* (non-empty)
+        through the cache in layout order, as a steady-state start: a
+        footprint larger than the cache keeps only the last-filled
+        conflicting blocks.  Records no statistics."""
+        for block in range(
+            self.block_index(min(addresses)),
+            self.block_index(max(addresses)) + 1,
+        ):
+            self.fill(block)
+
     def access_and_fill(self, block_index: int) -> bool:
         """Access and immediately fill on miss; returns the hit/miss result."""
         hit = self.access(block_index)

@@ -81,13 +81,7 @@ def measure_eir(
     warmup = min(max(0, warmup), total // 2)
 
     if prewarm_cache and instructions:
-        addresses = trace.address_array()
-        cache = unit.cache
-        for block in range(
-            cache.block_index(min(addresses)),
-            cache.block_index(max(addresses)) + 1,
-        ):
-            cache.fill(block)
+        unit.cache.prewarm(trace.address_array())
 
     run = _run_live if _plans_live(unit) else _run_kernel
     cycles, delivered, base = run(unit, trace, machine.issue_rate, warmup)

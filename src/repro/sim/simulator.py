@@ -172,18 +172,7 @@ class Simulator:
     def _ensure_prewarmed(self) -> None:
         if self._prewarm_pending:
             self._prewarm_pending = False
-            self._prewarm_icache()
-
-    def _prewarm_icache(self) -> None:
-        """Sweep the program's address range through the I-cache in layout
-        order (a capacity-exceeding program keeps only the last-filled
-        conflicting blocks, as in steady state)."""
-        cache = self.fetch_unit.cache
-        addresses = self.trace.address_array()
-        first_block = cache.block_index(min(addresses))
-        last_block = cache.block_index(max(addresses))
-        for block in range(first_block, last_block + 1):
-            cache.fill(block)
+            self.fetch_unit.cache.prewarm(self.trace.address_array())
 
     def run(self) -> SimStats:
         """Simulate to completion and return the statistics.

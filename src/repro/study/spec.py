@@ -26,7 +26,8 @@ Validation speaks :mod:`repro.check`: structural problems surface as
 codes (plus ``A001``–``A003`` for unknown scheme/machine/benchmark
 names), and :func:`expand` raises
 :class:`~repro.check.errors.CheckFailure` rather than building an
-illegal run set.  See ``docs/studies.md`` for the spec grammar.
+illegal run set, including one of more than :data:`MAX_RUNS` unique
+runs (``D007``).  See ``docs/studies.md`` for the spec grammar.
 """
 
 from __future__ import annotations
@@ -37,12 +38,16 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from repro import knobs
 from repro.check.errors import CheckError, CheckFailure
 from repro.fetch.factory import ALL_SCHEMES
 from repro.machines.presets import MACHINES_BY_NAME, get_machine
 from repro.workloads.profiles import ALL_BENCHMARKS
 from repro.workloads.trace import TEST_INPUT_SEED
+
+#: Most unique runs one expansion may produce; :func:`expand` reads it
+#: on every call and rejects a larger run set with ``D007`` before
+#: anything is computed.
+MAX_RUNS = 512
 
 #: Direction-predictor configurations a study may toggle (the same
 #: vocabulary the predictor ablation always used).
@@ -529,7 +534,7 @@ def expand(spec: StudySpec) -> Expansion:
     """Validate *spec* and build its deterministic run set.
 
     Raises :class:`CheckFailure` on any structural problem, including a
-    run set larger than the ``REPRO_STUDY_MAX_RUNS`` budget (``D007``).
+    run set larger than the :data:`MAX_RUNS` budget (``D007``).
     """
     errors = validate(spec)
     if errors:
@@ -558,15 +563,14 @@ def expand(spec: StudySpec) -> Expansion:
                 _pair_key(toggle_names, overrides.values())
             ] = run_id
 
-    budget = knobs.get_int("REPRO_STUDY_MAX_RUNS")
-    if budget > 0 and len(expansion.runs) > budget:
+    if len(expansion.runs) > MAX_RUNS:
         raise CheckFailure(
             [
                 CheckError(
                     "D007",
                     spec.name,
                     f"{len(expansion.runs)} unique runs exceed the "
-                    f"REPRO_STUDY_MAX_RUNS budget of {budget}",
+                    f"study budget of {MAX_RUNS}",
                 )
             ]
         )

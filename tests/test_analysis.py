@@ -54,7 +54,7 @@ CLEAN = {
             ),
             KnobSpec(
                 name="REPRO_AUX",
-                type="int",
+                type="float",
                 default="3",
                 cache_policy="exempt",
                 reason="does not change simulated results",
@@ -69,8 +69,8 @@ CLEAN = {
         def enabled(name):
             return raw(name) == "1"
 
-        def get_int(name):
-            return int(raw(name) or 0)
+        def get_float(name):
+            return float(raw(name) or 0)
 
         def salted_knobs():
             return tuple(
@@ -105,7 +105,7 @@ CLEAN = {
         def run():
             if knobs.enabled("REPRO_DEMO"):
                 faults.maybe_fail("demo.site")
-            return knobs.get_int("REPRO_AUX")
+            return knobs.get_float("REPRO_AUX")
     """,
     "tests/test_robustness.py": """
         def test_demo_site_recovery():
@@ -147,10 +147,10 @@ class TestKnobsRuntime:
             knobs.spec("REPRO_NOT_A_KNOB")
 
     def test_raw_returns_declared_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECK_DEEP_PERIOD", raising=False)
-        assert knobs.raw("REPRO_CHECK_DEEP_PERIOD") == "64"
-        monkeypatch.setenv("REPRO_CHECK_DEEP_PERIOD", "7")
-        assert knobs.raw("REPRO_CHECK_DEEP_PERIOD") == "7"
+        monkeypatch.delenv("REPRO_CACHE_CLAIM_TTL", raising=False)
+        assert knobs.raw("REPRO_CACHE_CLAIM_TTL") == "120"
+        monkeypatch.setenv("REPRO_CACHE_CLAIM_TTL", "7")
+        assert knobs.raw("REPRO_CACHE_CLAIM_TTL") == "7"
 
     @pytest.mark.parametrize(
         "value,expected",
@@ -171,10 +171,6 @@ class TestKnobsRuntime:
         monkeypatch.setenv("REPRO_SANITIZE", value)
         assert knobs.enabled("REPRO_SANITIZE") is expected
 
-    def test_get_int_falls_back_on_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_DEEP_PERIOD", "not-a-number")
-        assert knobs.get_int("REPRO_CHECK_DEEP_PERIOD") == 64
-
     def test_get_float_falls_back_on_garbage(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_CLAIM_TTL", "soon")
         assert knobs.get_float("REPRO_CACHE_CLAIM_TTL") == 120.0
@@ -182,7 +178,6 @@ class TestKnobsRuntime:
     def test_salted_knobs_policy(self):
         assert knobs.salted_knobs() == (
             "REPRO_SANITIZE",
-            "REPRO_CHECK_DEEP_PERIOD",
             "REPRO_KERNEL",
         )
 
@@ -229,7 +224,26 @@ class TestRegistryCoverage:
             discovered.update(token.findall(path.read_text()))
         assert discovered, "grep found no knobs at all?"
         assert discovered <= set(knobs.REGISTRY)
-        assert len(knobs.REGISTRY) == 14
+        assert len(knobs.REGISTRY) == 10
+
+    def test_docs_knob_table_matches_the_registry(self):
+        """``docs/linting.md``'s knob table states each knob's type,
+        default (``—`` for empty) and policy as :data:`knobs.KNOBS`
+        declares them, so adding or removing a knob cannot leave the
+        table stale."""
+        row = re.compile(r"^\| `(REPRO_\w+)` \| (\w+) \| (.+?) \| (\w+) \|")
+        documented = {}
+        text = (REPO_ROOT / "docs" / "linting.md").read_text()
+        for line in text.splitlines():
+            match = row.match(line)
+            if match:
+                name, type_, default, policy = match.groups()
+                default = "" if default == "—" else default.strip("`")
+                documented[name] = (type_, default, policy)
+        assert documented == {
+            spec.name: (spec.type, spec.default, spec.cache_policy)
+            for spec in knobs.KNOBS
+        }
 
     def test_analyzer_sees_every_knob(self):
         project = Project(REPO_ROOT)
@@ -304,7 +318,7 @@ class TestKnobRegistryAnalyzer:
 
                     def run():
                         faults.maybe_fail("demo.site")
-                        return knobs.get_int("REPRO_AUX")
+                        return knobs.get_float("REPRO_AUX")
                 """
             },
         )
@@ -711,7 +725,7 @@ class TestErrorCodeAnalyzer:
                     def run():
                         if knobs.enabled("REPRO_DEMO"):
                             faults.maybe_fail("demo.site")
-                        return knobs.get_int("REPRO_AUX")
+                        return knobs.get_float("REPRO_AUX")
                 """,
                 "tests/test_robustness.py": """
                     def test_demo_site_recovery():
@@ -741,7 +755,7 @@ class TestErrorCodeAnalyzer:
                     def run():
                         if knobs.enabled("REPRO_DEMO"):
                             faults.maybe_fail("demo.site")
-                        return knobs.get_int("REPRO_AUX")
+                        return knobs.get_float("REPRO_AUX")
                 """,
                 "docs/codes.md": """
                     # Codes

@@ -24,6 +24,7 @@ from repro.check import (
 )
 from repro.check.api import check_matrix
 from repro.check.errors import CheckReport
+from repro.check import sanitizer as sanitizer_module
 from repro.check.sanitizer import PipelineSanitizer, sanitize_enabled
 from repro.cli import main
 from repro.fetch.base import FetchPlan
@@ -600,7 +601,7 @@ class TestSanitizer:
         assert "S007" in info.value.codes
 
     def test_deep_period_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECK_DEEP_PERIOD", "1")
+        monkeypatch.setattr(sanitizer_module, "DEEP_PERIOD", 1)
         sim = _simulator(sanitize=True, length=600)
         sim.run()
         assert sim.sanitizer.deep_checks == sim.sanitizer.cycles_checked

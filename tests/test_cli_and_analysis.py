@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,13 +12,17 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.report import EXPERIMENTS
+from repro.machines.presets import PI4
 from repro.sim.runner import run_workload
+from repro.sim.simulator import Simulator
+from repro.telemetry import trace as tracing
 from repro.workloads import load_workload
 from repro.workloads.analysis import (
     WorkloadCharacter,
     characterization_table,
     characterize,
 )
+from repro.workloads.trace import generate_trace
 
 
 class TestAnalysis:
@@ -235,24 +240,20 @@ class TestCLI:
     def test_sweep_engine_flags_keep_the_grid(
         self, flag, length, cache_env, monkeypatch, capsys
     ):
-        def plain_env():
-            # --sanitize sets REPRO_SANITIZE and --no-kernel REPRO_KERNEL
-            # for the workers; undo both (and again after the test).
-            monkeypatch.setenv("REPRO_SANITIZE", "0")
-            monkeypatch.setenv("REPRO_KERNEL", "1")
-
         schemes = ("sequential", "collapsing_buffer")
         argv = [
             "sweep", "--benchmarks", "ora", "--machines", "PI4",
             "--schemes", *schemes, "--length", str(length),
             "--warmup", "400", "--jobs", "2",
         ]
-        plain_env()
+        # Start from the plain engine; ``main`` restores it after the
+        # flag's sweep.
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        monkeypatch.setenv("REPRO_KERNEL", "1")
         assert main(argv + [flag]) == 0
         out = capsys.readouterr().out
         assert "0 hit(s), 2 miss(es)" in out
         rows = [line for line in out.splitlines() if line.startswith("ora")]
-        plain_env()
         assert [row.split()[-1] for row in rows] == [
             f"{run_workload('ora', 'PI4', s, length, warmup=400).ipc:.2f}"
             for s in schemes
@@ -261,6 +262,31 @@ class TestCLI:
         # the same cache directory simulates again.
         assert main(argv) == 0
         assert "0 hit(s), 2 miss(es)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--sanitize", "--no-kernel", "--trace"])
+    def test_sweep_engine_flags_end_with_the_verb(
+        self, flag, cache_env, monkeypatch, capsys
+    ):
+        # The flag reaches the sweep's workers through the environment;
+        # once ``main`` returns, an in-process caller runs as before.
+        knobs = ("REPRO_SANITIZE", "REPRO_KERNEL", "REPRO_TRACE")
+        for name in knobs:
+            monkeypatch.delenv(name, raising=False)
+        argv = [
+            "sweep", "--benchmarks", "ora", "--machines", "PI4",
+            "--schemes", "sequential", "--length", "2430",
+            "--warmup", "400", "--jobs", "1", flag,
+        ]
+        assert main(argv) == 0
+        assert "0 hit(s), 1 miss(es)" in capsys.readouterr().out
+        assert not set(knobs) & set(os.environ)
+        assert not tracing.tracing_enabled()
+        workload = load_workload("ora")
+        trace = generate_trace(workload.program, workload.behavior, 2430)
+        sim = Simulator(PI4, trace, "sequential", warmup=400)
+        sim.run()
+        assert sim.sanitizer is None
+        assert sim.kernel_used
 
     def test_check_variants_widen_the_matrix(self, capsys):
         argv = [

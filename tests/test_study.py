@@ -22,6 +22,7 @@ from repro import faults
 from repro.check.errors import CheckFailure
 from repro.cli import main
 from repro.sim.batch import SupervisorConfig
+from repro.study import spec as study_spec
 from repro.study import (
     StudySpec,
     Toggle,
@@ -183,7 +184,7 @@ class TestValidation:
         assert "D006" in codes(validate(spec))
 
     def test_d007_run_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STUDY_MAX_RUNS", "2")
+        monkeypatch.setattr(study_spec, "MAX_RUNS", 2)
         with pytest.raises(CheckFailure) as excinfo:
             expand(tiny_spec())
         assert "D007" in excinfo.value.codes
