@@ -58,8 +58,10 @@ def test_simulator_throughput_floor():
         return Simulator(machine, trace, "collapsing_buffer").run()
 
     # Best-of-3 on a shared trace: the first run compiles the tables and
-    # records the fetch-outcome tape; the best run is a warm replay —
-    # which is the steady state every sweep/service caller sees.
+    # records the fetch-outcome tape; the best run is a warm replay.
+    # Only `repro bench`, the benchmark's `sim_kernel` workload and the
+    # tests rerun a cell this way: sweeps, studies, reports and the
+    # service get their repeats from the result cache.
     best, stats = _best_of(3, simulate)
     throughput = stats.retired / best
     _record(

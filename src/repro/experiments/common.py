@@ -1,20 +1,24 @@
 """Shared infrastructure for the paper-reproduction experiments.
 
-Each experiment module exposes ``run(config) -> ExperimentResult`` that
-regenerates one of the paper's tables or figures.  Every measured cell is
-memoised in the persistent result cache (:mod:`repro.sim.cache`):
-simulations per (benchmark, program variant, machine, scheme), and the
-trace statistics and nop expansions of Tables 2-4 per their full
-argument tuple, so a warm report reads cells instead of rebuilding
-workloads, traces or compiler passes.  In process, only dynamic traces
-are memoised, and at most :data:`TRACE_LIMIT` of them, so a long-lived
-worker's memory stays bounded.
+Each experiment module regenerates one of the paper's tables or figures
+in two parts: ``cells(config)`` lists the measured cells it reads, and
+a pure ``render(config, results)`` builds its :class:`ExperimentResult`
+from their values; ``run(config)`` is the two together.  A cell is a
+result-cache ``(kind, key)`` pair (:data:`Cell`): simulations per
+(benchmark, program variant, machine, scheme), and the trace statistics
+and nop expansions of Tables 2-4 per their full argument tuple, so a
+warm report reads cells instead of rebuilding workloads, traces or
+compiler passes.  In process, only dynamic traces are memoised, and at
+most :data:`TRACE_LIMIT` of them, so a long-lived worker's memory stays
+bounded.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from typing import Any
+from functools import lru_cache, partial
 
 from repro import faults
 from repro.compiler import PaddingResult, pad_all, pad_trace, reorder_program
@@ -26,6 +30,7 @@ from repro.sim import cache as result_cache
 from repro.sim.eir import EIRResult, measure_eir
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
+from repro.workloads.profiles import FP_BENCHMARKS, INTEGER_BENCHMARKS
 from repro.workloads.suite import load_workload
 from repro.workloads.trace import TEST_INPUT_SEED, generate_trace
 
@@ -126,7 +131,7 @@ def _reorder_cached(benchmark: str):
 
 def _pad(benchmark: str, variant: str, block_words: int) -> PaddingResult:
     """The padding pass behind :func:`variant_program` (Figure 13) and
-    :func:`pad_expansion` (Table 4).
+    :func:`pad_cell` (Table 4).
 
     Not memoised: holding every padded program from Table 4 until
     Figure 13 raises a report's peak memory by over half.
@@ -144,13 +149,18 @@ def variant_trace(
     """The dynamic trace of a benchmark variant, from the process's one
     per-request memo: the :data:`TRACE_LIMIT` most recently used traces.
 
-    Only pads depend on *block_words*, so an ``orig`` or ``reordered``
-    trace is keyed without it and every machine shares one copy (and
-    its kernel tables).
+    Only pads depend on *block_words* (:func:`_layout_words`), so an
+    ``orig`` or ``reordered`` trace is keyed without it and every
+    machine shares one copy (and its kernel tables).
     """
-    if variant not in ("pad_all", "pad_trace"):
-        block_words = 4
-    return _trace(benchmark, variant, length, seed, block_words)
+    words = _layout_words(variant, block_words)
+    return _trace(benchmark, variant, length, seed, words)
+
+
+def _layout_words(variant: str, block_words: int) -> int:
+    """The block size a variant's code layout depends on: its own for a
+    pad, a fixed 4 for ``orig`` and ``reordered``, which ignore it."""
+    return block_words if variant in ("pad_all", "pad_trace") else 4
 
 
 @lru_cache(maxsize=TRACE_LIMIT)
@@ -159,22 +169,19 @@ def _trace(benchmark: str, variant: str, length: int, seed: int, block_words: in
     return generate_trace(program, behavior, length, seed=seed)
 
 
-# -- cached measurements ---------------------------------------------------------
+# -- measured cells ----------------------------------------------------------
+
+#: One measured cell: its result-cache kind and key.  An artifact lists
+#: the cells it reads (``cells(config)``) and renders from their values
+#: (``render(config, results)``), so a report loads or computes each
+#: distinct cell once.
+Cell = tuple[str, tuple]
+
+#: Cell values by cell, as :func:`resolve` returns them.
+Results = Mapping[Cell, Any]
 
 
-def _simulate(cell: tuple, telemetry: bool) -> SimStats:
-    """One full simulation of a :func:`sim_stats` cell."""
-    bench, machine_name, scheme, variant, length, warmup, seed, penalty, words = cell
-    machine = get_machine(machine_name)
-    if penalty is not None:
-        machine = machine.with_fetch_penalty(penalty)
-    trace = variant_trace(bench, variant, length, seed, words)
-    return Simulator(
-        machine, trace, scheme, warmup=warmup, telemetry=telemetry
-    ).run()
-
-
-def sim_stats(
+def sim_cell(
     benchmark: str,
     machine_name: str,
     scheme: str,
@@ -185,120 +192,188 @@ def sim_stats(
     fetch_penalty: int | None = None,
     block_words: int = 4,
     telemetry: bool = False,
-) -> SimStats:
-    """Run (and cache) one full IPC simulation.
+) -> Cell:
+    """The cell of one full IPC simulation.
 
-    Results are reused only through the persistent disk cache
-    (:mod:`repro.sim.cache`), so batch workers, repeated experiment
-    invocations and CI runs share them; nothing is memoised in process
-    but the trace (:func:`variant_trace`).
-
-    The engine options that never change the result are environment
-    knobs salted into the disk-cache key, so they may be flipped between
-    calls: ``REPRO_SANITIZE=1`` runs the pipeline sanitizer
-    (:mod:`repro.check.sanitizer`) and ``REPRO_KERNEL=0`` the reference
-    loop instead of the compiled kernel.
-
-    With *telemetry*, ``extra`` also carries the ``slot_*`` attribution
-    (deterministic integers, so they round-trip through the disk cache).
-    Such results are cached under a separate kind (``telemetry_stats``)
-    so plain and instrumented results never serve each other.
-    Wall-clock phase timings are *not* cached — a cache hit serves the
-    attribution only.
+    Only pads depend on *block_words* (:func:`_layout_words`), so an
+    ``orig`` or ``reordered`` cell is keyed without it and every caller
+    of the same simulation shares one cache entry.  With *telemetry*
+    the cell is of kind ``telemetry_stats``, so plain and instrumented
+    results never serve each other.
     """
-    # Chaos site: lets the harness prove a transient failure here is retried.
-    faults.maybe_fail("sim.stats")
-    cell = (
-        benchmark,
-        machine_name,
-        scheme,
-        variant,
-        length,
-        warmup,
-        seed,
-        fetch_penalty,
-        block_words,
-    )
-    return result_cache.get_or_compute(
-        "telemetry_stats" if telemetry else "sim_stats",
-        cell,
-        lambda: _simulate(cell, telemetry=telemetry),
-    )
+    kind = "telemetry_stats" if telemetry else "sim_stats"
+    words = _layout_words(variant, block_words)
+    key = (benchmark, machine_name, scheme, variant, length, warmup, seed)
+    return kind, key + (fetch_penalty, words)
 
 
-def eir_stats(
+def _simulate(key: tuple, telemetry: bool = False) -> SimStats:
+    bench, machine_name, scheme, variant, length, warmup, seed, penalty, words = key
+    machine = get_machine(machine_name)
+    if penalty is not None:
+        machine = machine.with_fetch_penalty(penalty)
+    trace = variant_trace(bench, variant, length, seed, words)
+    return Simulator(
+        machine, trace, scheme, warmup=warmup, telemetry=telemetry
+    ).run()
+
+
+def eir_cell(
     benchmark: str,
     machine_name: str,
     scheme: str,
     variant: str = "orig",
     length: int = DEFAULT_CONFIG.eir_length,
     seed: int = DEFAULT_CONFIG.seed,
-) -> EIRResult:
-    """Run (and cache) one fetch-only EIR measurement.
-
-    Disk-cached like :func:`sim_stats`.
-    """
-    key = (benchmark, machine_name, scheme, variant, length, seed)
-
-    def compute() -> EIRResult:
-        machine = get_machine(machine_name)
-        trace = variant_trace(benchmark, variant, length, seed)
-        return measure_eir(trace, machine, scheme)
-
-    return result_cache.get_or_compute("eir_stats", key, compute)
+) -> Cell:
+    """The cell of one fetch-only EIR measurement."""
+    return "eir_stats", (benchmark, machine_name, scheme, variant, length, seed)
 
 
-def branch_stats(
+def _measure_eir(key: tuple) -> EIRResult:
+    benchmark, machine_name, scheme, variant, length, seed = key
+    trace = variant_trace(benchmark, variant, length, seed)
+    return measure_eir(trace, get_machine(machine_name), scheme)
+
+
+def branch_cell(
     benchmark: str, variant: str, length: int, seed: int, block_words: int
-) -> TakenBranchStats:
-    """Taken-branch statistics of the ``orig`` or ``reordered`` trace
-    (Tables 2 and 3) at *block_words*, disk-cached like
-    :func:`sim_stats`.  The trace itself does not depend on
-    *block_words*."""
-    key = (benchmark, variant, length, seed, block_words)
-
-    def compute() -> TakenBranchStats:
-        trace = variant_trace(benchmark, variant, length, seed)
-        return taken_branch_stats(trace, block_words)
-
-    return result_cache.get_or_compute("branch_stats", key, compute)
+) -> Cell:
+    """The cell of the taken-branch statistics of the ``orig`` or
+    ``reordered`` trace (Tables 2 and 3) at *block_words*.  The trace
+    itself does not depend on *block_words*."""
+    return "branch_stats", (benchmark, variant, length, seed, block_words)
 
 
-def pad_expansion(benchmark: str, variant: str, block_words: int) -> float:
-    """Static nop expansion of a ``pad_all``/``pad_trace`` variant
-    (Table 4), disk-cached like :func:`sim_stats`."""
-    key = (benchmark, variant, block_words)
-
-    def compute() -> float:
-        return _pad(benchmark, variant, block_words).expansion
-
-    return result_cache.get_or_compute("pad_expansion", key, compute)
+def _branch_stats(key: tuple) -> TakenBranchStats:
+    benchmark, variant, length, seed, block_words = key
+    trace = variant_trace(benchmark, variant, length, seed)
+    return taken_branch_stats(trace, block_words)
 
 
-def hmean_ipc(
+def pad_cell(benchmark: str, variant: str, block_words: int) -> Cell:
+    """The cell of the static nop expansion of a ``pad_all`` or
+    ``pad_trace`` variant (Table 4)."""
+    return "pad_expansion", (benchmark, variant, block_words)
+
+
+def _pad_expansion(key: tuple) -> float:
+    return _pad(*key).expansion
+
+
+#: How a missed cell of each kind is computed from its key.
+_COMPUTE: dict[str, Callable[[tuple], Any]] = {
+    "sim_stats": _simulate,
+    "telemetry_stats": partial(_simulate, telemetry=True),
+    "eir_stats": _measure_eir,
+    "branch_stats": _branch_stats,
+    "pad_expansion": _pad_expansion,
+}
+
+
+def request(cell: Cell):
+    """One cell's value: a result-cache hit, or computed and stored.
+
+    Results are reused only through the persistent disk cache
+    (:mod:`repro.sim.cache`), so batch workers, repeated experiment
+    invocations and CI runs share them; nothing is memoised in process
+    but the trace (:func:`variant_trace`).  The engine options that
+    never change a result (``REPRO_SANITIZE``, ``REPRO_KERNEL``) are
+    environment knobs salted into the disk-cache key, so they may be
+    flipped between calls.
+    """
+    kind, key = cell
+    if kind in ("sim_stats", "telemetry_stats"):
+        # Chaos site: lets the harness prove a transient failure here is retried.
+        faults.maybe_fail("sim.stats")
+    return result_cache.get_or_compute(kind, key, lambda: _COMPUTE[kind](key))
+
+
+def resolve(cells: Iterable[Cell]) -> dict[Cell, Any]:
+    """The value of each distinct cell in *cells*, requested once each,
+    in first-request order."""
+    return {cell: request(cell) for cell in dict.fromkeys(cells)}
+
+
+def sim_stats(*args, **kwargs) -> SimStats:
+    """Run (and cache) one full IPC simulation: the value of
+    :func:`sim_cell`'s cell for the same arguments.
+
+    With ``telemetry=True``, ``extra`` also carries the ``slot_*``
+    attribution (deterministic integers, so they round-trip through the
+    disk cache).  Wall-clock phase timings are *not* cached — a cache
+    hit serves the attribution only.
+    """
+    return request(sim_cell(*args, **kwargs))
+
+
+def eir_stats(*args, **kwargs) -> EIRResult:
+    """Run (and cache) one fetch-only EIR measurement: the value of
+    :func:`eir_cell`'s cell for the same arguments."""
+    return request(eir_cell(*args, **kwargs))
+
+
+#: The paper's two benchmark classes, in its panel order.
+BENCHMARK_CLASSES = (("int", INTEGER_BENCHMARKS), ("fp", FP_BENCHMARKS))
+
+
+def ipc_cell(
+    benchmark: str,
+    machine: MachineConfig,
+    scheme: str,
+    config: ExperimentConfig,
+    variant: str = "orig",
+    fetch_penalty: int | None = None,
+) -> Cell:
+    """The simulation of *benchmark* behind an IPC figure's bar."""
+    return sim_cell(
+        benchmark,
+        machine.name,
+        scheme,
+        variant=variant,
+        length=config.trace_length,
+        warmup=config.warmup,
+        seed=config.seed,
+        fetch_penalty=fetch_penalty,
+        block_words=machine.words_per_block,
+    )
+
+
+def ipc_bar(
     benchmarks: tuple[str, ...],
     machine: MachineConfig,
     scheme: str,
     config: ExperimentConfig,
     variant: str = "orig",
     fetch_penalty: int | None = None,
-) -> float:
-    """Harmonic-mean useful IPC over *benchmarks* (the paper's aggregate;
-    nops retired by padded programs do not count as work)."""
-    return harmonic_mean(
-        sim_stats(
-            bench,
-            machine.name,
-            scheme,
-            variant=variant,
-            length=config.trace_length,
-            warmup=config.warmup,
-            seed=config.seed,
-            fetch_penalty=fetch_penalty,
-            block_words=machine.words_per_block,
-        ).useful_ipc
+) -> list[Cell]:
+    """The cells of one harmonic-mean IPC bar, one per benchmark."""
+    return [
+        ipc_cell(bench, machine, scheme, config, variant, fetch_penalty)
         for bench in benchmarks
-    )
+    ]
+
+
+def hmean_ipc(results: Results, bar: list[Cell]) -> float:
+    """Harmonic-mean useful IPC over the simulations of *bar* (the
+    paper's aggregate; nops retired by padded programs do not count as
+    work)."""
+    return harmonic_mean(results[cell].useful_ipc for cell in bar)
+
+
+#: One row of an IPC figure: its label columns, then one bar (a list of
+#: cells, see :func:`ipc_bar`) per IPC column.
+BarRow = tuple[list, list[list[Cell]]]
+
+
+def bar_cells(rows: list[BarRow]) -> list[Cell]:
+    """Every cell of a figure's ``(label, bars)`` rows, in order."""
+    return [cell for _, bars in rows for bar in bars for cell in bar]
+
+
+def bar_rows(results: Results, rows: list[BarRow]) -> list[list]:
+    """A figure's table rows: each row's label, then its bars' means."""
+    return [label + [hmean_ipc(results, bar) for bar in bars] for label, bars in rows]
 
 
 def all_machines() -> tuple[MachineConfig, ...]:

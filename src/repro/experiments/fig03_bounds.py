@@ -10,13 +10,19 @@ code at higher issue rates.
 from __future__ import annotations
 
 from repro.experiments.common import (
+    BENCHMARK_CLASSES,
     DEFAULT_CONFIG,
+    BarRow,
+    Cell,
     ExperimentConfig,
     ExperimentResult,
+    Results,
     all_machines,
-    hmean_ipc,
+    bar_cells,
+    bar_rows,
+    ipc_bar,
+    resolve,
 )
-from repro.workloads.profiles import FP_BENCHMARKS, INTEGER_BENCHMARKS
 
 #: Paper's qualitative claims for this figure.
 PAPER_NOTES = (
@@ -26,22 +32,36 @@ PAPER_NOTES = (
 )
 
 
-def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+def _rows(config: ExperimentConfig) -> list[BarRow]:
+    return [
+        (
+            [class_name, machine.name],
+            [
+                ipc_bar(benchmarks, machine, scheme, config)
+                for scheme in ("sequential", "perfect")
+            ],
+        )
+        for class_name, benchmarks in BENCHMARK_CLASSES
+        for machine in all_machines()
+    ]
+
+
+def cells(config: ExperimentConfig) -> list[Cell]:
+    return bar_cells(_rows(config))
+
+
+def render(config: ExperimentConfig, results: Results) -> ExperimentResult:
     result = ExperimentResult(
         experiment="fig03",
         title="Figure 3: harmonic-mean IPC, sequential vs perfect",
         headers=["class", "machine", "sequential", "perfect", "gap %"],
         notes=PAPER_NOTES,
     )
-    for class_name, benchmarks in (
-        ("int", INTEGER_BENCHMARKS),
-        ("fp", FP_BENCHMARKS),
-    ):
-        for machine in all_machines():
-            seq = hmean_ipc(benchmarks, machine, "sequential", config)
-            perfect = hmean_ipc(benchmarks, machine, "perfect", config)
-            gap = 100.0 * (perfect - seq) / perfect
-            result.rows.append(
-                [class_name, machine.name, seq, perfect, gap]
-            )
+    for row in bar_rows(results, _rows(config)):
+        seq, perfect = row[2:]
+        result.rows.append(row + [100.0 * (perfect - seq) / perfect])
     return result
+
+
+def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+    return render(config, resolve(cells(config)))

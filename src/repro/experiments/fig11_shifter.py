@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     DEFAULT_CONFIG,
+    BarRow,
+    Cell,
     ExperimentConfig,
     ExperimentResult,
+    Results,
     all_machines,
-    hmean_ipc,
+    bar_cells,
+    bar_rows,
+    ipc_bar,
+    resolve,
 )
 from repro.workloads.profiles import INTEGER_BENCHMARKS
 
@@ -28,8 +34,27 @@ SCHEMES = (
 )
 
 
-def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
-    result = ExperimentResult(
+def _rows(config: ExperimentConfig) -> list[BarRow]:
+    return [
+        (
+            [machine.name],
+            [
+                ipc_bar(
+                    INTEGER_BENCHMARKS, machine, scheme, config, fetch_penalty=penalty
+                )
+                for scheme, penalty in SCHEMES
+            ],
+        )
+        for machine in all_machines()
+    ]
+
+
+def cells(config: ExperimentConfig) -> list[Cell]:
+    return bar_cells(_rows(config))
+
+
+def render(config: ExperimentConfig, results: Results) -> ExperimentResult:
+    return ExperimentResult(
         experiment="fig11",
         title=(
             "Figure 11: integer IPC with the collapsing buffer at a "
@@ -40,22 +65,13 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
             f"{scheme}(p{penalty})" if penalty else scheme
             for scheme, penalty in SCHEMES
         ],
+        rows=bar_rows(results, _rows(config)),
         notes=(
             "Expected shape: the 3-cycle collapsing buffer loses most of "
             "its advantage over banked sequential (paper Section 3.4)."
         ),
     )
-    for machine in all_machines():
-        row = [machine.name]
-        for scheme, penalty in SCHEMES:
-            row.append(
-                hmean_ipc(
-                    INTEGER_BENCHMARKS,
-                    machine,
-                    scheme,
-                    config,
-                    fetch_penalty=penalty,
-                )
-            )
-        result.rows.append(row)
-    return result
+
+
+def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+    return render(config, resolve(cells(config)))

@@ -12,14 +12,19 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     DEFAULT_CONFIG,
+    BarRow,
+    Cell,
     ExperimentConfig,
     ExperimentResult,
+    Results,
     all_machines,
-    hmean_ipc,
+    bar_cells,
+    bar_rows,
+    ipc_bar,
+    resolve,
 )
 from repro.workloads.profiles import INTEGER_BENCHMARKS
 
-#: (scheme, variant) series, in the paper's bar order.
 SERIES = (
     ("sequential", "orig"),
     ("sequential", "reordered"),
@@ -31,8 +36,25 @@ SERIES = (
 )
 
 
-def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
-    result = ExperimentResult(
+def _rows(config: ExperimentConfig) -> list[BarRow]:
+    return [
+        (
+            [machine.name],
+            [
+                ipc_bar(INTEGER_BENCHMARKS, machine, scheme, config, variant=variant)
+                for scheme, variant in SERIES
+            ],
+        )
+        for machine in all_machines()
+    ]
+
+
+def cells(config: ExperimentConfig) -> list[Cell]:
+    return bar_cells(_rows(config))
+
+
+def render(config: ExperimentConfig, results: Results) -> ExperimentResult:
+    return ExperimentResult(
         experiment="fig12",
         title="Figure 12: integer harmonic-mean IPC after code reordering",
         headers=["machine"]
@@ -40,19 +62,14 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
             f"{scheme}({'unordered' if variant == 'orig' else variant})"
             for scheme, variant in SERIES
         ],
+        rows=bar_rows(results, _rows(config)),
         notes=(
             "Expected shape: reordering lifts every scheme; "
             "interleaved(reordered) approaches perfect(unordered); "
             "collapsing(reordered) approaches perfect(reordered)."
         ),
     )
-    for machine in all_machines():
-        row = [machine.name]
-        for scheme, variant in SERIES:
-            row.append(
-                hmean_ipc(
-                    INTEGER_BENCHMARKS, machine, scheme, config, variant=variant
-                )
-            )
-        result.rows.append(row)
-    return result
+
+
+def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+    return render(config, resolve(cells(config)))

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     DEFAULT_CONFIG,
+    BarRow,
+    Cell,
     ExperimentConfig,
     ExperimentResult,
+    Results,
     all_machines,
-    hmean_ipc,
+    bar_cells,
+    bar_rows,
+    ipc_bar,
+    resolve,
 )
 from repro.workloads.profiles import INTEGER_BENCHMARKS
 
@@ -27,8 +33,25 @@ SERIES = (
 )
 
 
-def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
-    result = ExperimentResult(
+def _rows(config: ExperimentConfig) -> list[BarRow]:
+    return [
+        (
+            [machine.name],
+            [
+                ipc_bar(INTEGER_BENCHMARKS, machine, scheme, config, variant=variant)
+                for scheme, variant in SERIES
+            ],
+        )
+        for machine in all_machines()
+    ]
+
+
+def cells(config: ExperimentConfig) -> list[Cell]:
+    return bar_cells(_rows(config))
+
+
+def render(config: ExperimentConfig, results: Results) -> ExperimentResult:
+    return ExperimentResult(
         experiment="fig13",
         title="Figure 13: integer IPC of sequential with nop padding",
         headers=["machine"]
@@ -36,19 +59,14 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
             f"{scheme}({'unordered' if variant == 'orig' else variant})"
             for scheme, variant in SERIES
         ],
+        rows=bar_rows(results, _rows(config)),
         notes=(
             "Expected shape: pad-all helps at most on PI4 and degrades at "
             "larger block sizes; pad-trace stays at or slightly above "
             "sequential(reordered)."
         ),
     )
-    for machine in all_machines():
-        row = [machine.name]
-        for scheme, variant in SERIES:
-            row.append(
-                hmean_ipc(
-                    INTEGER_BENCHMARKS, machine, scheme, config, variant=variant
-                )
-            )
-        result.rows.append(row)
-    return result
+
+
+def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+    return render(config, resolve(cells(config)))

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
+from types import ModuleType
 
 from repro.experiments import (
     fig03_bounds,
@@ -15,7 +16,12 @@ from repro.experiments import (
     table3_taken_reduction,
     table4_nop_padding,
 )
-from repro.experiments.common import DEFAULT_CONFIG, ExperimentConfig, ExperimentResult
+from repro.experiments.common import (
+    DEFAULT_CONFIG,
+    ExperimentConfig,
+    ExperimentResult,
+    resolve,
+)
 from repro.metrics.chart import result_chart
 
 #: Chartable columns per figure-type experiment (tables stay tabular;
@@ -48,17 +54,19 @@ def render(result: ExperimentResult, chart: bool = False) -> str:
     return result.as_text()
 
 
-#: All experiments in the paper's presentation order.
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
-    "fig03": fig03_bounds.run,
-    "table2": table2_intra_block.run,
-    "fig09": fig09_schemes.run,
-    "fig10": fig10_eir.run,
-    "fig11": fig11_shifter.run,
-    "fig12": fig12_reordering.run,
-    "table3": table3_taken_reduction.run,
-    "table4": table4_nop_padding.run,
-    "fig13": fig13_padding.run,
+#: All experiments in the paper's presentation order: each module lists
+#: the cells it reads (``cells(config)``) and renders its result from
+#: their values (``render(config, results)``).
+EXPERIMENTS: dict[str, ModuleType] = {
+    "fig03": fig03_bounds,
+    "table2": table2_intra_block,
+    "fig09": fig09_schemes,
+    "fig10": fig10_eir,
+    "fig11": fig11_shifter,
+    "fig12": fig12_reordering,
+    "table3": table3_taken_reduction,
+    "table4": table4_nop_padding,
+    "fig13": fig13_padding,
 }
 
 
@@ -66,15 +74,21 @@ def run_experiments(
     names: Iterable[str] | None = None,
     config: ExperimentConfig = DEFAULT_CONFIG,
 ) -> list[ExperimentResult]:
-    """Run the named experiments (all by default), in paper order."""
+    """Run the named experiments (all by default), in paper order.
+
+    Artifacts share cells (Figure 9 reads Figure 3's, Figure 11
+    Figure 9's, Table 3 Table 2's), so the selected artifacts' cells
+    are gathered first and each distinct one is loaded or computed
+    once, in the order the artifacts first ask for it.  The values live
+    only for this call.
+    """
     selected = list(names) if names is not None else list(EXPERIMENTS)
-    results = []
+    artifacts = []
     for name in selected:
         try:
-            runner = EXPERIMENTS[name]
+            artifacts.append(EXPERIMENTS[name])
         except KeyError:
             known = ", ".join(EXPERIMENTS)
             raise KeyError(f"unknown experiment {name!r}; known: {known}") from None
-        results.append(runner(config))
-    return results
-
+    results = resolve(cell for artifact in artifacts for cell in artifact.cells(config))
+    return [artifact.render(config, results) for artifact in artifacts]

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     DEFAULT_CONFIG,
+    Cell,
     ExperimentConfig,
     ExperimentResult,
+    Results,
     all_machines,
-    branch_stats,
+    branch_cell,
+    resolve,
 )
 from repro.workloads.profiles import ALL_BENCHMARKS, get_profile
 
@@ -36,7 +39,21 @@ PAPER_TABLE2: dict[str, tuple[float, float, float]] = {
 }
 
 
-def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+def _cell(benchmark: str, machine, config: ExperimentConfig) -> Cell:
+    return branch_cell(
+        benchmark, "orig", config.stats_length, config.seed, machine.words_per_block
+    )
+
+
+def cells(config: ExperimentConfig) -> list[Cell]:
+    return [
+        _cell(benchmark, machine, config)
+        for benchmark in ALL_BENCHMARKS
+        for machine in all_machines()
+    ]
+
+
+def render(config: ExperimentConfig, results: Results) -> ExperimentResult:
     result = ExperimentResult(
         experiment="table2",
         title="Table 2: % taken branches with target in the same cache block",
@@ -50,13 +67,11 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
     for benchmark in ALL_BENCHMARKS:
         row = [get_profile(benchmark).workload_class, benchmark]
         for machine in all_machines():
-            stats = branch_stats(
-                benchmark,
-                "orig",
-                config.stats_length,
-                config.seed,
-                machine.words_per_block,
-            )
+            stats = results[_cell(benchmark, machine, config)]
             row.append(100.0 * stats.intra_block_fraction)
         result.rows.append(row)
     return result
+
+
+def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+    return render(config, resolve(cells(config)))

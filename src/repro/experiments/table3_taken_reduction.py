@@ -12,9 +12,12 @@ from repro.compiler.superblock import form_superblocks
 from repro.experiments.common import (
     ABLATION_BENCHMARKS,
     DEFAULT_CONFIG,
+    Cell,
     ExperimentConfig,
     ExperimentResult,
-    branch_stats,
+    Results,
+    branch_cell,
+    resolve,
 )
 from repro.metrics.branches import reduction_between, taken_branch_reduction
 from repro.workloads.profiles import INTEGER_BENCHMARKS
@@ -35,7 +38,22 @@ PAPER_TABLE3: dict[str, float] = {
 }
 
 
-def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+def _cells(benchmark: str, config: ExperimentConfig) -> list[Cell]:
+    """The ``orig`` and ``reordered`` statistics at 4 words (the ``orig``
+    one is also Table 2's PI4 cell)."""
+    return [
+        branch_cell(benchmark, variant, config.stats_length, config.seed, 4)
+        for variant in ("orig", "reordered")
+    ]
+
+
+def cells(config: ExperimentConfig) -> list[Cell]:
+    return [
+        cell for benchmark in INTEGER_BENCHMARKS for cell in _cells(benchmark, config)
+    ]
+
+
+def render(config: ExperimentConfig, results: Results) -> ExperimentResult:
     result = ExperimentResult(
         experiment="table3",
         title="Table 3: % reduction in dynamic taken branches (reordering)",
@@ -46,15 +64,16 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
         ),
     )
     for benchmark in INTEGER_BENCHMARKS:
-        original, reordered = (
-            branch_stats(benchmark, variant, config.stats_length, config.seed, 4)
-            for variant in ("orig", "reordered")
-        )
+        original, reordered = (results[cell] for cell in _cells(benchmark, config))
         reduction = 100.0 * reduction_between(original, reordered)
         result.rows.append(
             [benchmark, reduction, PAPER_TABLE3[benchmark]]
         )
     return result
+
+
+def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+    return render(config, resolve(cells(config)))
 
 
 def run_superblock(

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     DEFAULT_CONFIG,
+    Cell,
     ExperimentConfig,
     ExperimentResult,
+    Results,
     all_machines,
-    pad_expansion,
+    pad_cell,
+    resolve,
 )
 from repro.workloads.profiles import INTEGER_BENCHMARKS
 
@@ -31,7 +34,20 @@ PAPER_TABLE4_16B = {
 }
 
 
-def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+#: Table 4's padded variants, in column order.
+PADS = ("pad_all", "pad_trace")
+
+
+def cells(config: ExperimentConfig) -> list[Cell]:
+    return [
+        pad_cell(benchmark, variant, machine.words_per_block)
+        for benchmark in INTEGER_BENCHMARKS
+        for machine in all_machines()
+        for variant in PADS
+    ]
+
+
+def render(config: ExperimentConfig, results: Results) -> ExperimentResult:
     block_sizes = [m.words_per_block for m in all_machines()]
     headers = ["benchmark"]
     for words in block_sizes:
@@ -48,7 +64,11 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
     for benchmark in INTEGER_BENCHMARKS:
         row = [benchmark]
         for words in block_sizes:
-            for variant in ("pad_all", "pad_trace"):
-                row.append(100.0 * pad_expansion(benchmark, variant, words))
+            for variant in PADS:
+                row.append(100.0 * results[pad_cell(benchmark, variant, words)])
         result.rows.append(row)
     return result
+
+
+def run(config: ExperimentConfig = DEFAULT_CONFIG) -> ExperimentResult:
+    return render(config, resolve(cells(config)))

@@ -1,6 +1,7 @@
 """Tests for the experiment harness (scaled-down configurations)."""
 
 import gc
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.experiments import (
     DEFAULT_CONFIG,
     ExperimentConfig,
     fig03_bounds,
+    fig09_schemes,
     fig10_eir,
     table2_intra_block,
     table3_taken_reduction,
@@ -25,6 +27,7 @@ from repro.metrics.branches import (
 from repro.sim import cache as result_cache
 from repro.sim import kernel as sim_kernel
 from repro.sim.batch import SimJob, _run_job
+from repro.sim.simulator import Simulator
 from repro.workloads.profiles import INTEGER_BENCHMARKS
 from repro.workloads.trace import DynamicTrace
 
@@ -346,3 +349,83 @@ class TestTableCaching:
         assert rows
         for row in rows:
             assert row[1] == table3[row[0]], row[0]
+
+
+class _AnyValue(float):
+    """Stands in for any cell's value: a number whose every attribute is
+    itself, so a renderer runs without a computed cell."""
+
+    def __getattr__(self, name):
+        return self
+
+
+#: Every renderer with the cell list it declares.
+_RENDERERS = [
+    pytest.param(artifact.render, artifact.cells, id=name)
+    for name, artifact in EXPERIMENTS.items()
+] + [
+    pytest.param(module.render_detail, module.cells, id=f"{name}_detail")
+    for name, module in (("fig09", fig09_schemes), ("fig10", fig10_eir))
+]
+
+
+class TestDeclaredCells:
+    """A report is one declared set of cells: each distinct cell is
+    loaded or computed once per report."""
+
+    @pytest.mark.parametrize("cache", ["fresh", "off"])
+    def test_report_requests_each_cell_once(self, cache, fresh_cache, monkeypatch):
+        if cache == "off":
+            monkeypatch.setenv("REPRO_CACHE", "0")
+        _clear_memos()
+        requests = Counter()
+        get_or_compute = result_cache.get_or_compute
+
+        def counted(kind, key, compute):
+            requests[kind, key] += 1
+            return get_or_compute(kind, key, compute)
+
+        simulated = []
+        run = Simulator.run
+
+        def counted_run(sim):
+            simulated.append(1)
+            return run(sim)
+
+        monkeypatch.setattr(result_cache, "get_or_compute", counted)
+        monkeypatch.setattr(Simulator, "run", counted_run)
+        run_experiments(list(EXPERIMENTS), TINY)
+        declared = [
+            cell for artifact in EXPERIMENTS.values() for cell in artifact.cells(TINY)
+        ]
+        assert list(requests) == list(dict.fromkeys(declared))
+        assert set(requests.values()) == {1}
+        assert len(simulated) == sum(kind == "sim_stats" for kind, _ in requests)
+
+    def test_fig09_detail_reads_figure_9s_cells(self, fresh_cache):
+        """An ``orig`` simulation is one cell at every block size, so
+        Figure 9's per-benchmark detail is all hits after Figure 9."""
+        _clear_memos()
+        fig09_schemes.run(TINY)
+        before = result_cache.stats.snapshot()
+        fig09_schemes.run_detail(TINY)
+        delta = result_cache.stats.since(before)
+        assert (delta["misses"], delta["hits"]) == (0, 15 * 3 * 5)
+
+    @pytest.mark.parametrize("render, cells", _RENDERERS)
+    def test_render_reads_exactly_its_declared_cells(
+        self, render, cells, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a renderer computed a cell")
+
+        monkeypatch.setattr(result_cache, "get_or_compute", forbidden)
+        declared = cells(TINY)
+        assert declared and len(set(declared)) == len(declared)
+        results = dict.fromkeys(declared, _AnyValue(1.0))
+        assert render(TINY, results).rows
+        for cell in declared:
+            missing = {c: v for c, v in results.items() if c != cell}
+            with pytest.raises(KeyError) as excinfo:
+                render(TINY, missing)
+            assert excinfo.value.args == (cell,)
