@@ -61,6 +61,7 @@ CODES: dict[str, str] = {
     "K010": "packet blocks collide in the same cache bank",
     "K011": "address delivered twice within one packet",
     "K012": "negative or invalid address in the packet",
+    "K013": "packet returns to a cache block it left",
     # -- pipeline sanitizer (Sxxx) --
     "S001": "retirement is not monotonic",
     "S002": "window occupancy disagrees with ready/waiting contents",

@@ -43,7 +43,8 @@ class SchemeRules:
         sequential_only: Every step inside the packet is ``+1`` — the
             scheme has no hardware to follow a taken branch mid-packet.
         max_blocks: Distinct cache blocks one packet may touch
-            (:data:`UNLIMITED` for no bound).
+            (:data:`UNLIMITED` for no bound).  A bounded scheme reads
+            each block once, as one run of the packet.
         consecutive_blocks_only: When two blocks appear they must be
             sequential neighbours (the blind next-block prefetch).
         max_inter_block_crossings: Predicted-taken transfers *inside*
@@ -218,12 +219,19 @@ def check_packet(
         )
 
     blocks = sorted({a // words_per_block for a in addresses})
-    if rules.max_blocks != UNLIMITED and len(blocks) > rules.max_blocks:
-        flag(
-            "K005",
-            f"packet touches blocks {blocks} "
-            f"(scheme accesses at most {rules.max_blocks} per cycle)",
-        )
+    if rules.max_blocks != UNLIMITED:
+        if len(blocks) > rules.max_blocks:
+            flag(
+                "K005",
+                f"packet touches blocks {blocks} "
+                f"(scheme accesses at most {rules.max_blocks} per cycle)",
+            )
+        # Each accessed block supplies one run: a packet that leaves a
+        # block cannot come back to it in the same cycle.
+        order = [a // words_per_block for a in addresses]
+        runs = [b for i, b in enumerate(order) if i == 0 or b != order[i - 1]]
+        if len(runs) != len(set(runs)):
+            flag("K013", f"packet returns to a block it left: {runs}")
     if (
         rules.consecutive_blocks_only
         and len(blocks) == 2

@@ -61,7 +61,12 @@ class PacketChecker:
 
     @classmethod
     def for_unit(cls, unit, subject: str = "", collect=None) -> "PacketChecker":
-        """Build a checker for *unit* and attach it (``unit.checker``)."""
+        """Build a checker for *unit* and attach it (``unit.checker``).
+
+        The rules are looked up by ``unit.name``, not taken from
+        ``unit.rules``: the trace cache plans its misses by interleaved
+        sequential's rules, but its packets are checked against its own.
+        """
         checker = cls(rules_for(unit.name), subject=subject, collect=collect)
         unit.checker = checker
         return checker

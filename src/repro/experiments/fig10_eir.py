@@ -11,6 +11,9 @@ with issue rate.
 
 from __future__ import annotations
 
+import dataclasses
+
+from repro.check.rules import RULES, UNLIMITED
 from repro.experiments.common import (
     BENCHMARK_CLASSES,
     DEFAULT_CONFIG,
@@ -23,7 +26,6 @@ from repro.experiments.common import (
     resolve,
     variant_trace,
 )
-from repro.fetch.base import FetchPlan
 from repro.fetch.collapsing import CollapsingBufferFetch
 from repro.fetch.factory import HARDWARE_SCHEMES
 from repro.metrics.summary import harmonic_mean
@@ -131,29 +133,13 @@ class _UnlimitedCrossingCollapsingBuffer(CollapsingBufferFetch):
     accounts for (see EXPERIMENTS.md, Figure 10 notes)."""
 
     name = "collapsing_buffer_unlimited"
-
-    def plan(self, fetch_address: int, limit: int):
-        block = self._block_of(fetch_address)
-        if not self.cache.access(block):
-            self.cache.fill(block)
-            return FetchPlan(stall_cycles=self.cache.miss_latency)
-        plan = FetchPlan()
-        start = fetch_address
-        while len(plan.addresses) < limit:
-            target = self._walk_collapsing(start, block, limit, plan)
-            if target >= 0:
-                successor = self._block_of(target)
-                if successor == block:
-                    break  # backward intra-block: still unsupported
-                start = target
-            else:
-                successor = block + 1
-                start = self._block_end(block)
-            if not self.cache.access(successor):
-                self.cache.fill(successor)
-                break
-            block = successor
-        return plan
+    rules = dataclasses.replace(
+        RULES["collapsing_buffer"],
+        scheme=name,
+        max_blocks=UNLIMITED,
+        max_inter_block_crossings=UNLIMITED,
+        banked_conflict_free=False,
+    )
 
 
 def run_cb_crossing_limit(

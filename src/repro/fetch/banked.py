@@ -17,7 +17,8 @@ Section 3.2), which our single-cycle planning models directly.
 
 from __future__ import annotations
 
-from repro.fetch.base import FetchPlan, FetchUnit
+from repro.check.rules import RULES
+from repro.fetch.base import FetchUnit
 
 
 class BankedSequentialFetch(FetchUnit):
@@ -25,43 +26,4 @@ class BankedSequentialFetch(FetchUnit):
 
     name = "banked_sequential"
     num_banks = 2
-
-    def plan(self, fetch_address: int, limit: int) -> FetchPlan:
-        block = self._block_of(fetch_address)
-        if not self.cache.access(block):
-            self.cache.fill(block)
-            return FetchPlan(stall_cycles=self.cache.miss_latency)
-
-        plan = FetchPlan()
-        target = self._walk_sequential(
-            fetch_address, self._block_end(block), limit, plan
-        )
-        if len(plan.addresses) >= limit:
-            return plan
-
-        if target >= 0:
-            successor_block = self._block_of(target)
-            if successor_block == block:
-                # Intra-block branch: no realignment hardware; stop at the
-                # branch (next cycle restarts at the target).
-                return plan
-            successor_start = target
-        else:
-            # No predicted-taken branch: continue sequentially, exactly
-            # like interleaved sequential.
-            successor_block = block + 1
-            successor_start = self._block_end(block)
-
-        if self.cache.bank_of(successor_block) == self.cache.bank_of(block):
-            # Bank interference: the successor block is not fetched.
-            plan.break_reason = "bank_conflict"
-            return plan
-        if not self.cache.access(successor_block):
-            self.cache.fill(successor_block)
-            plan.break_reason = "cache_miss"
-            return plan
-
-        self._walk_sequential(
-            successor_start, self._block_end(successor_block), limit, plan
-        )
-        return plan
+    rules = RULES[name]

@@ -19,13 +19,13 @@ instruction-stream-dependent time until the branch resolves.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.branch.btb import BranchTargetBuffer, BTBPrediction
 from repro.branch.predictors import DirectionPredictor
 from repro.branch.ras import ReturnAddressStack
+from repro.check.rules import UNLIMITED, SchemeRules
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OpClass
 from repro.machines.config import MachineConfig
@@ -95,16 +95,20 @@ class FetchStats:
     full_deliveries: int = 0  #: cycles delivering a full issue group
 
 
-class FetchUnit(ABC):
+class FetchUnit:
     """Base class for the paper's fetch/alignment schemes.
 
-    Subclasses define :attr:`num_banks` and implement :meth:`plan`.
+    A scheme is its :attr:`name`, :attr:`num_banks` and :attr:`rules`;
+    the one :meth:`plan` walk reads everything else from the rules.
     """
 
     #: Scheme name used in reports (overridden by subclasses).
     name: str = "abstract"
     #: I-cache banks the scheme requires.
     num_banks: int = 1
+    #: What one packet may contain (:data:`repro.check.rules.RULES`);
+    #: :meth:`plan` walks the predicted path as far as they allow.
+    rules: SchemeRules
     #: Optional packet-legality checker (``repro.check``): when set,
     #: every delivered plan is verified against the scheme's declarative
     #: capability rules before it is compared with the trace.
@@ -150,25 +154,99 @@ class FetchUnit(ABC):
         #: time a unit is built); :meth:`fetch_cycle` compares plans
         #: against plain ints instead of touching Instruction objects.
         self._trace_addresses = trace.address_array()
-        #: Per-slot prediction hook for the planning walks.  Without the
+        #: Per-slot prediction hook for :meth:`plan`.  Without the
         #: optional direction predictor and return stack (the paper's
         #: baseline) :meth:`predict_slot` reduces to a plain BTB lookup,
-        #: so the walks skip the wrapper entirely.
+        #: so the walk skips the wrapper entirely.
         if direction_predictor is None and return_stack is None:
             self._slot_predictor = self.btb.predict
         else:
             self._slot_predictor = self.predict_slot
 
-    # -- the per-scheme planning step ---------------------------------------
+    # -- the planning step -------------------------------------------------
 
-    @abstractmethod
     def plan(self, fetch_address: int, limit: int) -> FetchPlan:
         """Plan one fetch cycle starting at *fetch_address*.
 
-        *limit* caps the number of addresses planned (window space and
-        issue width).  Implementations may only use addresses, the cache
-        and the BTB — never the trace.
+        Walks the BTB-predicted path as far as :attr:`rules` allow, at
+        most *limit* addresses (window space and issue width), using
+        only addresses, the cache and the BTB — never the trace.  Every
+        planned address is predicted once, in order, and nothing else
+        is.  A missing fetch block stalls the cycle; any other stop ends
+        the packet and names its cause in ``break_reason``.
         """
+        rules = self.rules
+        cache = self.cache
+        words = self.block_words
+        block = fetch_address // words
+        if not cache.access(block):
+            cache.fill(block)
+            return FetchPlan(stall_cycles=cache.miss_latency)
+        # A bounded scheme reads at most max_blocks runs, one block each,
+        # so it never comes back to a block it left; an unbounded one
+        # reads each new block once per cycle and may come back to it.
+        bounded = rules.max_blocks != UNLIMITED
+        entered = [block]
+        resident = {block: True}  # block -> this cycle's access hit
+        if rules.consecutive_blocks_only:
+            # The blind next-block prefetch: a miss fills the block for a
+            # later cycle and ends this one's run at the block boundary.
+            resident[block + 1] = cache.access(block + 1)
+            if not resident[block + 1]:
+                cache.fill(block + 1)
+        addresses: list[int] = []
+        append = addresses.append
+        predict = self._slot_predictor
+        address = fetch_address
+        reason = "full"
+        while len(addresses) < limit:
+            if address // words != block:
+                block = address // words
+                if bounded:
+                    if len(entered) == rules.max_blocks:
+                        # Reached by a crossing or by running off the
+                        # end of the last block the scheme may read.
+                        if reason != "taken_branch":
+                            reason = "alignment"
+                        break
+                    bank = cache.bank_of(block)
+                    if rules.banked_conflict_free and bank in map(
+                        cache.bank_of, entered
+                    ):
+                        reason = "bank_conflict"
+                        break
+                    entered.append(block)
+                hit = resident.get(block)
+                if hit is None:
+                    hit = resident[block] = cache.access(block)
+                    if not hit:
+                        cache.fill(block)
+                if not hit:
+                    reason = "cache_miss"
+                    break
+                reason = "full"
+            append(address)
+            prediction = predict(address)
+            if not prediction.taken:
+                address += 1
+                continue
+            target = prediction.target
+            if target // words != block and not rules.sequential_only:
+                # An inter-block crossing, followed if the rules let the
+                # packet enter the target's block.  It ends a bounded
+                # scheme's run in this block even when the packet is full.
+                if bounded:
+                    reason = "taken_branch"
+            elif rules.sequential_only or not (
+                rules.collapses_forward_intra
+                if target > address
+                else rules.allows_backward_intra
+            ):
+                address = target
+                reason = "taken_branch"
+                break
+            address = target
+        return FetchPlan(addresses, address, 0, reason)
 
     # -- harness ------------------------------------------------------------
 
@@ -304,48 +382,3 @@ class FetchUnit(ABC):
             elif prediction.is_call:
                 self.return_stack.push(address + 1)
         return prediction
-
-    # -- shared helpers -----------------------------------------------------
-
-    def _block_of(self, address: int) -> int:
-        return address // self.block_words
-
-    def _block_start(self, block: int) -> int:
-        return block * self.block_words
-
-    def _block_end(self, block: int) -> int:
-        """One past the last address of *block*."""
-        return (block + 1) * self.block_words
-
-    def _walk_sequential(
-        self,
-        start: int,
-        stop: int,
-        limit: int,
-        plan: FetchPlan,
-    ) -> int:
-        """Append addresses from *start* while sequential, BTB-guided.
-
-        Walks ``[start, stop)`` appending to the plan until *limit* is
-        reached or the BTB predicts a taken transfer.  Returns the
-        predicted taken target, or -1 if the walk ended sequentially
-        (at *stop* or at the limit).  ``plan.next_address`` and
-        ``plan.break_reason`` are set (callers that continue the plan —
-        successor-block walks — overwrite the reason with the final
-        outcome).
-        """
-        predict = self._slot_predictor
-        address = start
-        while address < stop and len(plan.addresses) < limit:
-            plan.addresses.append(address)
-            prediction = predict(address)
-            if prediction.taken:
-                plan.next_address = prediction.target
-                plan.break_reason = "taken_branch"
-                return prediction.target
-            address += 1
-        plan.next_address = address
-        plan.break_reason = (
-            "full" if len(plan.addresses) >= limit else "alignment"
-        )
-        return -1

@@ -17,7 +17,8 @@ raises it to three (evaluated in paper Figure 11 via
 
 from __future__ import annotations
 
-from repro.fetch.base import FetchPlan, FetchUnit
+from repro.check.rules import RULES
+from repro.fetch.base import FetchUnit
 
 
 class CollapsingBufferFetch(FetchUnit):
@@ -31,77 +32,8 @@ class CollapsingBufferFetch(FetchUnit):
 
     name = "collapsing_buffer"
     num_banks = 2  # class default; per-machine value set in __init__
+    rules = RULES[name]
 
     def __init__(self, config, trace, **kwargs) -> None:
         self.num_banks = config.words_per_block
         super().__init__(config, trace, **kwargs)
-
-    def _walk_collapsing(
-        self,
-        start: int,
-        block: int,
-        limit: int,
-        plan: FetchPlan,
-    ) -> int:
-        """Walk within *block*, collapsing forward intra-block branches.
-
-        Returns the predicted target when a taken branch *leaves* the walk
-        (inter-block target, or an un-collapsible backward intra-block
-        target), else -1 when the walk ends sequentially.  Sets
-        ``plan.next_address``.
-        """
-        end = self._block_end(block)
-        predict = self._slot_predictor
-        address = start
-        while address < end and len(plan.addresses) < limit:
-            plan.addresses.append(address)
-            prediction = predict(address)
-            if prediction.taken:
-                target = prediction.target
-                if self._block_of(target) == block and target > address:
-                    # Forward intra-block branch: collapse the gap and keep
-                    # delivering from the target in the same block.
-                    address = target
-                    continue
-                plan.next_address = target
-                plan.break_reason = "taken_branch"
-                return target
-            address += 1
-        plan.next_address = address
-        plan.break_reason = (
-            "full" if len(plan.addresses) >= limit else "alignment"
-        )
-        return -1
-
-    def plan(self, fetch_address: int, limit: int) -> FetchPlan:
-        block = self._block_of(fetch_address)
-        if not self.cache.access(block):
-            self.cache.fill(block)
-            return FetchPlan(stall_cycles=self.cache.miss_latency)
-
-        plan = FetchPlan()
-        target = self._walk_collapsing(fetch_address, block, limit, plan)
-        if len(plan.addresses) >= limit:
-            return plan
-
-        if target >= 0:
-            successor_block = self._block_of(target)
-            if successor_block == block:
-                # Backward intra-block branch: the modelled controller does
-                # not collapse it; stop at the branch.
-                return plan
-            successor_start = target
-        else:
-            successor_block = block + 1
-            successor_start = self._block_end(block)
-
-        if self.cache.bank_of(successor_block) == self.cache.bank_of(block):
-            plan.break_reason = "bank_conflict"
-            return plan
-        if not self.cache.access(successor_block):
-            self.cache.fill(successor_block)
-            plan.break_reason = "cache_miss"
-            return plan
-
-        self._walk_collapsing(successor_start, successor_block, limit, plan)
-        return plan

@@ -10,37 +10,18 @@ logic-level cost models live in :mod:`repro.fetch.alignment`).
 
 from __future__ import annotations
 
-from repro.fetch.base import FetchPlan, FetchUnit
+from repro.check.rules import RULES
+from repro.fetch.base import FetchUnit
 
 
 class InterleavedSequentialFetch(FetchUnit):
-    """Two-bank sequential fetch with next-block prefetch."""
+    """Two-bank sequential fetch with next-block prefetch.
+
+    Consecutive blocks always map to different banks, so the prefetch
+    never conflicts; a prefetch miss ends the run at the block boundary
+    (``cache_miss``) and fills the block for a later cycle.
+    """
 
     name = "interleaved_sequential"
     num_banks = 2
-
-    def plan(self, fetch_address: int, limit: int) -> FetchPlan:
-        block = self._block_of(fetch_address)
-        if not self.cache.access(block):
-            self.cache.fill(block)
-            return FetchPlan(stall_cycles=self.cache.miss_latency)
-        # Consecutive blocks always map to different banks, so the
-        # sequential prefetch never conflicts.  A prefetch miss merely
-        # truncates this cycle's run at the block boundary (the block is
-        # filled for the next access).
-        stop_block = block
-        prefetch_missed = False
-        if self.cache.access(block + 1):
-            stop_block = block + 1
-        else:
-            self.cache.fill(block + 1)
-            prefetch_missed = True
-        plan = FetchPlan()
-        self._walk_sequential(
-            fetch_address, self._block_end(stop_block), limit, plan
-        )
-        if prefetch_missed and plan.break_reason == "alignment":
-            # The run reached the boundary only because the prefetched
-            # successor block was absent.
-            plan.break_reason = "cache_miss"
-        return plan
+    rules = RULES[name]

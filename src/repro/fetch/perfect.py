@@ -16,37 +16,17 @@ issue rate (paper Section 3.4).
 
 from __future__ import annotations
 
-from repro.fetch.base import FetchPlan, FetchUnit
+from repro.check.rules import RULES
+from repro.fetch.base import FetchUnit
 
 
 class PerfectFetch(FetchUnit):
-    """Upper-bound fetch: unlimited alignment capability."""
+    """Upper-bound fetch: unlimited alignment capability.
+
+    Each new block is accessed once per cycle; a missing one after the
+    first truncates the group just before it (``cache_miss``).
+    """
 
     name = "perfect"
     num_banks = 1
-
-    def plan(self, fetch_address: int, limit: int) -> FetchPlan:
-        plan = FetchPlan()
-        first_block = self._block_of(fetch_address)
-        if not self.cache.access(first_block):
-            self.cache.fill(first_block)
-            return FetchPlan(stall_cycles=self.cache.miss_latency)
-
-        seen_blocks = {first_block}
-        address = fetch_address
-        plan.break_reason = "full"
-        while len(plan.addresses) < limit:
-            block = self._block_of(address)
-            if block not in seen_blocks:
-                if not self.cache.access(block):
-                    # Fill in the background; the group truncates just
-                    # before the missing block.
-                    self.cache.fill(block)
-                    plan.break_reason = "cache_miss"
-                    break
-                seen_blocks.add(block)
-            plan.addresses.append(address)
-            prediction = self._slot_predictor(address)
-            address = prediction.target if prediction.taken else address + 1
-        plan.next_address = address
-        return plan
+    rules = RULES[name]

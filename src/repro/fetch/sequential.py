@@ -8,28 +8,17 @@ supplied.  This is the realistic lower bound of the paper's study.
 
 from __future__ import annotations
 
-from repro.fetch.base import FetchPlan, FetchUnit
+from repro.check.rules import RULES
+from repro.fetch.base import FetchUnit
 
 
 class SequentialFetch(FetchUnit):
     """Single-block, mask-based sequential fetch.
 
-    The single sequential walk also yields the plan's telemetry
-    ``break_reason`` directly: ``taken_branch`` when the run ends at a
-    predicted-taken branch, ``alignment`` at the block boundary,
-    ``full`` when the issue width is filled.
+    A packet ends ``taken_branch`` at a predicted-taken branch,
+    ``alignment`` at the block boundary, or ``full`` at the issue width.
     """
 
     name = "sequential"
     num_banks = 1
-
-    def plan(self, fetch_address: int, limit: int) -> FetchPlan:
-        block = self._block_of(fetch_address)
-        if not self.cache.access(block):
-            self.cache.fill(block)
-            return FetchPlan(stall_cycles=self.cache.miss_latency)
-        plan = FetchPlan()
-        self._walk_sequential(
-            fetch_address, self._block_end(block), limit, plan
-        )
-        return plan
+    rules = RULES[name]

@@ -21,10 +21,13 @@ steady-state fetch is a dict hit that replays the memoised packet and
 its BTB and cache statistic deltas.  A unit with a direction predictor,
 return stack or packet checker takes the same step without the memo, so
 it plans every fetch (and a checker sees every fetched packet).  Only an
-unvetted scheme (the trace cache, subclasses such as Figure 10's
-crossing ablation) or ``REPRO_KERNEL=0`` runs the specification loop
-over ``FetchUnit.fetch_cycle``.  Both loops give the same result and
-leave the unit in the same state (``tests/test_differential.py``).
+unvetted scheme or ``REPRO_KERNEL=0`` runs the specification loop
+over ``FetchUnit.fetch_cycle``.  The unvetted schemes are the trace
+cache and subclasses of a vetted scheme, such as Figure 10's crossing
+ablation: a collapsing buffer whose rules lift the block, crossing and
+bank limits, planned by the same ``FetchUnit.plan`` walk.  Both loops
+give the same result and leave the unit in the same state
+(``tests/test_differential.py``).
 """
 
 from __future__ import annotations

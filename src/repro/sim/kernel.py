@@ -155,15 +155,16 @@ __all__ = [
 #: served across kernel revisions.
 KERNEL_TABLE_VERSION = 2
 
-#: Schemes whose ``plan()`` is a pure function of (address, BTB
-#: effective state, cache tags) — verified by inspection and guarded by
-#: the equivalence suite.  Exact-type matched: subclasses (e.g. the
-#: trace cache, which keeps mutable planning state) are *not* vetted.
+#: Schemes whose ``plan()`` — the one rules walk, ``FetchUnit.plan`` —
+#: is a pure function of (address, BTB effective state, cache tags),
+#: guarded by the equivalence suite.  Exact-type matched: subclasses
+#: (the trace cache, which keeps mutable planning state; Figure 10's
+#: crossing ablation, which walks other rules) are *not* vetted.
 #:
-#: The predicted-addresses invariant: each of them asks the BTB about
-#: exactly the addresses it plans (every walk appends an address, then
-#: predicts it), so :func:`plan_memo` reads a plan's BTB dependencies
-#: off ``plan.addresses`` (guarded by ``tests/test_fetch.py``).
+#: The predicted-addresses invariant: the walk asks the BTB about
+#: exactly the addresses it plans (it appends an address, then predicts
+#: it), so :func:`plan_memo` reads a plan's BTB dependencies off
+#: ``plan.addresses`` (guarded by ``tests/test_fetch.py``).
 _SUPPORTED_SCHEMES = frozenset(
     {
         SequentialFetch,
@@ -559,9 +560,10 @@ def plan_memo(fetch, trace, width: int, memoize: bool = True) -> tuple:
     * ``tally(fetches)`` adds the plan counters of *fetches* delivered
       fetches to :data:`stats`.
 
-    A plan's BTB dependencies are the slots of its own addresses: every
-    vetted scheme predicts exactly the addresses it plans (the
-    predicted-addresses invariant at :data:`_SUPPORTED_SCHEMES`).  With
+    A plan's BTB dependencies are the slots of its own addresses: the one
+    rules walk predicts exactly the addresses it plans, for every vetted
+    scheme (the predicted-addresses invariant at
+    :data:`_SUPPORTED_SCHEMES`).  With
     *memoize* false (a unit whose plans depend on a direction predictor
     or return stack, or whose packet checker must see every fetched
     packet) every fetch plans live and ``install`` / ``remove`` do

@@ -163,6 +163,12 @@ class TestBankedPacketRules:
         codes = _codes(self.rules, [80, 81, 90, 91], fetch_address=80)
         assert codes == set()
 
+    def test_return_to_a_block_it_left_rejected(self):
+        # Block 10 runs into block 11, whose taken branch targets block 10
+        # again: each block supplies one run, so 81 cannot follow 88.
+        codes = _codes(self.rules, [86, 87, 88, 81], fetch_address=86)
+        assert codes == {"K013"}
+
 
 class TestCollapsingPacketRules:
     rules = rules_for("collapsing_buffer")
@@ -190,6 +196,12 @@ class TestPerfectPacketRules:
         codes = _codes(
             rules_for("perfect"), [80, 85, 82, 160, 40], fetch_address=80
         )
+        assert codes == set()
+
+    def test_returning_to_a_block_legal(self):
+        # An unbounded scheme reads each new block once per cycle and may
+        # come back to it (no K013).
+        codes = _codes(rules_for("perfect"), [86, 87, 88, 81], fetch_address=86)
         assert codes == set()
 
 

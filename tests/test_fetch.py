@@ -7,8 +7,11 @@ All scenarios use a PI4-like machine: 4-wide issue, 16-byte blocks
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch import BranchTargetBuffer
+from repro.check.rules import UNLIMITED, check_packet
 from repro.fetch import (
     BankedSequentialFetch,
     CollapsingBufferFetch,
@@ -418,9 +421,10 @@ class TestSchemeDominance:
 
 class TestPlansPredictTheirOwnAddresses:
     """The compiled kernel's predicted-addresses invariant (beside
-    ``kernel._SUPPORTED_SCHEMES``): each vetted scheme's ``plan()`` asks
-    the BTB about exactly the addresses it plans, in order, so the plan
-    memo reads a packet's BTB dependencies off the packet."""
+    ``kernel._SUPPORTED_SCHEMES``): the one rules walk,
+    ``FetchUnit.plan``, asks the BTB about exactly the addresses it
+    plans, in order, for every vetted scheme, so the plan memo reads a
+    packet's BTB dependencies off the packet."""
 
     @pytest.mark.parametrize("machine_name", ["PI4", "PI8", "PI12"])
     @pytest.mark.parametrize(
@@ -470,3 +474,132 @@ class TestPlansPredictTheirOwnAddresses:
             seen.clear()
             plan = unit.plan(rng.randrange(span), machine.issue_rate)
             assert seen == plan.addresses
+
+
+# -- the maximal-packet model -------------------------------------------------
+
+
+def predicted_path(btb, start, steps):
+    """*start* and the next *steps* addresses the BTB predicts after it."""
+    path = [start]
+    for _ in range(steps):
+        prediction = btb.predict(path[-1])
+        path.append(prediction.target if prediction.taken else path[-1] + 1)
+    return path
+
+
+def maximal_packet(rules, path, width, words_per_block, num_banks):
+    """The packet *rules* allow along the predicted *path* (at least
+    ``width + 1`` addresses long): its longest prefix that
+    ``check_packet`` accepts within *width*, and the ``break_reason``
+    naming the rule that ended it.
+
+    A repeated address is an unrolled loop, which an unbounded scheme
+    delivers although ``check_packet`` rejects it (K011), so K011 is not
+    a stop for those schemes.  A full packet whose last slot is a taken
+    transfer the scheme does not merge into its block's run reads
+    ``taken_branch`` for a bounded scheme (the run ended there whatever
+    the width); the walk does not follow a taken branch to the next
+    word, which ``check_packet`` cannot tell from a sequential step, so
+    the property's BTB holds none.
+    """
+
+    def stops(length):
+        codes = {
+            error.code
+            for error in check_packet(
+                rules,
+                path[:length],
+                fetch_address=path[0],
+                limit=width,
+                words_per_block=words_per_block,
+                num_banks=num_banks,
+            )
+        }
+        if rules.max_blocks == UNLIMITED:
+            codes.discard("K011")
+        return codes
+
+    length = 1
+    while not stops(length + 1):
+        length += 1
+    last, after = path[length - 1], path[length]
+    taken = after != last + 1
+    if length == width:
+        merged = (
+            rules.collapses_forward_intra
+            and after // words_per_block == last // words_per_block
+            and after > last
+        )
+        bounded = rules.max_blocks != UNLIMITED
+        reason = "taken_branch" if taken and bounded and not merged else "full"
+    elif stops(length + 1) == {"K010"}:
+        reason = "bank_conflict"
+    else:
+        reason = "taken_branch" if taken else "alignment"
+    return path[:length], reason
+
+
+VETTED = [
+    "sequential",
+    "interleaved_sequential",
+    "banked_sequential",
+    "collapsing_buffer",
+    "perfect",
+]
+
+@st.composite
+def fetch_states(draw):
+    """A fetch address and up to eight predicted branches ``(address,
+    target, still predicted taken)`` just after it, within eight blocks
+    of the largest machine; none is a taken branch to the next word."""
+    start = draw(st.integers(0, 127))
+    branches = []
+    for _ in range(draw(st.integers(0, 8))):
+        address = (start + draw(st.integers(0, 31))) % 128
+        jump = draw(st.integers(-24, 24) | st.integers(0, 127))
+        target = (address + jump) % 128
+        if target != address + 1:
+            branches.append((address, target, draw(st.booleans())))
+    return start, branches
+
+
+class TestMaximalPacket:
+    """On a warm cache and a trained BTB, each vetted scheme's packet is
+    exactly what its rules allow along the predicted path: the longest
+    prefix ``check_packet`` accepts within the width (the model above),
+    stopped for the reason that rule names, continued at the path's next
+    address, and reading the packet's blocks plus, for interleaved
+    sequential, the blind next-block prefetch."""
+
+    @pytest.mark.parametrize("machine_name", ["PI4", "PI8", "PI12"])
+    @pytest.mark.parametrize("scheme", VETTED)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(state=fetch_states(), width_cut=st.integers(0, 11))
+    def test_plan_is_the_maximal_legal_packet(
+        self, scheme, machine_name, state, width_cut
+    ):
+        start, branches = state
+        machine = get_machine(machine_name)
+        words = machine.words_per_block
+        width = machine.issue_rate - width_cut % machine.issue_rate
+        unit = create_fetch_unit(scheme, machine, make_trace((0, OpClass.IALU)))
+        prewarm(unit, range((128 + 2 * machine.issue_rate) // words + 2))
+        for address, target, taken in branches:
+            warm_taken(unit, address, target)
+            if not taken:
+                branch = Instruction(OpClass.BR_COND, address=address, target=target)
+                for _ in range(2):
+                    unit.train(branch, False, target)
+        path = predicted_path(unit.btb, start, width)
+        packet, reason = maximal_packet(
+            unit.rules, path, width, words, unit.num_banks
+        )
+        accesses = unit.cache.stats.accesses
+        plan = unit.plan(start, width)
+        assert (plan.addresses, plan.break_reason) == (packet, reason)
+        assert plan.next_address == path[len(packet)]
+        read = {address // words for address in packet}
+        if unit.rules.consecutive_blocks_only:
+            read.add(start // words + 1)
+        assert unit.cache.stats.accesses - accesses == len(read)

@@ -223,8 +223,9 @@ class TestSupervisorChaos:
         assert any("timed out after 1s" in line for line in outcome.failures)
 
     def test_transient_exception_retried_serially(self):
-        # Unique trace length: ``sim_stats`` is lru-cached per process,
-        # and the ``sim.stats`` site only fires when the body runs.
+        # Unique trace length: the session-wide ``REPRO_CACHE_DIR`` may
+        # already hold another test's cell, and the ``sim.stats`` site
+        # only fires when the ``sim_stats`` body runs.
         jobs = make_jobs(schemes=("sequential",), length=3100)
         arm("seed=7;sim.stats=exc:n=1")
         report = run_batch_report(jobs, processes=1, config=FAST)
@@ -640,8 +641,10 @@ class TestCacheHardening:
 
     def test_worker_cache_disable_is_counted_in_batch(self, cache_env):
         # The auto-disable counter rides the worker->parent delta like
-        # every other cache counter.  Unique length: the store only
-        # happens when the lru-cold ``sim_stats`` body runs.
+        # every other cache counter.  The store only happens when the
+        # ``sim_stats`` body runs: ``cache_env``'s directory starts
+        # empty, and the unique length keeps the cell out of any cache
+        # directory another test's jobs filled.
         jobs = make_jobs(schemes=("sequential",), length=3200)
         arm("cache.store=oserror:n=1")
         report = run_batch_report(jobs, processes=1, config=FAST)
@@ -707,8 +710,10 @@ class TestSweepCLI:
         from repro.cli import main
 
         arm("sim.stats=exc")
-        # Unique length so the lru-cold sim_stats body (and its fault
-        # site) actually runs.
+        # The sim_stats body (and its fault site) runs only on a cache
+        # miss: ``cache_env``'s directory starts empty, and the unique
+        # length keeps the cell out of any cache directory another
+        # test's sweeps filled.
         args = [a if a != "3000" else "3400" for a in self.SWEEP]
         code = main(args + ["--retries", "0"])
         assert code == 1
