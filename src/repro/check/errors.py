@@ -59,7 +59,7 @@ CODES: dict[str, str] = {
     "K008": "backward intra-block branch merged by the collapsing buffer",
     "K009": "more than the allowed inter-block taken crossings",
     "K010": "packet blocks collide in the same cache bank",
-    "K011": "address delivered twice within one packet",
+    "K011": "address delivered twice within one packet (bounded-block schemes)",
     "K012": "negative or invalid address in the packet",
     "K013": "packet returns to a cache block it left",
     # -- pipeline sanitizer (Sxxx) --

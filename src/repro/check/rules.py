@@ -177,7 +177,8 @@ def check_packet(
     if any(a < 0 for a in addresses):
         flag("K012", f"negative address in packet: {addresses}")
         return errors
-    if len(set(addresses)) != len(addresses):
+    if rules.max_blocks != UNLIMITED and len(set(addresses)) != len(addresses):
+        # An unbounded scheme may deliver an unrolled loop.
         flag("K011", f"duplicate address in packet: {addresses}")
 
     inter_block_crossings = 0

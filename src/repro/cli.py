@@ -374,7 +374,7 @@ def _config_for(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     names = args.names or list(EXPERIMENTS)
-    for result in run_experiments(names, _config_for(args)):
+    for result in run_experiments(names, _config_for(args), args.jobs):
         print(result.to_json() if args.json else result.as_text())
         if not args.json:
             print("=" * 72)
@@ -931,8 +931,8 @@ def _engine(parser) -> None:
     )
 
 
-def _supervision(parser) -> None:
-    """How supervised jobs run: ``--jobs``, ``--timeout``, ``--retries``."""
+def _jobs(parser) -> None:
+    """How many worker processes run: ``--jobs``."""
     parser.add_argument(
         "--jobs",
         type=int,
@@ -940,6 +940,11 @@ def _supervision(parser) -> None:
         metavar="N",
         help="worker processes (default: CPU count; 1 = serial)",
     )
+
+
+def _supervision(parser) -> None:
+    """How supervised jobs run: ``--jobs``, ``--timeout``, ``--retries``."""
+    _jobs(parser)
     parser.add_argument(
         "--timeout",
         type=float,
@@ -1085,6 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("--json", action="store_true")
     _scale(experiment)
+    _jobs(experiment)
 
     ablate = verb(
         "ablate",

@@ -8,13 +8,15 @@ result-cache ``(kind, key)`` pair (:data:`Cell`): simulations per
 (benchmark, program variant, machine, scheme), and the trace statistics
 and nop expansions of Tables 2-4 per their full argument tuple, so a
 warm report reads cells instead of rebuilding workloads, traces or
-compiler passes.  In process, only dynamic traces are memoised, and at
-most :data:`TRACE_LIMIT` of them, so a long-lived worker's memory stays
-bounded.
+compiler passes, and a cold one computes its missed cells on the
+worker pool, one job per benchmark (:func:`resolve`).  In process,
+only dynamic traces are memoised, and at most :data:`TRACE_LIMIT` of
+them, so a long-lived worker's memory stays bounded.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -30,6 +32,8 @@ from repro.sim import cache as result_cache
 from repro.sim.eir import EIRResult, measure_eir
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
+from repro.sim.supervisor import run_supervised
+from repro.telemetry import trace as tracing
 from repro.workloads.profiles import FP_BENCHMARKS, INTEGER_BENCHMARKS
 from repro.workloads.suite import load_workload
 from repro.workloads.trace import TEST_INPUT_SEED, generate_trace
@@ -271,7 +275,7 @@ _COMPUTE: dict[str, Callable[[tuple], Any]] = {
 }
 
 
-def request(cell: Cell):
+def request(cell: Cell, missed: bool = False):
     """One cell's value: a result-cache hit, or computed and stored.
 
     Results are reused only through the persistent disk cache
@@ -280,19 +284,90 @@ def request(cell: Cell):
     but the trace (:func:`variant_trace`).  The engine options that
     never change a result (``REPRO_SANITIZE``, ``REPRO_KERNEL``) are
     environment knobs salted into the disk-cache key, so they may be
-    flipped between calls.
+    flipped between calls.  *missed* says a cache load of the cell has
+    already missed (:func:`resolve`'s probe), so it is not loaded again.
     """
     kind, key = cell
     if kind in ("sim_stats", "telemetry_stats"):
         # Chaos site: lets the harness prove a transient failure here is retried.
         faults.maybe_fail("sim.stats")
-    return result_cache.get_or_compute(kind, key, lambda: _COMPUTE[kind](key))
+    return result_cache.get_or_compute(
+        kind, key, lambda: _COMPUTE[kind](key), missed=missed
+    )
 
 
-def resolve(cells: Iterable[Cell]) -> dict[Cell, Any]:
+@dataclass(frozen=True, slots=True)
+class CellGroup:
+    """One benchmark's missed cells: one pool job, so the worker that
+    runs it builds the benchmark's workload, reordering and traces
+    once."""
+
+    benchmark: str
+    cells: tuple[Cell, ...]
+
+
+def _compute_group(group: CellGroup) -> list:
+    return [request(cell, missed=True) for cell in group.cells]
+
+
+#: Where a kind's key holds the length of the trace its cell runs.
+_LENGTH_FIELD = {
+    "sim_stats": 4,
+    "telemetry_stats": 4,
+    "eir_stats": 4,
+    "branch_stats": 2,
+}
+
+
+def _cost(group: CellGroup) -> int:
+    """A group's estimated cost: the trace instructions its cells run
+    (a static nop expansion runs none)."""
+    return sum(
+        key[_LENGTH_FIELD[kind]] for kind, key in group.cells if kind in _LENGTH_FIELD
+    )
+
+
+def resolve(cells: Iterable[Cell], processes: int | None = None) -> dict[Cell, Any]:
     """The value of each distinct cell in *cells*, requested once each,
-    in first-request order."""
-    return {cell: request(cell) for cell in dict.fromkeys(cells)}
+    in first-request order.
+
+    With *processes* <= 1 each cell is requested in turn on this thread.
+    Otherwise (default: one worker per CPU) the cells the result cache
+    holds are loaded here first, so a warm call starts no process.  The
+    missed cells are grouped by benchmark (the first field of every
+    key), and the groups run costliest first on a
+    :func:`~repro.sim.supervisor.run_supervised` pool of at most
+    *processes* workers, one per group at most; a lone group is
+    computed here.  Values come back over the pool's result pipes, and
+    the workers' result-cache counters are added to this process's.
+    """
+    order = list(dict.fromkeys(cells))
+    if processes is None:
+        processes = os.cpu_count() or 1
+    if processes <= 1:
+        return {cell: request(cell) for cell in order}
+    values = {}
+    misses: dict[str, list[Cell]] = {}
+    for cell in order:
+        value = result_cache.load(*cell)
+        if value is None:
+            misses.setdefault(cell[1][0], []).append(cell)
+        else:
+            values[cell] = value
+    groups = sorted(
+        (CellGroup(benchmark, tuple(group)) for benchmark, group in misses.items()),
+        key=_cost,
+        reverse=True,
+    )
+    if len(groups) == 1:
+        values.update(zip(groups[0].cells, _compute_group(groups[0])))
+    elif groups:
+        processes = min(processes, len(groups))
+        with tracing.span("batch.run", jobs=len(groups), processes=processes):
+            run = run_supervised(groups, _compute_group, processes=processes)
+        for group, group_values in zip(groups, run.results):
+            values.update(zip(group.cells, group_values))
+    return {cell: values[cell] for cell in order}
 
 
 def sim_stats(*args, **kwargs) -> SimStats:

@@ -73,14 +73,17 @@ EXPERIMENTS: dict[str, ModuleType] = {
 def run_experiments(
     names: Iterable[str] | None = None,
     config: ExperimentConfig = DEFAULT_CONFIG,
+    processes: int | None = None,
 ) -> list[ExperimentResult]:
     """Run the named experiments (all by default), in paper order.
 
     Artifacts share cells (Figure 9 reads Figure 3's, Figure 11
     Figure 9's, Table 3 Table 2's), so the selected artifacts' cells
     are gathered first and each distinct one is loaded or computed
-    once, in the order the artifacts first ask for it.  The values live
-    only for this call.
+    once (:func:`~repro.experiments.common.resolve`: cache misses run
+    on up to *processes* workers, default one per CPU; 1 computes them
+    in turn in this process).  Rendering stays here, and the values
+    live only for this call.
     """
     selected = list(names) if names is not None else list(EXPERIMENTS)
     artifacts = []
@@ -90,5 +93,8 @@ def run_experiments(
         except KeyError:
             known = ", ".join(EXPERIMENTS)
             raise KeyError(f"unknown experiment {name!r}; known: {known}") from None
-    results = resolve(cell for artifact in artifacts for cell in artifact.cells(config))
+    results = resolve(
+        (cell for artifact in artifacts for cell in artifact.cells(config)),
+        processes,
+    )
     return [artifact.render(config, results) for artifact in artifacts]

@@ -364,9 +364,13 @@ def _release_claim(lock: Path) -> None:
         pass
 
 
-def get_or_compute(kind: str, key: tuple, compute: Callable[[], Any]) -> Any:
+def get_or_compute(
+    kind: str, key: tuple, compute: Callable[[], Any], missed: bool = False
+) -> Any:
     """Cached value for ``(kind, key)``, computing (at most once across
-    concurrently missing processes) on a miss.
+    concurrently missing processes) on a miss.  *missed* says a
+    :func:`load` of the key has already missed (and counted the miss),
+    so the key is not loaded again before it is claimed.
 
     The first process to miss claims the key with a lockfile and runs
     *compute*; other processes missing the same key meanwhile poll for
@@ -382,10 +386,10 @@ def get_or_compute(kind: str, key: tuple, compute: Callable[[], Any]) -> Any:
     for the waiter paths, how long the single-flight wait lasted.
     """
     if not tracing.tracing_enabled():
-        value, _, _ = _get_or_compute(kind, key, compute)
+        value, _, _ = _get_or_compute(kind, key, compute, missed)
         return value
     with tracing.span("sim.cache", kind=kind) as sp:
-        value, outcome, waited = _get_or_compute(kind, key, compute)
+        value, outcome, waited = _get_or_compute(kind, key, compute, missed)
         sp.set(outcome=outcome)
         if waited:
             sp.set(wait_seconds=round(waited, 6))
@@ -393,13 +397,13 @@ def get_or_compute(kind: str, key: tuple, compute: Callable[[], Any]) -> Any:
 
 
 def _get_or_compute(
-    kind: str, key: tuple, compute: Callable[[], Any]
+    kind: str, key: tuple, compute: Callable[[], Any], missed: bool
 ) -> tuple[Any, str, float]:
     """:func:`get_or_compute` body; also reports ``(outcome,
     single-flight wait seconds)`` for the tracing wrapper."""
     if not cache_enabled():
         return compute(), "disabled", 0.0
-    value = load(kind, key)
+    value = None if missed else load(kind, key)
     if value is not None:
         return value, "hit", 0.0
     ttl = claim_ttl()

@@ -24,6 +24,7 @@ from repro.check import (
 )
 from repro.check.api import check_matrix
 from repro.check.errors import CheckReport
+from repro.check.rules import UNLIMITED
 from repro.check import sanitizer as sanitizer_module
 from repro.check.sanitizer import PipelineSanitizer, sanitize_enabled
 from repro.cli import main
@@ -36,6 +37,12 @@ from repro.workloads.suite import load_workload
 from repro.workloads.trace import generate_trace
 
 ALL_PACKET_SCHEMES = HARDWARE_SCHEMES + ("perfect", "trace_cache")
+#: Schemes that read each of a bounded number of blocks once per packet,
+#: and those that follow any path (an unrolled loop included).
+BOUNDED_SCHEMES = [
+    s for s in ALL_PACKET_SCHEMES if rules_for(s).max_blocks != UNLIMITED
+]
+UNBOUNDED_SCHEMES = [s for s in ALL_PACKET_SCHEMES if s not in BOUNDED_SCHEMES]
 
 
 def _trace(benchmark="compress", length=2_000, seed=0):
@@ -66,7 +73,8 @@ def _codes(rules, addresses, *, fetch_address, limit=16, words=8, banks=2):
 
 
 class TestPacketMutationsGeneric:
-    """Illegal packets that every scheme must reject."""
+    """Illegal packets that every scheme must reject (a repeated
+    address only the bounded ones)."""
 
     @pytest.mark.parametrize("scheme", ALL_PACKET_SCHEMES)
     def test_empty_packet_rejected(self, scheme):
@@ -85,10 +93,17 @@ class TestPacketMutationsGeneric:
         codes = _codes(rules_for(scheme), [81, 82], fetch_address=80)
         assert "K003" in codes
 
-    @pytest.mark.parametrize("scheme", ALL_PACKET_SCHEMES)
+    @pytest.mark.parametrize("scheme", BOUNDED_SCHEMES)
     def test_duplicate_address_rejected(self, scheme):
         codes = _codes(rules_for(scheme), [80, 81, 80], fetch_address=80)
         assert "K011" in codes
+
+    @pytest.mark.parametrize("scheme", UNBOUNDED_SCHEMES)
+    def test_unrolled_loop_accepted(self, scheme):
+        """A repeated address is an unrolled loop, which ``perfect`` and
+        a trace-cache hit deliver; only bounded schemes reject it."""
+        codes = _codes(rules_for(scheme), [80, 81, 82, 80, 81], fetch_address=80)
+        assert codes == set()
 
     @pytest.mark.parametrize("scheme", ALL_PACKET_SCHEMES)
     def test_negative_address_rejected(self, scheme):
@@ -540,6 +555,19 @@ class TestSanitizer:
         sim = _simulator(sanitize=True, scheme="banked_sequential")
         reference = sim.run_reference()
         assert reference == _simulator(scheme="banked_sequential").run()
+
+    @pytest.mark.parametrize("scheme", UNBOUNDED_SCHEMES)
+    @pytest.mark.parametrize("workload", ["espresso", "li", "eqntott", "compress"])
+    def test_unbounded_schemes_run_sanitized(self, workload, scheme, monkeypatch):
+        """``REPRO_SANITIZE=1`` end to end on the schemes ``repro check``
+        does not lint: their unrolled loops at PI12 are no finding."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        _, trace = _trace(workload, length=3_000)
+        sim = Simulator(get_machine("PI12"), trace, scheme, warmup=500)
+        sim.run()
+        checker = sim.sanitizer.packet_checker
+        assert checker.packets_checked > 0
+        assert checker.violations == 0
 
     def test_clean_run_counts_checks(self):
         sim = _simulator(sanitize=True)

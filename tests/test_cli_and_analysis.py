@@ -210,10 +210,13 @@ class TestCLI:
 
         calls = []
         monkeypatch.setattr(
-            cli, "run_experiments", lambda names, config: calls.append(names) or []
+            cli,
+            "run_experiments",
+            lambda names, config, processes: calls.append((names, processes)) or [],
         )
         assert main(["experiment", "--scale", "0.5"]) == 0
-        assert calls == [list(EXPERIMENTS)]
+        assert main(["experiment", "fig03", "--jobs", "1"]) == 0
+        assert calls == [(list(EXPERIMENTS), None), (["fig03"], 1)]
 
     def test_simulate_telemetry_prints_the_same_statistics(self, capsys):
         argv = ["simulate", "li", "PI4", "collapsing_buffer", "--length", "3000"]

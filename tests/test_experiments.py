@@ -24,10 +24,13 @@ from repro.metrics.branches import (
     taken_branch_reduction,
     taken_branch_stats,
 )
+from repro import faults
 from repro.sim import cache as result_cache
+from repro.sim import supervisor
 from repro.sim import kernel as sim_kernel
 from repro.sim.batch import SimJob, _run_job
 from repro.sim.simulator import Simulator
+from repro.sim.supervisor import run_supervised
 from repro.workloads.profiles import INTEGER_BENCHMARKS
 from repro.workloads.trace import DynamicTrace
 
@@ -270,7 +273,7 @@ def test_cold_report_holds_at_most_the_tape_bound(fresh_cache):
     not timed, so the guard holds on every Python."""
     _clear_memos()
     before = sim_kernel.stats["tapes_recorded"]
-    run_experiments(["fig03", "fig09"], TINY)
+    run_experiments(["fig03", "fig09"], TINY, processes=1)
     recorded = sim_kernel.stats["tapes_recorded"] - before
     assert recorded > sim_kernel.TAPE_LIMIT
     held = sum(
@@ -381,9 +384,9 @@ class TestDeclaredCells:
         requests = Counter()
         get_or_compute = result_cache.get_or_compute
 
-        def counted(kind, key, compute):
+        def counted(kind, key, compute, missed=False):
             requests[kind, key] += 1
-            return get_or_compute(kind, key, compute)
+            return get_or_compute(kind, key, compute, missed)
 
         simulated = []
         run = Simulator.run
@@ -394,7 +397,7 @@ class TestDeclaredCells:
 
         monkeypatch.setattr(result_cache, "get_or_compute", counted)
         monkeypatch.setattr(Simulator, "run", counted_run)
-        run_experiments(list(EXPERIMENTS), TINY)
+        run_experiments(list(EXPERIMENTS), TINY, processes=1)
         declared = [
             cell for artifact in EXPERIMENTS.values() for cell in artifact.cells(TINY)
         ]
@@ -429,3 +432,72 @@ class TestDeclaredCells:
             with pytest.raises(KeyError) as excinfo:
                 render(TINY, missing)
             assert excinfo.value.args == (cell,)
+
+
+def _report_json(names, processes) -> list[str]:
+    _clear_memos()
+    return [
+        result.to_json() for result in run_experiments(names, TINY, processes)
+    ]
+
+
+class TestReportFanOut:
+    """A report loads its cached cells in process and sends the missed
+    ones to the worker pool, one job per benchmark; the values, and so
+    the report, are the serial report's."""
+
+    def test_cold_and_warm_reports_equal_serial(self, tmp_path, monkeypatch):
+        """Cold, the parent counts one miss (and, from its workers, one
+        store) per distinct cell; warm, one hit per cell and no pool."""
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        names = list(EXPERIMENTS)
+        cells = {cell for name in names for cell in EXPERIMENTS[name].cells(TINY)}
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
+        serial = _report_json(names, processes=1)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
+        before = result_cache.stats.snapshot()
+        assert _report_json(names, processes=2) == serial
+        delta = result_cache.stats.since(before)
+        assert (delta["misses"], delta["stores"], delta["hits"]) == (
+            len(cells),
+            len(cells),
+            0,
+        )
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a warm report started a worker pool")
+
+        monkeypatch.setattr(supervisor, "WorkerPool", no_pool)
+        before = result_cache.stats.snapshot()
+        assert _report_json(names, processes=2) == serial
+        delta = result_cache.stats.since(before)
+        assert (delta["misses"], delta["hits"]) == (0, len(cells))
+
+    def test_uncached_report_equals_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        names = list(EXPERIMENTS)
+        assert _report_json(names, processes=2) == _report_json(names, processes=1)
+
+    def test_crashed_group_is_retried(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
+        serial = _report_json(["fig03"], processes=1)
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(run_supervised(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(common, "run_supervised", recorded)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
+        monkeypatch.setenv("REPRO_FAULTS", "batch.worker=crash:n=1:a=1")
+        faults.reload()
+        try:
+            parallel = _report_json(["fig03"], processes=2)
+        finally:
+            monkeypatch.delenv("REPRO_FAULTS")
+            faults.reload()
+        assert parallel == serial
+        (run,) = runs
+        assert run.worker_failures >= 1
+        assert "retried" in {outcome.status for outcome in run.outcomes}

@@ -494,18 +494,16 @@ def maximal_packet(rules, path, width, words_per_block, num_banks):
     ``check_packet`` accepts within *width*, and the ``break_reason``
     naming the rule that ended it.
 
-    A repeated address is an unrolled loop, which an unbounded scheme
-    delivers although ``check_packet`` rejects it (K011), so K011 is not
-    a stop for those schemes.  A full packet whose last slot is a taken
-    transfer the scheme does not merge into its block's run reads
-    ``taken_branch`` for a bounded scheme (the run ended there whatever
-    the width); the walk does not follow a taken branch to the next
-    word, which ``check_packet`` cannot tell from a sequential step, so
-    the property's BTB holds none.
+    A full packet whose last slot is a taken transfer the scheme does
+    not merge into its block's run reads ``taken_branch`` for a bounded
+    scheme (the run ended there whatever the width); the walk does not
+    follow a taken branch to the next word, which ``check_packet``
+    cannot tell from a sequential step, so the property's BTB holds
+    none.
     """
 
     def stops(length):
-        codes = {
+        return {
             error.code
             for error in check_packet(
                 rules,
@@ -516,9 +514,6 @@ def maximal_packet(rules, path, width, words_per_block, num_banks):
                 num_banks=num_banks,
             )
         }
-        if rules.max_blocks == UNLIMITED:
-            codes.discard("K011")
-        return codes
 
     length = 1
     while not stops(length + 1):
